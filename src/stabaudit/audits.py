@@ -31,6 +31,7 @@ from .learners import (
     subsample_release,
 )
 from .losses import (
+    ERM_T_GRID,
     ParametricLoss,
     constant_loss,
     deviation_law,
@@ -77,9 +78,7 @@ class AuditReport:
 
 
 def _tol(scenario: Scenario, tol):
-    if tol is not None:
-        return tol
-    return 0 if scenario.data_dist.is_exact else 1e-12
+    return scenario.data_dist.mode.tolerance if tol is None else tol
 
 
 def default_battery(tj, seed: int) -> tuple[ParametricLoss, ...]:
@@ -558,7 +557,7 @@ def audit_c2_forward(
 
 def audit_erm(
     scenario: Scenario,
-    t_grid: Sequence = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
+    t_grid: Sequence = ERM_T_GRID,
     budget: int | None = None,
     tol=None,
 ) -> AuditReport:

@@ -16,9 +16,8 @@ import argparse
 import json
 import sys
 
-from .audits import AUDIT_IDS
 from .corpus import LEARNER_BUILDERS, LOSS_BUILDERS, corpus_configs
-from .harness import EXIT_CONFIG, ConfigError, corpus_run, run_config
+from .harness import AUDITS, EXIT_CONFIG, ConfigError, corpus_run, run_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +100,7 @@ def _cmd_list() -> int:
     for cfg in corpus_configs():
         ids = [a if isinstance(a, str) else a["id"] for a in cfg["audits"]]
         print(f"  {cfg['name']}: audits {', '.join(ids)}")
-    print("audits:", ", ".join(AUDIT_IDS))
+    print("audits:", ", ".join(AUDITS))
     print("learners:", ", ".join(sorted(LEARNER_BUILDERS)))
     print("losses:", ", ".join(sorted(LOSS_BUILDERS)))
     return 0

@@ -323,7 +323,3 @@ def corpus_configs() -> tuple[dict, ...]:
     import copy
 
     return tuple(copy.deepcopy(c) for c in CORPUS)
-
-
-def corpus_names() -> tuple[str, ...]:
-    return tuple(c["name"] for c in CORPUS)

@@ -316,14 +316,6 @@ def overlap(p, q):
     return 1 - tv_distance(p, q)
 
 
-def marginal(j: Joint, *names: str):
-    return j.marginal(*names)
-
-
-def condition(j: Joint, name: str, symbol):
-    return j.condition(name, symbol)
-
-
 def product(*dists: Dist) -> Joint:
     """Independent product of marginals as a joint with one axis each."""
     if len(dists) < 2:

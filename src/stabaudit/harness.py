@@ -6,6 +6,9 @@ config and seed: wall-clock timings live in their own bundle field so the
 rest diffs cleanly, and files are written atomically (temp file, then
 rename).  Exit codes: 0 all audits pass, 1 some audit fails, 2 config or
 I/O error, 3 exact enumeration over budget with no MC fallback allowed.
+
+AUDITS is the one registry of audits: config validation, the MC fallback,
+`stabaudit list` and the sample-space walk requests all read it.
 """
 
 from __future__ import annotations
@@ -13,18 +16,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .audits import (
-    AUDIT_IDS,
     AuditReport,
     DEFAULT_T_GRID,
+    _resolve_side,
     _t5_core,
     audit_c2_forward,
     audit_dp,
@@ -39,35 +44,27 @@ from .audits import (
 from .bounds import dp_info_bound, dp_tail_bound
 from .corpus import LEARNER_BUILDERS, LOSS_BUILDERS, corpus_configs
 from .dist import Alphabet, Dist
+from .info import variational_info
 from .learners import (
     EnumerationBudgetError,
     Scenario,
+    collision_budget,
     default_budget,
     enumeration_size,
+    exact_trn_hyp_joint,
+    mi_request,
+    threeway_request,
+    trn_hyp_request,
+    walk,
 )
+from .losses import ERM_T_GRID, deviation_request
 from .mc import draw_runs, estimate_gen_risk, estimate_tail, estimate_variational_info
-from .numeric import EXACT, FLOAT64, NumericMode, coerce_number
+from .numeric import EXACT, FLOAT64
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-
-#: audits runnable from Monte Carlo estimates alone
-MC_AUDITS = frozenset({"T1", "C1", "P4"})
-
-_AUDIT_PARAM_KEYS = {
-    "T1": frozenset(),
-    "T2": frozenset({"side", "threshold"}),
-    "T3": frozenset({"side", "threshold"}),
-    "T4": frozenset({"t_grid"}),
-    "P3": frozenset({"t_grid"}),
-    "C1": frozenset({"epsilon", "delta", "t_grid"}),
-    "P4": frozenset({"epsilon", "delta"}),
-    "T5": frozenset({"tol"}),
-    "C2-forward": frozenset({"epsilon", "delta"}),
-    "ERM": frozenset({"t_grid"}),
-}
 
 _TOP_KEYS = frozenset(
     {
@@ -103,6 +100,13 @@ def _require(raw: Mapping, key: str, where: str):
     if key not in raw:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return raw[key]
+
+
+def _t_grid(raw, where: str) -> tuple:
+    grid = tuple(raw)
+    if not grid or not all(isinstance(t, (int, float)) and 0 < t < 1 for t in grid):
+        raise ConfigError(f"{where}t_grid values must lie strictly inside (0, 1)")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -193,9 +197,7 @@ class ScenarioConfig:
 
         t_grid = raw.get("t_grid")
         if t_grid is not None:
-            t_grid = tuple(t_grid)
-            if not t_grid or not all(isinstance(t, (int, float)) and 0 < t < 1 for t in t_grid):
-                raise ConfigError("t_grid values must lie strictly inside (0, 1)")
+            t_grid = _t_grid(t_grid, "")
 
         n_runs = raw.get("n_runs", 10000)
         if not isinstance(n_runs, int) or n_runs < 1:
@@ -221,18 +223,14 @@ class ScenarioConfig:
                 params = {k: v for k, v in entry.items() if k != "id"}
             else:
                 raise ConfigError(f"audit entry must be a string or object, got {entry!r}")
-            if aid not in AUDIT_IDS:
-                raise ConfigError(f"unknown audit id {aid!r}; known: {list(AUDIT_IDS)}")
-            _reject_unknown(params, _AUDIT_PARAM_KEYS[aid], f"audit {aid}")
+            if aid not in AUDITS:
+                raise ConfigError(f"unknown audit id {aid!r}; known: {list(AUDITS)}")
+            _reject_unknown(params, frozenset(AUDITS[aid].params), f"audit {aid}")
             if "t_grid" in params:
-                grid = tuple(params["t_grid"])
-                if not grid or not all(isinstance(t, (int, float)) and 0 < t < 1 for t in grid):
-                    raise ConfigError(f"audit {aid}: t_grid values must lie strictly inside (0, 1)")
-                params = {**params, "t_grid": grid}
-            if aid == "C2-forward":
-                for k in ("epsilon", "delta"):
-                    if k not in params:
-                        raise ConfigError(f"audit C2-forward needs {k!r}")
+                params = {**params, "t_grid": _t_grid(params["t_grid"], f"audit {aid}: ")}
+            for k, default in AUDITS[aid].params.items():
+                if default is _REQUIRED and k not in params:
+                    raise ConfigError(f"audit {aid} needs {k!r}")
             audits.append(AuditSpec(id=aid, params=params))
 
         cfg = cls(
@@ -252,10 +250,11 @@ class ScenarioConfig:
             audits=tuple(audits),
         )
         if cfg.mode == "mc":
-            bad = [a.id for a in cfg.audits if a.id not in MC_AUDITS]
+            bad = _not_mc(cfg.audits)
             if bad:
                 raise ConfigError(
-                    f"audits {bad} need exact enumeration; usable under mode 'mc': {sorted(MC_AUDITS)}"
+                    f"audits {bad} need exact enumeration; usable under mode 'mc': "
+                    f"{sorted(aid for aid, d in AUDITS.items() if d.mc)}"
                 )
         return cfg
 
@@ -361,35 +360,159 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError(str(e)) from None
 
 
-def _dispatch_exact_audit(spec: AuditSpec, scenario: Scenario, cfg: ScenarioConfig) -> AuditReport:
-    budget = cfg.budget
-    tol = cfg.tolerance
-    grid = spec.params.get("t_grid") or cfg.t_grid or DEFAULT_T_GRID
-    p = spec.params
-    if spec.id == "T1":
-        return audit_t1(scenario, budget=budget, tol=tol)
-    if spec.id == "T2":
-        return audit_t2(scenario, side=p.get("side", "duplicate"), threshold=p.get("threshold", 0.25), budget=budget, tol=tol)
-    if spec.id == "T3":
-        return audit_t3(scenario, side=p.get("side", "sign"), threshold=p.get("threshold", 0.25), budget=budget, tol=tol)
-    if spec.id == "T4":
-        return audit_t4(scenario, t_grid=grid, budget=budget, tol=tol)
-    if spec.id == "P3":
-        return audit_p3(scenario, t_grid=grid, budget=budget, tol=tol)
-    if spec.id == "C1":
-        return audit_dp(scenario, epsilon=p.get("epsilon"), delta=p.get("delta", 0), t_grid=grid, budget=budget, tol=tol)
-    if spec.id == "P4":
-        return audit_p4(scenario, epsilon=p.get("epsilon"), delta=p.get("delta", 0), budget=budget, tol=tol)
-    if spec.id == "T5":
-        return _t5_core(scenario, budget=budget, tol=p.get("tol", 1e-9))
-    if spec.id == "C2-forward":
-        return audit_c2_forward(scenario, epsilon=p["epsilon"], delta=p["delta"], budget=budget, tol=tol)
-    if spec.id == "ERM":
-        erm_grid = spec.params.get("t_grid")
-        if erm_grid:
-            return audit_erm(scenario, t_grid=erm_grid, budget=budget, tol=tol)
-        return audit_erm(scenario, budget=budget, tol=tol)
-    raise ConfigError(f"audit {spec.id} cannot run in exact mode")
+def _mc_t1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
+    info_est, gen_est = est["info"], est["gen_risk"]
+    if gen_est is None:
+        raise ConfigError("MC T1 audit needs a loss")
+    margin = 3 * (gen_est.se + info_est.se)
+    ok = abs(gen_est.point) <= info_est.point + margin
+    return AuditReport(
+        scenario=scenario.name,
+        theorem="T1",
+        verdict="pass" if ok else "fail",
+        computed={
+            "abs_gen_risk_estimate": abs(gen_est.point),
+            "info_estimate": info_est.point,
+            "margin_3se": margin,
+        },
+        bound=info_est.point + margin,
+        slack=info_est.point + margin - abs(gen_est.point),
+        notes=("statistical check at 3 standard errors",) + tuple(info_est.notes),
+    )
+
+
+def _mc_p4(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
+    info_est = est["info"]
+    bound = dp_info_bound(p["epsilon"] or scenario.learner.params.get("epsilon"), p["delta"])
+    ok = info_est.point - 3 * info_est.se <= bound
+    return AuditReport(
+        scenario=scenario.name,
+        theorem="P4",
+        verdict="pass" if ok else "fail",
+        computed={"info_estimate": info_est.point, "se": info_est.se},
+        bound=bound,
+        slack=bound - info_est.point,
+        notes=("statistical check: lower 3-SE edge against the bound",),
+    )
+
+
+def _mc_c1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
+    tail_rep = est["tails"]
+    if tail_rep is None:
+        raise ConfigError("MC C1 audit needs a loss")
+    epsilon = p["epsilon"] or scenario.learner.params.get("epsilon")
+    rows = []
+    ok = True
+    worst = None
+    for pt in tail_rep.points:
+        bound = dp_tail_bound(pt.t, epsilon, p["delta"], scenario.m)
+        good = pt.ci_low <= bound
+        ok = ok and good
+        rows.append({"t": pt.t, "tail": pt.estimate, "ci_low": pt.ci_low, "bound": bound, "ok": good})
+        slack = bound - pt.estimate
+        if worst is None or slack < worst[0]:
+            worst = (slack, bound)
+    return AuditReport(
+        scenario=scenario.name,
+        theorem="C1",
+        verdict="pass" if ok else "fail",
+        computed={"worst_slack": worst[0]},
+        bound=worst[1],
+        slack=worst[0],
+        notes=("statistical check: Wilson lower edges against the bound",),
+        series=tuple(rows),
+    )
+
+
+#: marks an audit parameter the config must give
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class AuditDef:
+    """One audit.
+
+    params maps each parameter to its default; a t_grid default of None
+    stands for the config's t_grid.  needs names the walk results the audit
+    reads (keys of _WALK_RESULTS).  exact(scenario, kwargs) runs the audit
+    with the resolved params plus budget and tol as keyword arguments;
+    mc(scenario, params, estimates), when given, runs it from Monte Carlo
+    estimates.
+    """
+
+    params: Mapping[str, Any]
+    needs: tuple[str, ...]
+    exact: Callable[..., AuditReport]
+    mc: Callable[..., AuditReport] | None = None
+
+
+# The exact forms look the audit functions up by module-level name at call
+# time, so rebinding a name (as tracing does) takes effect.  C2-forward
+# also reads the deviation law of the worst-case loss, which needs the
+# finished joint and so walks on its own.
+AUDITS: dict[str, AuditDef] = {
+    "T1": AuditDef({}, ("joint",), lambda s, kw: audit_t1(s, **kw), _mc_t1),
+    "T2": AuditDef({"side": "duplicate", "threshold": 0.25}, ("threeway",), lambda s, kw: audit_t2(s, **kw)),
+    "T3": AuditDef({"side": "sign", "threshold": 0.25}, ("threeway",), lambda s, kw: audit_t3(s, **kw)),
+    "T4": AuditDef({"t_grid": None}, ("joint", "deviation_law"), lambda s, kw: audit_t4(s, **kw)),
+    "P3": AuditDef({"t_grid": None}, ("mi", "deviation_law"), lambda s, kw: audit_p3(s, **kw)),
+    "C1": AuditDef(
+        {"epsilon": None, "delta": 0, "t_grid": None},
+        ("joint", "deviation_law"),
+        lambda s, kw: audit_dp(s, **kw),
+        _mc_c1,
+    ),
+    "P4": AuditDef({"epsilon": None, "delta": 0}, ("joint",), lambda s, kw: audit_p4(s, **kw), _mc_p4),
+    "T5": AuditDef({"tol": 1e-9}, ("joint", "deviation_law"), lambda s, kw: _t5_core(s, **kw)),
+    "C2-forward": AuditDef(
+        {"epsilon": _REQUIRED, "delta": _REQUIRED}, ("joint",), lambda s, kw: audit_c2_forward(s, **kw)
+    ),
+    "ERM": AuditDef({"t_grid": ERM_T_GRID}, ("joint",), lambda s, kw: audit_erm(s, **kw)),
+}
+
+
+def _params(spec: AuditSpec, cfg: ScenarioConfig) -> dict:
+    p = {**AUDITS[spec.id].params, **spec.params}
+    if "t_grid" in p and p["t_grid"] is None:
+        p["t_grid"] = cfg.t_grid or DEFAULT_T_GRID
+    return p
+
+
+def _not_mc(specs: Sequence[AuditSpec]) -> list[str]:
+    return [a.id for a in specs if AUDITS[a.id].mc is None]
+
+
+def _side_request(scenario: Scenario, p: Mapping):
+    try:
+        side = _resolve_side(scenario, p["side"], p["threshold"])
+    except ValueError:
+        return None  # the audit itself reports the bad side
+    return threeway_request(scenario, side)
+
+
+#: walk result name -> its request, or None where the audit itself fails
+_WALK_RESULTS: dict[str, Callable] = {
+    "joint": lambda s, p: trn_hyp_request(s),
+    "threeway": _side_request,
+    "deviation_law": lambda s, p: None if s.loss is None else deviation_request(s, s.loss),
+    "mi": lambda s, p: mi_request(s),
+}
+
+
+def _walk_requests(scenario: Scenario, cfg: ScenarioConfig, room: int) -> list:
+    """What the audits read from the walk, plus the joint the quantities read.
+
+    A request costing more than room walks is left to its audit, so budget
+    errors still come in audit order.
+    """
+    requests = {"trn_hyp_joint": trn_hyp_request(scenario)}
+    for spec in cfg.audits:
+        p = _params(spec, cfg)
+        for need in AUDITS[spec.id].needs:
+            req = _WALK_RESULTS[need](scenario, p)
+            if req is not None and req.factor <= room:
+                requests.setdefault(req.key, req)
+    return list(requests.values())
 
 
 def _mc_audits(cfg: ScenarioConfig, scenario: Scenario, specs) -> tuple[list, dict]:
@@ -424,74 +547,8 @@ def _mc_audits(cfg: ScenarioConfig, scenario: Scenario, specs) -> tuple[list, di
             {"t": pt.t, "estimate": pt.estimate, "ci_low": pt.ci_low, "ci_high": pt.ci_high}
             for pt in tail_rep.points
         ]
-    reports = []
-    for spec in specs:
-        if spec.id == "T1":
-            if gen_est is None:
-                raise ConfigError("MC T1 audit needs a loss")
-            margin = 3 * (gen_est.se + info_est.se)
-            ok = abs(gen_est.point) <= info_est.point + margin
-            reports.append(
-                AuditReport(
-                    scenario=cfg.name,
-                    theorem="T1",
-                    verdict="pass" if ok else "fail",
-                    computed={
-                        "abs_gen_risk_estimate": abs(gen_est.point),
-                        "info_estimate": info_est.point,
-                        "margin_3se": margin,
-                    },
-                    bound=info_est.point + margin,
-                    slack=info_est.point + margin - abs(gen_est.point),
-                    notes=("statistical check at 3 standard errors",) + tuple(info_est.notes),
-                )
-            )
-        elif spec.id == "P4":
-            epsilon = spec.params.get("epsilon") or scenario.learner.params.get("epsilon")
-            delta = spec.params.get("delta", 0)
-            bound = dp_info_bound(epsilon, delta)
-            ok = info_est.point - 3 * info_est.se <= bound
-            reports.append(
-                AuditReport(
-                    scenario=cfg.name,
-                    theorem="P4",
-                    verdict="pass" if ok else "fail",
-                    computed={"info_estimate": info_est.point, "se": info_est.se},
-                    bound=bound,
-                    slack=bound - info_est.point,
-                    notes=("statistical check: lower 3-SE edge against the bound",),
-                )
-            )
-        elif spec.id == "C1":
-            if tail_rep is None:
-                raise ConfigError("MC C1 audit needs a loss")
-            epsilon = spec.params.get("epsilon") or scenario.learner.params.get("epsilon")
-            delta = spec.params.get("delta", 0)
-            rows = []
-            ok = True
-            worst = None
-            for pt in tail_rep.points:
-                bound = dp_tail_bound(pt.t, epsilon, delta, scenario.m)
-                good = pt.ci_low <= bound
-                ok = ok and good
-                rows.append({"t": pt.t, "tail": pt.estimate, "ci_low": pt.ci_low, "bound": bound, "ok": good})
-                slack = bound - pt.estimate
-                if worst is None or slack < worst[0]:
-                    worst = (slack, bound)
-            reports.append(
-                AuditReport(
-                    scenario=cfg.name,
-                    theorem="C1",
-                    verdict="pass" if ok else "fail",
-                    computed={"worst_slack": worst[0]},
-                    bound=worst[1],
-                    slack=worst[0],
-                    notes=("statistical check: Wilson lower edges against the bound",),
-                    series=tuple(rows),
-                )
-            )
-        else:
-            raise ConfigError(f"audit {spec.id} is not runnable from MC estimates")
+    est = {"info": info_est, "gen_risk": gen_est, "tails": tail_rep}
+    reports = [AUDITS[spec.id].mc(scenario, _params(spec, cfg), est) for spec in specs]
     return reports, estimates
 
 
@@ -518,14 +575,13 @@ def run_config(
         needed = enumeration_size(len(scenario.learner.domain), cfg.m, scenario.learner.symmetric)
         if needed > budget:
             if method == "auto":
-                supported = all(a.id in MC_AUDITS for a in cfg.audits)
-                if supported:
+                bad = _not_mc(cfg.audits)
+                if not bad:
                     method = "mc"
                     notes.append(
                         f"enumeration needs {needed} kernel evaluations (budget {budget}); fell back to MC"
                     )
                 else:
-                    bad = [a.id for a in cfg.audits if a.id not in MC_AUDITS]
                     bundle = {
                         "error": f"budget exceeded ({needed} > {budget}) and audits {bad} cannot run under MC",
                         "exit_code": EXIT_BUDGET,
@@ -545,13 +601,14 @@ def run_config(
     quantities: dict = {}
     try:
         if method == "exact":
+            tw = time.perf_counter()
+            walk(scenario, _walk_requests(scenario, cfg, budget // needed), budget=cfg.budget)
+            timings["walk"] = time.perf_counter() - tw
             for spec in cfg.audits:
                 ta = time.perf_counter()
-                reports.append(_dispatch_exact_audit(spec, scenario, cfg))
+                kwargs = {"budget": cfg.budget, "tol": cfg.tolerance, **_params(spec, cfg)}
+                reports.append(AUDITS[spec.id].exact(scenario, kwargs))
                 timings[f"audit_{spec.id}"] = time.perf_counter() - ta
-            from .info import variational_info
-            from .learners import collision_budget, exact_trn_hyp_joint
-
             tj = exact_trn_hyp_joint(scenario, budget=cfg.budget)
             quantities = {
                 "info": float(variational_info(tj.joint)),
@@ -584,6 +641,10 @@ def run_config(
         "exit_code": exit_code,
         "timings": timings,
     }
+    nulled: list[str] = []
+    bundle = _null_non_finite(bundle, "", nulled)
+    if nulled:
+        bundle["notes"].append(f"non-finite values written as null: {', '.join(nulled)}")
     if out_dir is not None:
         try:
             write_bundle(bundle, out_dir)
@@ -592,10 +653,43 @@ def run_config(
     return exit_code, bundle
 
 
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return True
+
+
+def _null_non_finite(value, path: str, nulled: list):
+    """value with inf and nan replaced by None, copying only the containers
+    that hold them; their paths go to nulled."""
+    if _finite(value):
+        return value
+    if isinstance(value, float):
+        nulled.append(path)
+        return None
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v, f"{path}.{k}" if path else k, nulled) for k, v in value.items()}
+    return [_null_non_finite(v, f"{path}[{i}]", nulled) for i, v in enumerate(value)]
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, 0o644)  # mkstemp creates 0600; reports stay world-readable
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _safe_name(name: str) -> str:
@@ -633,7 +727,7 @@ def write_bundle(bundle: Mapping, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = _safe_name(bundle["config"]["name"]) if "config" in bundle else "report"
-    _atomic_write(out / f"{name}.json", json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out / f"{name}.json", _json_text(bundle))
     rows = _summary_rows([bundle])
     _atomic_write(
         out / f"{name}_summary.csv",
@@ -688,7 +782,7 @@ def corpus_run(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out / "corpus.json", json.dumps(consolidated, indent=2, sort_keys=True) + "\n")
+        _atomic_write(out / "corpus.json", _json_text(consolidated))
         rows = _summary_rows([b for b in bundles if "audits" in b])
         _atomic_write(
             out / "corpus_summary.csv",

@@ -13,6 +13,13 @@ counts kernel evaluations (one per multiset).  Kernels return sparse
 mappings {hypothesis: weight}; hypothesis alphabets are m-dependent
 callables so huge spaces are never materialized unless enumeration needs
 them.
+
+All enumeration goes through one walker, walk(): it takes WalkRequests
+(the joint, the three-way joint, the deviation law, I(S;H)), checks each
+against the budget, visits every sample once with one kernel call, and
+feeds every accumulator that is not cached yet.  The public functions
+below are walks with a single request.  I(S;H) needs the finished
+hypothesis marginal before its log-sum, so it walks a second time.
 """
 
 from __future__ import annotations
@@ -152,29 +159,58 @@ def iter_weighted_samples(
             yield tuple(symbols[i] for i in combo), weight, counts
 
 
-def _admit(scenario: Scenario, budget: int | None, what: str, factor: int = 1) -> int:
+@dataclass(frozen=True)
+class WalkRequest:
+    """One result the walker builds and caches under key.
+
+    start() returns a fresh accumulator (add, finish): add(sample, weight,
+    counts, kernel_out) runs once per sample, finish() returns the result.
+    what names the result in budget errors; factor is the number of walks
+    the result costs.
+    """
+
+    key: Any
+    what: str
+    start: Callable[[], tuple[Callable, Callable]]
+    factor: int = 1
+
+
+def _visit(scenario: Scenario, adds: Sequence[Callable]) -> None:
+    learner = scenario.learner
+    for sample, w, counts in iter_weighted_samples(scenario.data_dist, scenario.m, learner.symmetric):
+        out = learner.kernel(sample)
+        for add in adds:
+            add(sample, w, counts, out)
+
+
+def walk(scenario: Scenario, requests: Sequence[WalkRequest], budget: int | None = None) -> list:
+    """Build every uncached request in one walk; return all results in order.
+
+    Each request is checked against the budget first, cached or not.
+    """
     budget = default_budget() if budget is None else budget
-    needed = factor * enumeration_size(
-        len(scenario.learner.domain), scenario.m, scenario.learner.symmetric
-    )
-    if needed > budget:
-        raise EnumerationBudgetError(needed, budget, what)
-    return budget
+    size = enumeration_size(len(scenario.learner.domain), scenario.m, scenario.learner.symmetric)
+    for req in requests:
+        if req.factor * size > budget:
+            raise EnumerationBudgetError(req.factor * size, budget, f"{req.what} for {scenario.name!r}")
+    pending = {req.key: req.start() for req in requests if req.key not in scenario._cache}
+    if pending:
+        _visit(scenario, [add for add, _ in pending.values()])
+    finish = {key: fin for key, (_, fin) in pending.items()}
+    return [scenario.cached(req.key, finish.get(req.key)) for req in requests]
 
 
-def exact_trn_hyp_joint(scenario: Scenario, budget: int | None = None) -> TrnHypJoint:
-    """Enumerate P(Z_trn, H) exactly; cached per scenario."""
+def trn_hyp_request(scenario: Scenario) -> WalkRequest:
+    learner, dist, m = scenario.learner, scenario.data_dist, scenario.m
 
-    def build() -> TrnHypJoint:
-        _admit(scenario, budget, f"joint for {scenario.name!r}")
-        learner, dist, m = scenario.learner, scenario.data_dist, scenario.m
+    def start():
         hyp = learner.hypotheses(m)
-        zidx = dist.alphabet.index
         hidx = hyp.index
         acc = zeros((len(dist.alphabet), len(hyp)), dist.mode)
         evals = 0
-        for sample, w, counts in iter_weighted_samples(dist, m, learner.symmetric):
-            out = learner.kernel(sample)
+
+        def add(sample, w, counts, out):
+            nonlocal evals
             evals += 1
             per_z = [(i, w * c / m) for i, c in counts]
             for h, ph in out.items():
@@ -183,11 +219,20 @@ def exact_trn_hyp_joint(scenario: Scenario, budget: int | None = None) -> TrnHyp
                 col = hidx[h]
                 for row, wz in per_z:
                     acc[row, col] += wz * ph
-        joint = Joint((dist.alphabet, hyp), acc)
-        method = "exact-multiset" if learner.symmetric else "exact-ordered"
-        return TrnHypJoint(joint=joint, scenario=scenario, method=method, kernel_evals=evals)
 
-    return scenario.cached("trn_hyp_joint", build)
+        def finish() -> TrnHypJoint:
+            joint = Joint((dist.alphabet, hyp), acc)
+            method = "exact-multiset" if learner.symmetric else "exact-ordered"
+            return TrnHypJoint(joint=joint, scenario=scenario, method=method, kernel_evals=evals)
+
+        return add, finish
+
+    return WalkRequest("trn_hyp_joint", "joint", start)
+
+
+def exact_trn_hyp_joint(scenario: Scenario, budget: int | None = None) -> TrnHypJoint:
+    """Enumerate P(Z_trn, H) exactly; cached per scenario."""
+    return walk(scenario, [trn_hyp_request(scenario)], budget)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +244,16 @@ class SideInfoKernel:
     fn: Callable[[tuple, Any], Mapping[Any, Any]]
 
 
-def exact_threeway_joint(
-    scenario: Scenario, side: SideInfoKernel, budget: int | None = None
-) -> Joint:
-    """Enumerate P(Z_trn, H, K) with K ~ side.fn(sample, H)."""
+def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
+    learner, dist, m = scenario.learner, scenario.data_dist, scenario.m
 
-    def build() -> Joint:
-        _admit(scenario, budget, f"threeway joint for {scenario.name!r}")
-        learner, dist, m = scenario.learner, scenario.data_dist, scenario.m
+    def start():
         hyp = learner.hypotheses(m)
         side_alpha = side.alphabet_for(m)
         hidx, kidx = hyp.index, side_alpha.index
         acc = zeros((len(dist.alphabet), len(hyp), len(side_alpha)), dist.mode)
-        for sample, w, counts in iter_weighted_samples(dist, m, learner.symmetric):
-            out = learner.kernel(sample)
+
+        def add(sample, w, counts, out):
             per_z = [(i, w * c / m) for i, c in counts]
             for h, ph in out.items():
                 if ph == 0:
@@ -224,9 +265,46 @@ def exact_threeway_joint(
                     lay = kidx[k]
                     for row, wz in per_z:
                         acc[row, col, lay] += wz * ph * pk
-        return Joint((dist.alphabet, hyp, side_alpha), acc)
 
-    return scenario.cached(("threeway", side.name), build)
+        return add, lambda: Joint((dist.alphabet, hyp, side_alpha), acc)
+
+    return WalkRequest(("threeway", side.name), "threeway joint", start)
+
+
+def exact_threeway_joint(
+    scenario: Scenario, side: SideInfoKernel, budget: int | None = None
+) -> Joint:
+    """Enumerate P(Z_trn, H, K) with K ~ side.fn(sample, H)."""
+    return walk(scenario, [threeway_request(scenario, side)], budget)[0]
+
+
+def mi_request(scenario: Scenario) -> WalkRequest:
+    """I(S;H) in two walks: the first sums the hypothesis marginal, the
+    second the log terms against it."""
+
+    def start():
+        marg: dict = {}
+
+        def add(sample, w, counts, out):
+            for h, ph in out.items():
+                if ph != 0:
+                    marg[h] = marg.get(h, 0) + w * ph
+
+        def finish() -> float:
+            total = 0.0
+
+            def log_sum(sample, w, counts, out):
+                nonlocal total
+                for h, ph in out.items():
+                    if ph != 0:
+                        total += float(w * ph) * math.log(float(ph) / float(marg[h]))
+
+            _visit(scenario, [log_sum])
+            return total
+
+        return add, finish
+
+    return WalkRequest("sample_hyp_mi", "mutual information", start, factor=2)
 
 
 def sample_hypothesis_mutual_info(scenario: Scenario, budget: int | None = None) -> float:
@@ -236,23 +314,24 @@ def sample_hypothesis_mutual_info(scenario: Scenario, budget: int | None = None)
     sums P(S) K(h|S) log(K(h|S) / P(h)).  For symmetric kernels, grouping
     ordered samples into multisets leaves the value unchanged.
     """
+    return walk(scenario, [mi_request(scenario)], budget)[0]
 
-    def build() -> float:
-        _admit(scenario, budget, f"mutual information for {scenario.name!r}", factor=2)
-        learner, dist, m = scenario.learner, scenario.data_dist, scenario.m
-        marg: dict = {}
-        for sample, w, _ in iter_weighted_samples(dist, m, learner.symmetric):
-            for h, ph in learner.kernel(sample).items():
-                if ph != 0:
-                    marg[h] = marg.get(h, 0) + w * ph
-        total = 0.0
-        for sample, w, _ in iter_weighted_samples(dist, m, learner.symmetric):
-            for h, ph in learner.kernel(sample).items():
-                if ph != 0:
-                    total += float(w * ph) * math.log(float(ph) / float(marg[h]))
-        return total
 
-    return scenario.cached("sample_hyp_mi", build)
+def _adjacent_pairs(symbols: tuple, m: int, symmetric: bool):
+    """Each pair of samples that differ in one entry, once.
+
+    Symmetric kernels see multisets, so sorted samples suffice; other
+    kernels need every ordered sample and every position in it.
+    """
+    if symmetric:
+        for prefix in itertools.combinations_with_replacement(symbols, m - 1):
+            for a, b in itertools.combinations(symbols, 2):
+                yield tuple(sorted(prefix + (a,))), tuple(sorted(prefix + (b,)))
+    else:
+        for rest in itertools.product(symbols, repeat=m - 1):
+            for i in range(m):
+                for a, b in itertools.combinations(symbols, 2):
+                    yield rest[:i] + (a,) + rest[i:], rest[:i] + (b,) + rest[i:]
 
 
 def effective_epsilon(learner: LearnerKernel, m: int, budget: int | None = None):
@@ -267,25 +346,23 @@ def effective_epsilon(learner: LearnerKernel, m: int, budget: int | None = None)
     budget = default_budget() if budget is None else budget
     symbols = learner.domain.symbols
     n = len(symbols)
-    pairs = math.comb(n + m - 2, m - 1) * math.comb(n, 2) * 2
+    rests = math.comb(n + m - 2, m - 1) if learner.symmetric else n ** (m - 1) * m
+    pairs = rests * math.comb(n, 2) * 2
     if pairs > budget:
         raise EnumerationBudgetError(pairs, budget, "adjacent-sample scan")
     best, checked, witness = 0.0, 0, None
-    for prefix in itertools.combinations_with_replacement(symbols, m - 1):
-        for a, b in itertools.combinations(symbols, 2):
-            s1 = tuple(sorted(prefix + (a,)))
-            s2 = tuple(sorted(prefix + (b,)))
-            d1, d2 = learner.kernel(s1), learner.kernel(s2)
-            checked += 1
-            for h in set(d1) | set(d2):
-                p, q = d1.get(h, 0), d2.get(h, 0)
-                if p == 0 and q == 0:
-                    continue
-                if p == 0 or q == 0:
-                    return float("inf"), checked, (s1, s2, h)
-                loss = abs(math.log(float(Fraction(p) / Fraction(q))))
-                if loss > best:
-                    best, witness = loss, (s1, s2, h)
+    for s1, s2 in _adjacent_pairs(symbols, m, learner.symmetric):
+        d1, d2 = learner.kernel(s1), learner.kernel(s2)
+        checked += 1
+        for h in set(d1) | set(d2):
+            p, q = d1.get(h, 0), d2.get(h, 0)
+            if p == 0 and q == 0:
+                continue
+            if p == 0 or q == 0:
+                return float("inf"), checked, (s1, s2, h)
+            loss = abs(math.log(float(Fraction(p) / Fraction(q))))
+            if loss > best:
+                best, witness = loss, (s1, s2, h)
     return best, checked, witness
 
 

@@ -24,16 +24,13 @@ import numpy as np
 from .bounds import erm_markov_bound
 from .dist import Alphabet, Dist, product_weights
 from .info import variational_info
-from .learners import (
-    Scenario,
-    TrnHypJoint,
-    _admit,
-    exact_trn_hyp_joint,
-    iter_weighted_samples,
-)
+from .learners import Scenario, TrnHypJoint, WalkRequest, exact_trn_hyp_joint, walk
+from .learners import iter_weighted_samples  # noqa: F401  (perfbench looks the walker up here)
 
 #: grouping width for float-mode deviation values
 VALUE_ATOL = 1e-12
+#: default excess-risk grid of the ERM consistency check
+ERM_T_GRID = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,21 +128,16 @@ def _merged_points(acc: dict, is_exact: bool) -> tuple:
     return tuple((v, p) for v, p in merged)
 
 
-def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None = None) -> DeviationLaw:
-    """Enumerate the deviation law exactly.
+def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
+    dist, m = scenario.data_dist, scenario.m
 
-    True risks are cached per hypothesis; empirical risks use the multiset
-    counts, so the cost matches the joint enumeration.
-    """
-
-    def build() -> DeviationLaw:
-        _admit(scenario, budget, f"deviation law for {scenario.name!r}")
-        learner, dist, m = scenario.learner, scenario.data_dist, scenario.m
+    def start():
         risks: dict = {}
         acc: dict = {}
-        for sample, w, counts in iter_weighted_samples(dist, m, learner.symmetric):
+
+        def add(sample, w, counts, out):
             syms = [(dist.alphabet.symbols[i], c) for i, c in counts]
-            for h, ph in learner.kernel(sample).items():
+            for h, ph in out.items():
                 if ph == 0:
                     continue
                 if h not in risks:
@@ -153,13 +145,23 @@ def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None =
                 emp = sum(c * loss.fn(z, h) for z, c in syms) / Fraction(m)
                 g = emp - risks[h]
                 acc[g] = acc.get(g, 0) + w * ph
-        return DeviationLaw(
-            points=_merged_points(acc, dist.is_exact),
-            scenario_name=scenario.name,
-            loss_name=loss.name,
-        )
 
-    return scenario.cached(("deviation_law", loss.name), build)
+        def finish() -> DeviationLaw:
+            points = _merged_points(acc, dist.is_exact)
+            return DeviationLaw(points=points, scenario_name=scenario.name, loss_name=loss.name)
+
+        return add, finish
+
+    return WalkRequest(("deviation_law", loss.name), "deviation law", start)
+
+
+def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None = None) -> DeviationLaw:
+    """Enumerate the deviation law exactly.
+
+    True risks are cached per hypothesis; empirical risks use the multiset
+    counts, so the cost matches the joint enumeration.
+    """
+    return walk(scenario, [deviation_request(scenario, loss)], budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ class ErmConsistency:
 def erm_consistency_bound(
     scenario: Scenario,
     loss: ParametricLoss,
-    t_grid: Sequence = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
+    t_grid: Sequence = ERM_T_GRID,
     budget: int | None = None,
     tol=0,
 ) -> ErmConsistency:

@@ -5,6 +5,7 @@ Fractions: slow but obviously correct.  Tests cross-check the multiset
 engine against these on small scenarios.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -80,3 +81,65 @@ def deviation_points(dist_map, kernel, m, loss_fn):
             g = emp - true[h]
             acc[g] = acc.get(g, 0) + w * Fraction(ph)
     return sorted(acc.items())
+
+
+def threeway_triples(dist_map, kernel, side_fn, m):
+    """Sparse P(z_trn, h, k) over all ordered samples, K ~ side_fn(sample, h)."""
+    acc = {}
+    inv_m = Fraction(1, m)
+    for sample in product(list(dist_map), repeat=m):
+        w = Fraction(1)
+        for z in sample:
+            w = w * dist_map[z]
+        if w == 0:
+            continue
+        for h, ph in kernel(sample).items():
+            if ph == 0:
+                continue
+            for k, pk in side_fn(sample, h).items():
+                if pk == 0:
+                    continue
+                for z in sample:
+                    key = (z, h, k)
+                    acc[key] = acc.get(key, 0) + w * inv_m * Fraction(ph) * Fraction(pk)
+    return acc
+
+
+def sample_hyp_mi(dist_map, kernel, m):
+    """Shannon I(S; H) in nats over all ordered samples S."""
+    joint = {}
+    for sample in product(list(dist_map), repeat=m):
+        w = Fraction(1)
+        for z in sample:
+            w = w * dist_map[z]
+        if w == 0:
+            continue
+        for h, ph in kernel(sample).items():
+            if ph != 0:
+                joint[sample, h] = w * Fraction(ph)
+    ph_marg = {}
+    for (_, h), p in joint.items():
+        ph_marg[h] = ph_marg.get(h, 0) + p
+    ps = {}
+    for (s, _), p in joint.items():
+        ps[s] = ps.get(s, 0) + p
+    return sum(float(p) * math.log(float(p / (ps[s] * ph_marg[h]))) for (s, h), p in joint.items())
+
+
+def adjacent_epsilon(symbols, kernel, m):
+    """Largest |log K(h|S) / K(h|S')| over all ordered S, S' differing in one entry."""
+    samples = list(product(symbols, repeat=m))
+    best = 0.0
+    for s1 in samples:
+        for s2 in samples:
+            if sum(a != b for a, b in zip(s1, s2)) != 1:
+                continue
+            d1, d2 = kernel(s1), kernel(s2)
+            for h in set(d1) | set(d2):
+                p, q = Fraction(d1.get(h, 0)), Fraction(d2.get(h, 0))
+                if p == 0 and q == 0:
+                    continue
+                if p == 0 or q == 0:
+                    return float("inf")
+                best = max(best, abs(math.log(float(p / q))))
+    return best

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from stabaudit.audits import AUDIT_IDS
 from stabaudit.cli import main
 from stabaudit.harness import (
+    AUDITS,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -216,6 +218,31 @@ def test_reports_are_deterministic_apart_from_timings(tmp_path):
     assert a == b
 
 
+def test_reports_are_strict_json(tmp_path):
+    # a sample release has an unbounded privacy loss
+    raw = cfg_with(audits=[{"id": "C1", "epsilon": 1.0}])
+    code, bundle = run_config(raw, out_dir=tmp_path)
+    assert code == EXIT_PASS
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads((tmp_path / "cli-identity.json").read_text(), parse_constant=refuse)
+    assert report["audits"][0]["computed"]["effective_epsilon"] is None
+    assert report["notes"] == ["non-finite values written as null: audits[0].computed.effective_epsilon"]
+    assert report == json.loads(json.dumps(bundle))
+
+
+def test_stray_temp_file_survives_a_write(tmp_path):
+    stray = tmp_path / "cli-identity.json.tmp"
+    stray.write_text("another run's half-written report")
+    code, _ = run_config(BASE, out_dir=tmp_path)
+    assert code == EXIT_PASS
+    assert stray.read_text() == "another run's half-written report"
+    assert json.loads((tmp_path / "cli-identity.json").read_text())["config"]["name"] == "cli-identity"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == [stray.name]
+
+
 def test_bundle_name_is_sanitized(tmp_path):
     raw = cfg_with(name="weird name/42")
     code, _ = run_config(raw, out_dir=tmp_path)
@@ -258,6 +285,41 @@ def test_cli_list(capsys):
     assert "identity-m1" in out
     assert "T5" in out
     assert "subsample_release" in out
+
+
+LIST_OUTPUT = """\
+corpus scenarios:
+  identity-m1: audits T1, T2, T4, P3, C2-forward
+  subsample-tiny: audits T1, T2, T3, T4, P3
+  subsample-small: audits T1, T3, T4, P3
+  subsample-delta: audits T1, T4, P3, T5
+  t5-tight: audits T5, T1, T4, P3
+  subsample-c2: audits T1, C2-forward, T4
+  rr-eps0.1-m1: audits C1, P4, T1, T4
+  rr-eps0.1-m3: audits C1, P4, T1, T4
+  rr-epsln2-m1: audits C1, P4, T1, T4
+  rr-epsln2-m3: audits C1, P4, T1, T4
+  rr-eps1.0-m1: audits C1, P4, T1, T4
+  rr-eps1.0-m3: audits C1, P4, T1, T4
+  erm-threshold: audits T1, T3, T4, P3, ERM
+  prop1-small: audits T1, T4, P3
+  prop1-flipped-small: audits T1, T4
+  prop1-mc: audits T1
+  subsample-t1: audits T1, T3, T4, P3
+  const-baseline: audits T1, T2, T4
+audits: T1, T2, T3, T4, P3, C1, P4, T5, C2-forward, ERM
+learners: constant, erm_finite, prop1_counterexample, randomized_response_dp, subsample_release
+losses: constant, erm_table, membership, prop1_flipped, prop1_paired, random_table, zero_one
+"""
+
+
+def test_cli_list_output_is_unchanged(capsys):
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == LIST_OUTPUT
+
+
+def test_audit_table_lists_every_audit_in_order():
+    assert tuple(AUDITS) == AUDIT_IDS
 
 
 def test_cli_run(tmp_path, capsys):

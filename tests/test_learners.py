@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -194,6 +195,18 @@ def test_budget_error_carries_numbers():
     assert variational_info(exact_trn_hyp_joint(s, budget=6).joint) == F(1, 3)
 
 
+def test_budget_is_checked_on_cache_hits():
+    d = Alphabet.of_size("z", 3)
+    s = uniform_scenario(subsample_release(d, k=1, mode=EXACT), m=2)
+    exact_trn_hyp_joint(s)
+    with pytest.raises(EnumerationBudgetError):
+        exact_trn_hyp_joint(s, budget=1)
+    sample_hypothesis_mutual_info(s)
+    with pytest.raises(EnumerationBudgetError, match="mutual information") as e:
+        sample_hypothesis_mutual_info(s, budget=6)
+    assert e.value.needed == 12  # two walks of 6 multisets
+
+
 def test_default_budget_env(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "123")
     assert default_budget() == 123
@@ -259,6 +272,55 @@ def test_effective_epsilon_budget():
     learner = randomized_response_dp(1.0, mode=EXACT)
     with pytest.raises(EnumerationBudgetError):
         effective_epsilon(learner, m=3, budget=1)
+
+
+def first_entry_rr(keep_after_zero, keep_after_one):
+    """Releases the first entry through randomized response whose keep
+    probability depends on the second entry: order-dependent."""
+
+    def kern(s):
+        keep = keep_after_zero if s[1] == 0 else keep_after_one
+        return {s[0]: keep, 1 - s[0]: 1 - keep}
+
+    return LearnerKernel(
+        name="first_entry_rr",
+        domain=Alphabet("z", (0, 1)),
+        kernel=kern,
+        hypotheses=lambda m: Alphabet("h", (0, 1)),
+        symmetric=False,
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_effective_epsilon_scans_ordered_pairs_for_order_dependent_kernels(m):
+    learner = first_entry_rr(F(3, 4), F(1, 2))
+    want = brute.adjacent_epsilon(learner.domain.symbols, learner.kernel, m)
+    assert want == pytest.approx(math.log(3))
+    got, checked, witness = effective_epsilon(learner, m)
+    assert got == want
+    assert checked == 2 ** (m - 1) * m  # one pair of symbols per position
+    s1, s2, h = witness
+    assert abs(math.log(learner.kernel(s1)[h] / learner.kernel(s2)[h])) == got
+    # sorted samples alone miss the pairs that differ in the first entry
+    # while the second entry is 0
+    sorted_scan, _, _ = effective_epsilon(dataclasses.replace(learner, symmetric=True), m)
+    assert sorted_scan < want
+
+
+def test_effective_epsilon_matches_brute_for_symmetric_kernels():
+    for eps in (0.1, 1.0):
+        learner = randomized_response_dp(eps, mode=EXACT)
+        for m in (1, 2, 3):
+            got, _, _ = effective_epsilon(learner, m)
+            assert got == brute.adjacent_epsilon((0, 1), learner.kernel, m)
+
+
+def test_ordered_adjacent_scan_budget():
+    learner = first_entry_rr(F(3, 4), F(1, 2))
+    kernel_evals = 2 * (2**2 * 3)  # two kernels per pair, 4 rests x 3 positions
+    with pytest.raises(EnumerationBudgetError):
+        effective_epsilon(learner, m=3, budget=kernel_evals - 1)
+    assert effective_epsilon(learner, m=3, budget=kernel_evals)[1] == kernel_evals // 2
 
 
 # ---------------------------------------------------------------------------
