@@ -10,6 +10,18 @@ alphabet is
 and the overlap coefficient is 1 - tv(P, Q).  Joints add named axes with
 marginalization, slicing on an observed symbol (conditioning), axis merging,
 and products of independent marginals.
+
+Every cell-wise quantity of a two-axis joint P(Z, H) (variational
+information, generalization risk, the worst-case loss) reads the same
+difference D = P(Z, H) - P(Z) P(H).  Joint.cells computes it once and
+keeps it on the joint, which is immutable, as a cell table d / scale.  In
+exact mode the weights are first brought to their common denominator den,
+the lcm of their denominators, so J = weights * den holds Python ints; then
+
+    d = J * den - outer(J.sum(1), J.sum(0)),    scale = den**2,
+
+and every sum over cells is an integer sum, divided once at the end.  In
+float mode d = weights - product_weights(weights) and scale = 1.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import lcm
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -97,6 +110,32 @@ def _validated_weights(weights, shape, where: str) -> np.ndarray:
             raise ValueError(f"{where}: mass is {total!r}, off by more than {MASS_ATOL}")
     w.setflags(write=False)
     return w
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Exact values as (numerators, den) over den, the lcm of their denominators.
+
+    Values are ints or Fractions; anything else goes through Fraction(),
+    which is lossless for floats.
+    """
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs], den
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """D = joint - product of marginals of a two-axis joint, as d / scale.
+
+    row_mass / den is the marginal of the first axis.  Exact mode holds
+    Python ints (object arrays) with scale = den**2; float mode holds
+    float64 with scale = den = 1.
+    """
+
+    d: np.ndarray
+    scale: int
+    row_mass: np.ndarray
+    den: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +326,18 @@ class Joint:
             return self
         return Joint(self.axes, self.weights.astype(np.float64))
 
+    @cached_property
+    def cells(self) -> CellTable:
+        """The cell table of D = joint - product of marginals (arity 2)."""
+        if self.arity != 2:
+            raise ArityError(f"cell table needs a two-axis joint, have axes {self.axis_names}")
+        if not self.is_exact:
+            w = self.weights
+            return CellTable(w - product_weights(w), 1, w.sum(axis=1), 1)
+        nums, den = common_denominator(self.weights.ravel())
+        big = np.array(nums, dtype=object).reshape(self.weights.shape)
+        return CellTable(big * den - product_weights(big), den * den, big.sum(axis=1), den)
+
 
 def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(p, Dist) and isinstance(q, Dist):
@@ -324,12 +375,18 @@ def product(*dists: Dist) -> Joint:
     return Joint(tuple(d.alphabet for d in dists), w)
 
 
-def product_weights(j: Joint) -> np.ndarray:
-    """Weights of the product of j's own marginals, in j's layout."""
+def product_weights(j) -> np.ndarray:
+    """Product of the marginals of a joint or a weights array, in its layout.
+
+    On weights of total mass M, such as the integer numerators behind a
+    cell table, the result is M**arity times the product of the normalized
+    marginals.
+    """
+    w = j.weights if isinstance(j, Joint) else j
     vecs = []
-    for i in range(j.arity):
-        drop = tuple(k for k in range(j.arity) if k != i)
-        vecs.append(j.weights.sum(axis=drop))
+    for i in range(w.ndim):
+        drop = tuple(k for k in range(w.ndim) if k != i)
+        vecs.append(w.sum(axis=drop))
     return reduce(np.multiply.outer, vecs)
 
 

@@ -623,8 +623,10 @@ def run_config(
             timings["mc"] = time.perf_counter() - ta
     except EnumerationBudgetError as e:
         return EXIT_BUDGET, {"error": str(e), "exit_code": EXIT_BUDGET}
-    except ConfigError as e:
+    except ValueError as e:  # a ConfigError, or a config the audits or the kernel reject
         return EXIT_CONFIG, {"error": str(e), "exit_code": EXIT_CONFIG}
+    finally:
+        scenario.clear_cache()  # the joints and tables of this run are not read again
 
     any_fail = any(r.verdict == "fail" for r in reports)
     exit_code = EXIT_FAIL if any_fail else EXIT_PASS

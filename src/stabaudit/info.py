@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -57,10 +58,13 @@ def _pair(j: Joint) -> Joint:
 
 
 def variational_info(j: Joint):
-    """vi between the two axes of j; Fraction in exact mode, float otherwise."""
-    _pair(j)
-    diff = abs(j.weights - product_weights(j)).sum()
-    return diff / 2 if j.is_exact else float(diff) / 2.0
+    """vi between the two axes of j; Fraction in exact mode, float otherwise.
+
+    Half the absolute sum of j's cell table.
+    """
+    cells = _pair(j).cells
+    diff = abs(cells.d).sum()
+    return Fraction(diff, 2 * cells.scale) if j.is_exact else float(diff) / 2.0
 
 
 def mutual_stability(j: Joint):

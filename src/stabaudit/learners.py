@@ -97,6 +97,14 @@ class Scenario:
             self._cache[key] = build()
         return self._cache[key]
 
+    def clear_cache(self) -> None:
+        """Drop every cached result.
+
+        A cached joint refers back to its scenario, so without this the
+        results live on until the next full garbage collection.
+        """
+        self._cache.clear()
+
 
 @dataclass(frozen=True, eq=False)
 class TrnHypJoint:

@@ -9,6 +9,14 @@ with D = joint - product of marginals.  Its supremum over all [0,1]-valued
 losses is attained by the indicator of {D >= 0} and equals vi(Z_trn; H).
 The deviation law is the exact distribution of G = R_emp(H) - R_true(H)
 over the randomness of the sample and the kernel; tail audits read it.
+
+Cell-wise readers see a loss as a table L[z, h] = table / scale over an
+observation alphabet and a hypothesis alphabet (loss_table).  In exact
+mode the table holds Python ints over the lcm of the values'
+denominators; in float mode it holds float64 with scale 1.  A loss builds
+each table once and keeps it.  gen(L) is then the integer (or float) sum
+of d * table over the joint's cell table d / scale (dist.Joint.cells),
+divided once, and the deviation-law cache is keyed by the loss's table.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .bounds import erm_markov_bound
-from .dist import Alphabet, Dist, product_weights
+from .dist import Alphabet, Dist, common_denominator
 from .info import variational_info
 from .learners import Scenario, TrnHypJoint, WalkRequest, exact_trn_hyp_joint, walk
 from .learners import iter_weighted_samples  # noqa: F401  (perfbench looks the walker up here)
@@ -46,9 +54,29 @@ class ParametricLoss:
     fn: Callable[[Any, Any], Any]
     params: Mapping[str, Any] = field(default_factory=dict)
     true_risk_fn: Callable[[Any, Dist], Any] | None = None
+    _tables: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, z, h):
         return self.fn(z, h)
+
+
+def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exact: bool) -> tuple[np.ndarray, int]:
+    """The loss over domain x hypotheses as (table, scale), L = table / scale.
+
+    Exact mode: Python ints over the lcm of the values' denominators.
+    Float mode: float64 and scale 1.  Built once per loss and alphabets.
+    """
+    key = (domain, hypotheses, exact)
+    if key not in loss._tables:
+        fn = loss.fn
+        values = [fn(z, h) for z in domain.symbols for h in hypotheses.symbols]
+        shape = (len(domain), len(hypotheses))
+        if exact:
+            nums, scale = common_denominator(values)
+            loss._tables[key] = (np.array(nums, dtype=object).reshape(shape), scale)
+        else:
+            loss._tables[key] = (np.array([float(v) for v in values]).reshape(shape), 1)
+    return loss._tables[key]
 
 
 def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
@@ -72,18 +100,15 @@ def true_risk(loss: ParametricLoss, h, dist: Dist):
 
 
 def gen_risk_from_joint(tj: TrnHypJoint, loss: ParametricLoss):
-    """Expected generalization risk of a loss, straight from D = joint - product."""
+    """Expected generalization risk of a loss: the sum of D * L over the cells."""
     j = tj.joint
-    d = j.weights - product_weights(j)
-    zsyms, hsyms = j.axes[0].symbols, j.axes[1].symbols
-    total = 0
-    for zi, z in enumerate(zsyms):
-        row = d[zi]
-        for hi, h in enumerate(hsyms):
-            v = row[hi]
-            if v != 0:
-                total = total + v * loss.fn(z, h)
-    return total if j.is_exact else float(total)
+    cells = j.cells
+    table, scale = loss_table(loss, j.axes[0], j.axes[1], j.is_exact)
+    terms = cells.d * table
+    if j.is_exact:
+        return Fraction(terms.sum(), cells.scale * scale)
+    # cell by cell in row-major order, not pairwise; + 0.0 turns -0.0 into 0.0
+    return float(np.add.accumulate(terms.ravel())[-1]) + 0.0
 
 
 def expected_gen_risk(scenario: Scenario, loss: ParametricLoss, budget: int | None = None):
@@ -129,7 +154,10 @@ def _merged_points(acc: dict, is_exact: bool) -> tuple:
 
 
 def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
+    """The deviation law as a walk request, cached under the loss's name and
+    its table over the domain and the hypotheses."""
     dist, m = scenario.data_dist, scenario.m
+    table, scale = loss_table(loss, dist.alphabet, scenario.learner.hypotheses(m), dist.is_exact)
 
     def start():
         risks: dict = {}
@@ -152,7 +180,8 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
 
         return add, finish
 
-    return WalkRequest(("deviation_law", loss.name), "deviation law", start)
+    key = ("deviation_law", loss.name, scale, tuple(table.ravel().tolist()))
+    return WalkRequest(key, "deviation law", start)
 
 
 def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None = None) -> DeviationLaw:
@@ -254,29 +283,29 @@ def worst_case_loss(tj: TrnHypJoint, tol: float = 0.0) -> ParametricLoss:
     reported in params; they sit on the boundary of the maximizing set.
     """
     j = tj.joint
-    d = j.weights - product_weights(j)
-    boundary = 0
-    values = []
-    for row in d:
-        out_row = []
-        for v in row:
-            if (v == 0) if j.is_exact else (abs(v) <= tol):
-                boundary += 1
-            out_row.append(1 if v >= 0 else 0)
-        values.append(out_row)
-    zsyms, hsyms = j.axes[0], j.axes[1]
-    base = table_loss("worst_case", zsyms, hsyms, values)
-    pz = j.weights.sum(axis=1)
-    hrisk = {
-        h: sum(pz[zi] * values[zi][hi] for zi in range(len(zsyms)))
-        for hi, h in enumerate(hsyms.symbols)
-    }
-    return ParametricLoss(
+    cells = j.cells
+    d = cells.d
+    boundary = np.count_nonzero(d == 0) if j.is_exact else np.count_nonzero(abs(d) <= tol)
+    indicator = np.where(d >= 0, 1, 0)
+    zsyms, hsyms = j.axes
+    base = table_loss("worst_case", zsyms, hsyms, indicator.tolist())
+    if j.is_exact:
+        table = indicator.astype(object)
+        masses = (cells.row_mass[:, None] * table).sum(axis=0)
+        risks = [Fraction(mass, cells.den) for mass in masses]
+    else:
+        table = indicator.astype(np.float64)
+        # summed over z in order, not pairwise
+        risks = np.add.accumulate(cells.row_mass[:, None] * indicator, axis=0)[-1]
+    hrisk = dict(zip(hsyms.symbols, risks))
+    loss = ParametricLoss(
         name="worst_case",
         fn=base.fn,
-        params={"boundary_cells": boundary},
+        params={"boundary_cells": int(boundary)},
         true_risk_fn=lambda h, dist: hrisk[h],
     )
+    loss._tables[(zsyms, hsyms, j.is_exact)] = (table, 1)
+    return loss
 
 
 def exhaustive_binary_loss_max(tj: TrnHypJoint):
@@ -286,7 +315,7 @@ def exhaustive_binary_loss_max(tj: TrnHypJoint):
     a dozen cells, where it independently certifies the supremum.
     """
     j = tj.joint
-    d = (j.weights - product_weights(j)).ravel()
+    d = j.cells.d.ravel()
     cells = len(d)
     if cells > 24:
         raise ValueError(f"{cells} cells is too many for exhaustive search")
@@ -299,6 +328,8 @@ def exhaustive_binary_loss_max(tj: TrnHypJoint):
         total = abs(total)
         if best is None or total > best:
             best, best_table = total, bits
+    if j.is_exact:
+        best = Fraction(best, j.cells.scale)
     shape = (len(j.axes[0]), len(j.axes[1]))
     table = np.array(best_table, dtype=object).reshape(shape)
     return best, table

@@ -269,6 +269,55 @@ def test_corpus_run_single_scenario(tmp_path):
     assert (tmp_path / "scenarios" / "identity-m1.json").exists()
 
 
+#: configs that validate and build but that an audit or the kernel rejects
+REJECTED_AFTER_BUILD = [
+    (cfg_with(loss=None, audits=["T4"]), "tail audit needs a loss"),
+    (cfg_with(learner={"name": "subsample_release", "params": {"k": 3}}, m=2), "cannot release 3 of 2 entries"),
+]
+
+
+@pytest.mark.parametrize("raw,message", REJECTED_AFTER_BUILD, ids=["t4-no-loss", "k-above-m"])
+def test_run_config_maps_late_value_errors_to_config_exit(raw, message):
+    code, bundle = run_config(raw)
+    assert code == EXIT_CONFIG
+    assert bundle == {"error": message, "exit_code": EXIT_CONFIG}
+
+
+def test_run_config_frees_its_scenario_without_a_collection(monkeypatch):
+    import gc
+    import weakref
+
+    import stabaudit.harness as harness
+
+    built = []
+
+    def build(cfg):
+        scenario = build_scenario(cfg)
+        built.append(weakref.ref(scenario))
+        return scenario
+
+    monkeypatch.setattr(harness, "build_scenario", build)
+    gc.disable()
+    try:
+        code, _ = run_config(cfg_with(audits=["T1", "T2", "T4", "P3"]))
+        assert code == EXIT_PASS
+        assert built[0]() is None  # no reference cycle keeps the joints alive
+    finally:
+        gc.enable()
+
+
+def test_corpus_run_continues_after_a_rejected_scenario(monkeypatch):
+    import stabaudit.harness as harness
+
+    bad = cfg_with(name="bad", loss=None, audits=["T4"])
+    monkeypatch.setattr(harness, "corpus_configs", lambda: (bad, cfg_with(name="good")))
+    code, bundle = corpus_run()
+    assert code == EXIT_CONFIG
+    first, second = bundle["scenarios"]
+    assert first == {"error": "tail audit needs a loss", "exit_code": EXIT_CONFIG}
+    assert second["exit_code"] == EXIT_PASS
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -369,3 +418,20 @@ def test_cli_corpus(tmp_path, capsys):
 
 def test_cli_corpus_unknown_name(capsys):
     assert main(["corpus", "--only", "nope"]) == 2
+
+
+@pytest.mark.parametrize("raw,message", REJECTED_AFTER_BUILD, ids=["t4-no-loss", "k-above-m"])
+def test_cli_run_late_value_error_exits_2(tmp_path, capsys, raw, message):
+    assert main(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_corpus_reports_a_rejected_scenario_and_goes_on(monkeypatch, capsys):
+    import stabaudit.harness as harness
+
+    bad = cfg_with(name="bad", loss=None, audits=["T4"])
+    monkeypatch.setattr(harness, "corpus_configs", lambda: (bad, cfg_with(name="good")))
+    assert main(["corpus"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "error [2]: tail audit needs a loss" in captured.err
+    assert "good: T1" in captured.out

@@ -233,6 +233,24 @@ def test_deviation_law_is_cached_per_loss_name():
     assert deviation_law(s, membership_loss()) is deviation_law(s, membership_loss())
 
 
+def test_deviation_law_is_keyed_by_loss_values():
+    d = Alphabet.of_size("z", 3)
+    learner = subsample_release(d, k=1, mode=EXACT)
+    s = uniform_scenario(learner, m=2)
+    hyp = learner.hypotheses(2)
+    tables = (
+        [[1 if z in h else 0 for h in hyp.symbols] for z in d.symbols],
+        [[F(1, 4) if z in h else F(z, 2) for h in hyp.symbols] for z in d.symbols],
+    )
+    laws = []
+    for values in tables:
+        loss = table_loss("t", d, hyp, values)
+        law = deviation_law(s, loss)
+        assert list(law.points) == brute.deviation_points(dist_map(s.data_dist), learner.kernel, 2, loss.fn)
+        laws.append(law)
+    assert laws[0].points != laws[1].points
+
+
 # ---------------------------------------------------------------------------
 # table losses
 
