@@ -29,12 +29,15 @@ from .learners import (
     rerun_side_info,
     sample_hypothesis_mutual_info,
     subsample_release,
+    trn_hyp_request,
+    walk,
 )
 from .losses import (
     ERM_T_GRID,
     ParametricLoss,
     constant_loss,
     deviation_law,
+    deviation_request,
     erm_consistency_bound,
     gen_risk_from_joint,
     membership_loss,
@@ -81,9 +84,9 @@ def _tol(scenario: Scenario, tol):
     return scenario.data_dist.mode.tolerance if tol is None else tol
 
 
-def default_battery(tj, seed: int) -> tuple[ParametricLoss, ...]:
-    """Losses probed by the gen-risk audit: fixed shapes, seeded tables, and
-    the exact maximizer."""
+def default_battery(tj, seed: int, loss: ParametricLoss | None = None) -> tuple[ParametricLoss, ...]:
+    """Losses probed by the gen-risk audit: fixed shapes, seeded tables, the
+    scenario's loss when given, and the exact maximizer."""
     hyp = tj.joint.axes[1]
     domain = tj.joint.axes[0]
     battery = [constant_loss(1)]
@@ -93,7 +96,6 @@ def default_battery(tj, seed: int) -> tuple[ParametricLoss, ...]:
         battery.append(zero_one_loss())
     battery.append(random_table_loss(domain, hyp, seed=seed * 1000 + 11))
     battery.append(random_table_loss(domain, hyp, seed=seed * 1000 + 12))
-    loss = tj.scenario.loss
     if loss is not None:
         battery.append(loss)
     battery.append(worst_case_loss(tj))
@@ -111,7 +113,7 @@ def audit_t1(
     tj = exact_trn_hyp_joint(scenario, budget=budget)
     info = variational_info(tj.joint)
     bound = bounds.t1_bound(info)
-    battery = losses if losses is not None else default_battery(tj, scenario.seed)
+    battery = losses if losses is not None else default_battery(tj, scenario.seed, scenario.loss)
     series = []
     worst = None
     ok = True
@@ -481,9 +483,8 @@ def _t5_core(scenario: Scenario, budget: int | None = None, tol=1e-9) -> AuditRe
     n = len(learner.domain)
     t = Fraction(k, m)
     loss = scenario.loss or membership_loss()
-    tj = exact_trn_hyp_joint(scenario, budget=budget)
+    tj, law = walk(scenario, [trn_hyp_request(scenario), deviation_request(scenario, loss)], budget)
     info = variational_info(tj.joint)
-    law = deviation_law(scenario, loss, budget=budget)
     window = Fraction(m * m, n)
     mass = law.mass_abs_near(t, window)
     predicted = bounds.t5_predicted_mass(info, t)

@@ -20,6 +20,15 @@ against the budget, visits every sample once with one kernel call, and
 feeds every accumulator that is not cached yet.  The public functions
 below are walks with a single request.  I(S;H) needs the finished
 hypothesis marginal before its log-sum, so it walks a second time.
+
+The accumulators do no Fraction arithmetic per sample.  In exact mode a
+mass w * p is kept as the integer numerator w.numerator * p.numerator
+under the key of its denominator w.denominator * p.denominator, and
+finish() builds one Fraction per cell over the lcm of those denominators.
+In float mode the joints sum floats cell by cell in visit order, in
+nested lists turned into one array at the end.  Losses are read from
+their integer tables (losses.loss_table), so a deviation is identified by
+the integer sum of table entries over the sample.
 """
 
 from __future__ import annotations
@@ -29,12 +38,13 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dist import Alphabet, Dist, DomainMismatchError, Joint
-from .numeric import FLOAT64, NumericMode, coerce_number, zeros
+from .dist import Alphabet, Dist, DomainMismatchError, Joint, fractions_by_key
+from .numeric import EXACT, FLOAT64, NumericMode, coerce_number, zeros
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "STABAUDIT_BUDGET"
@@ -98,11 +108,8 @@ class Scenario:
         return self._cache[key]
 
     def clear_cache(self) -> None:
-        """Drop every cached result.
-
-        A cached joint refers back to its scenario, so without this the
-        results live on until the next full garbage collection.
-        """
+        """Drop every cached result, for a caller that keeps the scenario
+        but reads its joints and laws no more."""
         self._cache.clear()
 
 
@@ -111,7 +118,6 @@ class TrnHypJoint:
     """Exactly enumerated joint over (training example, hypothesis)."""
 
     joint: Joint
-    scenario: Scenario
     method: str
     kernel_evals: int
 
@@ -208,30 +214,80 @@ def walk(scenario: Scenario, requests: Sequence[WalkRequest], budget: int | None
     return [scenario.cached(req.key, finish.get(req.key)) for req in requests]
 
 
+def _zero_grid(shape: tuple, zero=0) -> list:
+    """Nested lists of zero of the given shape."""
+    if len(shape) == 1:
+        return [zero] * shape[0]
+    return [_zero_grid(shape[1:], zero) for _ in range(shape[0])]
+
+
+def _exact_weights(grids: dict, shape: tuple, extra: int) -> np.ndarray:
+    """Sum {den: grid of integer numerators} into exact weights over den * extra.
+
+    Every grid is brought to the lcm of the denominators first, so each
+    nonzero cell costs one Fraction; untouched cells stay int 0.
+    """
+    total = zeros(shape, EXACT)
+    if grids:
+        top = lcm(*grids)
+        for den, grid in grids.items():
+            total = total + np.array(grid, dtype=object) * (top // den)
+        den = top * extra
+        total = np.array([Fraction(x, den) if x else 0 for x in total.ravel().tolist()], dtype=object)
+    return total.reshape(shape)
+
+
 def trn_hyp_request(scenario: Scenario) -> WalkRequest:
     learner, dist, m = scenario.learner, scenario.data_dist, scenario.m
 
     def start():
         hyp = learner.hypotheses(m)
         hidx = hyp.index
-        acc = zeros((len(dist.alphabet), len(hyp)), dist.mode)
+        shape = (len(dist.alphabet), len(hyp))
         evals = 0
+        if dist.is_exact:
+            grids: dict = {}
 
-        def add(sample, w, counts, out):
-            nonlocal evals
-            evals += 1
-            per_z = [(i, w * c / m) for i, c in counts]
-            for h, ph in out.items():
-                if ph == 0:
-                    continue
-                col = hidx[h]
-                for row, wz in per_z:
-                    acc[row, col] += wz * ph
+            def add(sample, w, counts, out):
+                nonlocal evals
+                evals += 1
+                wn, wd = w.numerator, w.denominator
+                for h, ph in out.items():
+                    if not ph:
+                        continue
+                    den = wd * ph.denominator
+                    grid = grids.get(den)
+                    if grid is None:
+                        grid = grids[den] = _zero_grid(shape)
+                    num, col = wn * ph.numerator, hidx[h]
+                    for row, c in counts:
+                        grid[row][col] += num * c
+
+            def weights():
+                return _exact_weights(grids, shape, m)
+
+        else:
+            grid = _zero_grid(shape, 0.0)
+
+            def add(sample, w, counts, out):
+                nonlocal evals
+                evals += 1
+                w = float(w)
+                per_z = [(i, w * c / m) for i, c in counts]
+                for h, ph in out.items():
+                    if not ph:
+                        continue
+                    col = hidx[h]
+                    for row, wz in per_z:
+                        grid[row][col] += wz * ph
+
+            def weights():
+                return np.array(grid)
 
         def finish() -> TrnHypJoint:
-            joint = Joint((dist.alphabet, hyp), acc)
+            joint = Joint((dist.alphabet, hyp), weights())
             method = "exact-multiset" if learner.symmetric else "exact-ordered"
-            return TrnHypJoint(joint=joint, scenario=scenario, method=method, kernel_evals=evals)
+            return TrnHypJoint(joint=joint, method=method, kernel_evals=evals)
 
         return add, finish
 
@@ -259,22 +315,52 @@ def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
         hyp = learner.hypotheses(m)
         side_alpha = side.alphabet_for(m)
         hidx, kidx = hyp.index, side_alpha.index
-        acc = zeros((len(dist.alphabet), len(hyp), len(side_alpha)), dist.mode)
+        shape = (len(dist.alphabet), len(hyp), len(side_alpha))
+        if dist.is_exact:
+            grids: dict = {}
 
-        def add(sample, w, counts, out):
-            per_z = [(i, w * c / m) for i, c in counts]
-            for h, ph in out.items():
-                if ph == 0:
-                    continue
-                col = hidx[h]
-                for k, pk in side.fn(sample, h).items():
-                    if pk == 0:
+            def add(sample, w, counts, out):
+                wn, wd = w.numerator, w.denominator
+                for h, ph in out.items():
+                    if not ph:
                         continue
-                    lay = kidx[k]
-                    for row, wz in per_z:
-                        acc[row, col, lay] += wz * ph * pk
+                    col = hidx[h]
+                    hn, hd = wn * ph.numerator, wd * ph.denominator
+                    for k, pk in side.fn(sample, h).items():
+                        if not pk:
+                            continue
+                        den = hd * pk.denominator
+                        grid = grids.get(den)
+                        if grid is None:
+                            grid = grids[den] = _zero_grid(shape)
+                        num, lay = hn * pk.numerator, kidx[k]
+                        for row, c in counts:
+                            grid[row][col][lay] += num * c
 
-        return add, lambda: Joint((dist.alphabet, hyp, side_alpha), acc)
+            def weights():
+                return _exact_weights(grids, shape, m)
+
+        else:
+            grid = _zero_grid(shape, 0.0)
+
+            def add(sample, w, counts, out):
+                w = float(w)
+                per_z = [(i, w * c / m) for i, c in counts]
+                for h, ph in out.items():
+                    if not ph:
+                        continue
+                    col = hidx[h]
+                    for k, pk in side.fn(sample, h).items():
+                        if not pk:
+                            continue
+                        lay = kidx[k]
+                        for row, wz in per_z:
+                            grid[row][col][lay] += wz * ph * pk
+
+            def weights():
+                return np.array(grid)
+
+        return add, lambda: Joint((dist.alphabet, hyp, side_alpha), weights())
 
     return WalkRequest(("threeway", side.name), "threeway joint", start)
 
@@ -289,23 +375,36 @@ def exact_threeway_joint(
 def mi_request(scenario: Scenario) -> WalkRequest:
     """I(S;H) in two walks: the first sums the hypothesis marginal, the
     second the log terms against it."""
+    exact = scenario.data_dist.is_exact
 
     def start():
-        marg: dict = {}
+        # exact: (h, denominator) -> integer numerator; float: h -> mass
+        sums: dict = {}
 
         def add(sample, w, counts, out):
-            for h, ph in out.items():
-                if ph != 0:
-                    marg[h] = marg.get(h, 0) + w * ph
+            if exact:
+                wn, wd = w.numerator, w.denominator
+                for h, ph in out.items():
+                    if ph:
+                        key = (h, wd * ph.denominator)
+                        sums[key] = sums.get(key, 0) + wn * ph.numerator
+            else:
+                for h, ph in out.items():
+                    if ph:
+                        sums[h] = sums.get(h, 0) + w * ph
 
         def finish() -> float:
+            masses = {h: mass for (h,), mass in fractions_by_key(sums).items()} if exact else sums
+            marg = {h: float(mass) for h, mass in masses.items()}
             total = 0.0
 
             def log_sum(sample, w, counts, out):
                 nonlocal total
                 for h, ph in out.items():
-                    if ph != 0:
-                        total += float(w * ph) * math.log(float(ph) / float(marg[h]))
+                    if ph:
+                        # int / int rounds once, as float(w * ph) does
+                        mass = (w.numerator * ph.numerator) / (w.denominator * ph.denominator) if exact else float(w * ph)
+                        total += mass * math.log(float(ph) / marg[h])
 
             _visit(scenario, [log_sum])
             return total
@@ -571,22 +670,35 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
     """Three-valued flag comparing empirical to true risk at a threshold.
 
     K = +1 when R_emp(h) - R_true(h) >= threshold, -1 when <= -threshold,
-    else 0.
+    else 0.  The empirical risk is e / (m * scale) with e the sum of the
+    loss's integer table entries over the sample, so the flag is computed
+    once per (h, e): in Fractions in exact mode, in floats in float mode.
     """
-    from .losses import empirical_risk, true_risk  # local to avoid a cycle
+    from .losses import loss_table, true_risk  # local to avoid a cycle
 
-    dist = scenario.data_dist
-    cache: dict = {}
+    dist, m = scenario.data_dist, scenario.m
+    hyp = scenario.learner.hypotheses(m)
+    table, scale = loss_table(loss, dist.alphabet, hyp, True)
+    zidx = dist.alphabet.index
+    # h -> (its table column, memo e -> flag)
+    cols = {h: (col, {}) for h, col in zip(hyp.symbols, table.T.tolist())}
+    risks: dict = {}
+
+    def flag(h, e) -> dict:
+        if h not in risks:
+            risks[h] = true_risk(loss, h, dist)
+        emp = Fraction(e, m * scale) if dist.is_exact else e / (m * scale)
+        g = emp - risks[h]
+        return {1 if g >= threshold else -1 if g <= -threshold else 0: 1}
 
     def fn(sample: tuple, h) -> dict:
-        if h not in cache:
-            cache[h] = true_risk(loss, h, dist)
-        g = empirical_risk(loss, sample, h) - cache[h]
-        if g >= threshold:
-            return {1: 1}
-        if g <= -threshold:
-            return {-1: 1}
-        return {0: 1}
+        col, memo = cols[h]
+        e = 0
+        for z in sample:
+            e += col[zidx[z]]
+        if e not in memo:
+            memo[e] = flag(h, e)
+        return memo[e]
 
     return SideInfoKernel(
         name=f"deviation_sign@{threshold}",

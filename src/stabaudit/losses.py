@@ -17,6 +17,14 @@ denominators; in float mode it holds float64 with scale 1.  A loss builds
 each table once and keeps it.  gen(L) is then the integer (or float) sum
 of d * table over the joint's cell table d / scale (dist.Joint.cells),
 divided once, and the deviation-law cache is keyed by the loss's table.
+
+The deviation law reads the exact integer table in both modes: the
+deviation of h on a sample is identified by e, the sum of the table
+entries of h over the sample, and is (e / (m * scale)) - R_true(h).  In
+exact mode the walk sums integer numerators of the masses keyed by
+(h, e) and their denominator, and finish() builds each deviation and each
+probability once per key.  In float mode the deviation is computed once
+per (h, e) and the masses are added to it in visit order.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .bounds import erm_markov_bound
-from .dist import Alphabet, Dist, common_denominator
+from .dist import Alphabet, Dist, common_denominator, fractions_by_key
 from .info import variational_info
 from .learners import Scenario, TrnHypJoint, WalkRequest, exact_trn_hyp_joint, walk
 from .learners import iter_weighted_samples  # noqa: F401  (perfbench looks the walker up here)
@@ -89,13 +97,18 @@ def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
 
 
 def true_risk(loss: ParametricLoss, h, dist: Dist):
-    """Expected loss of h under the data distribution."""
+    """Expected loss of h under the data distribution.
+
+    Exact for an exact distribution, also when the loss returns floats
+    (Fraction(float) is lossless)."""
     if loss.true_risk_fn is not None:
         return loss.true_risk_fn(h, dist)
+    exact = dist.is_exact
     total = 0
     for z, w in zip(dist.alphabet.symbols, dist.weights):
         if w != 0:
-            total = total + w * loss.fn(z, h)
+            v = loss.fn(z, h)
+            total = total + w * (Fraction(v) if exact and isinstance(v, float) else v)
     return total
 
 
@@ -157,25 +170,62 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
     """The deviation law as a walk request, cached under the loss's name and
     its table over the domain and the hypotheses."""
     dist, m = scenario.data_dist, scenario.m
-    table, scale = loss_table(loss, dist.alphabet, scenario.learner.hypotheses(m), dist.is_exact)
+    hyp = scenario.learner.hypotheses(m)
+    table, scale = loss_table(loss, dist.alphabet, hyp, True)
 
     def start():
+        hidx, cols, ms = hyp.index, table.T.tolist(), m * scale
         risks: dict = {}
-        acc: dict = {}
 
-        def add(sample, w, counts, out):
-            syms = [(dist.alphabet.symbols[i], c) for i, c in counts]
-            for h, ph in out.items():
-                if ph == 0:
-                    continue
-                if h not in risks:
-                    risks[h] = true_risk(loss, h, dist)
-                emp = sum(c * loss.fn(z, h) for z, c in syms) / Fraction(m)
-                g = emp - risks[h]
-                acc[g] = acc.get(g, 0) + w * ph
+        def deviation(h, e):
+            if h not in risks:
+                risks[h] = true_risk(loss, h, dist)
+            return Fraction(e, ms) - risks[h]
+
+        if dist.is_exact:
+            nums: dict = {}  # (h index, e, denominator) -> numerator
+
+            def add(sample, w, counts, out):
+                wn, wd = w.numerator, w.denominator
+                for h, ph in out.items():
+                    if not ph:
+                        continue
+                    hi = hidx[h]
+                    col, e = cols[hi], 0
+                    for i, c in counts:
+                        e += c * col[i]
+                    key = (hi, e, wd * ph.denominator)
+                    nums[key] = nums.get(key, 0) + wn * ph.numerator
+
+            def law() -> dict:
+                acc: dict = {}
+                for (hi, e), p in fractions_by_key(nums).items():
+                    g = deviation(hyp.symbols[hi], e)
+                    acc[g] = acc.get(g, 0) + p
+                return acc
+
+        else:
+            memo: dict = {}  # (h index, e) -> deviation
+            acc: dict = {}
+
+            def add(sample, w, counts, out):
+                for h, ph in out.items():
+                    if not ph:
+                        continue
+                    hi = hidx[h]
+                    col, e = cols[hi], 0
+                    for i, c in counts:
+                        e += c * col[i]
+                    g = memo.get((hi, e))
+                    if g is None:
+                        g = memo[hi, e] = deviation(h, e)
+                    acc[g] = acc.get(g, 0) + w * ph
+
+            def law() -> dict:
+                return acc
 
         def finish() -> DeviationLaw:
-            points = _merged_points(acc, dist.is_exact)
+            points = _merged_points(law(), dist.is_exact)
             return DeviationLaw(points=points, scenario_name=scenario.name, loss_name=loss.name)
 
         return add, finish
@@ -187,8 +237,9 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
 def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None = None) -> DeviationLaw:
     """Enumerate the deviation law exactly.
 
-    True risks are cached per hypothesis; empirical risks use the multiset
-    counts, so the cost matches the joint enumeration.
+    True risks are computed once per hypothesis; empirical risks are read
+    from the loss's integer table through the multiset counts, so the cost
+    matches the joint enumeration.
     """
     return walk(scenario, [deviation_request(scenario, loss)], budget)[0]
 

@@ -105,6 +105,18 @@ def threeway_triples(dist_map, kernel, side_fn, m):
     return acc
 
 
+def deviation_sign(dist_map, loss_fn, threshold):
+    """Side function: +1 when R_emp(h) - R_true(h) >= threshold, -1 when
+    <= -threshold, else 0, from plain Fraction sums."""
+
+    def side(sample, h):
+        true = sum(dist_map[z] * Fraction(loss_fn(z, h)) for z in dist_map)
+        g = sum(Fraction(loss_fn(z, h)) for z in sample) / len(sample) - true
+        return {1 if g >= threshold else -1 if g <= -threshold else 0: 1}
+
+    return side
+
+
 def sample_hyp_mi(dist_map, kernel, m):
     """Shannon I(S; H) in nats over all ordered samples S."""
     joint = {}

@@ -2,66 +2,22 @@
 (variational information, gen risk, the worst-case loss), against the
 ordered brute-force oracles on random small scenarios."""
 
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import brute
 import stabaudit.dist as dist_mod
-from stabaudit.dist import Alphabet, Dist, Joint, common_denominator
+from stabaudit.dist import Alphabet, Joint, common_denominator
 from stabaudit.harness import EXIT_PASS, run_config
 from stabaudit.info import shannon_mutual_info, variational_info
-from stabaudit.learners import LearnerKernel, Scenario, exact_trn_hyp_joint
-from stabaudit.losses import ParametricLoss, gen_risk_from_joint, loss_table, table_loss, worst_case_loss
-from stabaudit.numeric import EXACT, FLOAT64
+from stabaudit.learners import exact_trn_hyp_joint
+from stabaudit.losses import ParametricLoss, gen_risk_from_joint, loss_table, worst_case_loss
+from strategies import cases
 
 F = Fraction
-
-
-def _weights(size):
-    """size ints in 0..4, not all zero."""
-    return st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
-
-
-@st.composite
-def cases(draw):
-    """(exact scenario, float scenario, rational table loss) with n <= 4,
-    m <= 3 and at most 3 hypotheses; the kernel is symmetric or not."""
-    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    symmetric = draw(st.booleans())
-    domain = Alphabet.of_size("z", n)
-    hyp = Alphabet("h", tuple(f"h{i}" for i in range(k)))
-    raw = draw(_weights(n))
-    probs = [F(r, sum(raw)) for r in raw]
-    samples = (
-        itertools.combinations_with_replacement(range(n), m)
-        if symmetric
-        else itertools.product(range(n), repeat=m)
-    )
-    rows = {}
-    for sample in samples:
-        w = draw(_weights(k))
-        rows[sample] = {h: F(x, sum(w)) for h, x in zip(hyp.symbols, w) if x}
-    values = [[F(draw(st.integers(0, 4)), 4) for _ in range(k)] for _ in range(n)]
-
-    def scenario(mode):
-        conv = (lambda x: x) if mode.exact else float
-
-        def kern(sample):
-            row = rows[tuple(sorted(sample)) if symmetric else sample]
-            return {h: conv(p) for h, p in row.items()}
-
-        learner = LearnerKernel(
-            name="random", domain=domain, kernel=kern, hypotheses=lambda m: hyp, symmetric=symmetric
-        )
-        data = Dist(domain, np.array([conv(p) for p in probs], dtype=mode.dtype))
-        return Scenario(name="cells", learner=learner, data_dist=data, m=m)
-
-    return scenario(EXACT), scenario(FLOAT64), table_loss("t", domain, hyp, values)
 
 
 def _pairs(s):

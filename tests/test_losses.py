@@ -251,6 +251,18 @@ def test_deviation_law_is_keyed_by_loss_values():
     assert laws[0].points != laws[1].points
 
 
+def test_exact_deviation_law_is_exact_for_a_float_valued_loss():
+    d = Alphabet.of_size("z", 3)
+    learner = subsample_release(d, k=1, mode=EXACT)
+    s = uniform_scenario(learner, m=2)
+    halves = ParametricLoss(name="halves", fn=lambda z, h: 0.5 if z in h else 0.25)
+    law = deviation_law(s, halves)
+    assert all(isinstance(v, Fraction) and isinstance(p, Fraction) for v, p in law.points)
+    assert sum(p for _, p in law.points) == 1
+    exact = ParametricLoss(name="halves", fn=lambda z, h: F(1, 2) if z in h else F(1, 4))
+    assert list(law.points) == brute.deviation_points(dist_map(s.data_dist), learner.kernel, 2, exact.fn)
+
+
 # ---------------------------------------------------------------------------
 # table losses
 

@@ -179,3 +179,42 @@ def test_exact_run_walks_twice_for_t1_t3_t4_p3(monkeypatch):
     assert len(calls) == 2 * math.comb(n + m - 1, m)
     assert bundle["quantities"]["kernel_evals"] == math.comb(n + m - 1, m)
     assert "walk" in bundle["timings"]
+
+
+def test_audit_t5_walks_the_sample_space_once(monkeypatch):
+    import stabaudit.audits as audits
+
+    calls = []
+
+    def counted_release(domain, k, delta=1, *, mode):
+        learner = subsample_release(domain, k, delta, mode=mode)
+
+        def kernel(sample):
+            calls.append(1)
+            return learner.kernel(sample)
+
+        return dataclasses.replace(learner, kernel=kernel)
+
+    monkeypatch.setattr(audits, "subsample_release", counted_release)
+    n, m = 6, 2
+    report = audits.audit_t5(F(1, 2), m, F(3, 10), n)
+    assert report.theorem == "T5"
+    assert len(calls) == math.comb(n + m - 1, m)
+
+
+def test_dropped_scenario_is_freed_without_a_collection():
+    import gc
+    import weakref
+
+    learner, dist, loss = _case("subsample", 4, 2, EXACT)
+    scn = _scenario(learner, dist, loss, 2)
+    ref = weakref.ref(scn)
+    gc.disable()
+    try:
+        tj = exact_trn_hyp_joint(scn)
+        law = deviation_law(scn, loss)
+        del scn
+        assert ref() is None  # nothing cached on the scenario refers back to it
+        assert tj.kernel_evals == math.comb(4 + 2 - 1, 2) and law.points
+    finally:
+        gc.enable()
