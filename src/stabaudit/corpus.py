@@ -58,10 +58,7 @@ def _build_erm(domain: Alphabet, params: Mapping, mode: NumericMode) -> LearnerK
 
 
 def _build_prop1(domain: Alphabet, params: Mapping, mode: NumericMode) -> LearnerKernel:
-    learner = prop1_counterexample(len(domain))
-    if learner.domain != domain:
-        raise ValueError("the memorizer needs the domain {0, ..., n-1}")
-    return learner
+    return prop1_counterexample(domain)
 
 
 def _build_constant(domain: Alphabet, params: Mapping, mode: NumericMode) -> LearnerKernel:

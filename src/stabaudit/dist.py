@@ -11,6 +11,13 @@ and the overlap coefficient is 1 - tv(P, Q).  Joints add named axes with
 marginalization, slicing on an observed symbol (conditioning), axis merging,
 and products of independent marginals.
 
+An alphabet built from range(n), as Alphabet.of_size builds it, is
+positional: symbol i sits at position i.  It keeps no per-symbol set or
+dict, so building one costs the symbols tuple alone, and its index answers
+lookups by arithmetic (Positions) with the semantics of the dict
+{i: i for i in range(n)}.  Its symbols are still the tuple (0, ..., n-1),
+so it equals and hashes like Alphabet(name, tuple(range(n))).
+
 Every cell-wise quantity of a two-axis joint P(Z, H) (variational
 information, generalization risk, the worst-case loss) reads the same
 difference D = P(Z, H) - P(Z) P(H).  Joint.cells computes it once and
@@ -27,11 +34,14 @@ float mode d = weights - product_weights(weights) and scale = 1.
 from __future__ import annotations
 
 import itertools
+import numbers
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -53,22 +63,77 @@ class ArityError(ValueError):
     """A joint does not have the axis count an operation requires."""
 
 
+class Positions(Mapping):
+    """The index of a positional alphabet of n symbols: symbol i is at i.
+
+    Looks up like the dict {i: i for i in range(n)}: a key is found when it
+    equals an int in range(n), as a dict would match it (True, 2.0,
+    numpy integers), and raises KeyError otherwise.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getitem__(self, key) -> int:
+        i = key if key.__class__ is int else _as_int(key)
+        if i is not None and 0 <= i < self.n:
+            return i
+        raise KeyError(key)
+
+    def __contains__(self, key) -> bool:
+        i = key if key.__class__ is int else _as_int(key)
+        return i is not None and 0 <= i < self.n
+
+    def __iter__(self):
+        return iter(range(self.n))
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def _as_int(key) -> int | None:
+    """The int a dict with int keys would match key to, or None."""
+    try:
+        return operator.index(key)
+    except TypeError:
+        pass
+    if not isinstance(key, numbers.Number):
+        return None
+    try:
+        i = int(key.real)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == key else None
+
+
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite symbol set with a name used for axis lookup."""
+    """Ordered finite symbol set with a name used for axis lookup.
+
+    Symbols given as range(n) make a positional alphabet (see the module
+    docstring); positional is not compared or hashed.
+    """
 
     name: str
     symbols: tuple
+    positional: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+        raw = self.symbols
+        positional = isinstance(raw, range) and raw.start == 0 and raw.step == 1
+        object.__setattr__(self, "symbols", tuple(raw))
+        object.__setattr__(self, "positional", positional)
         if not self.symbols:
             raise ValueError(f"alphabet {self.name!r} is empty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if not positional and len(set(self.symbols)) != len(self.symbols):
             raise ValueError(f"alphabet {self.name!r} repeats a symbol")
 
     @cached_property
-    def index(self) -> dict:
+    def index(self) -> Mapping:
+        if self.positional:
+            return Positions(len(self.symbols))
         return {s: i for i, s in enumerate(self.symbols)}
 
     def __len__(self) -> int:
@@ -79,7 +144,7 @@ class Alphabet:
 
     @classmethod
     def of_size(cls, name: str, n: int) -> "Alphabet":
-        return cls(name, tuple(range(n)))
+        return cls(name, range(n))
 
 
 def _validated_weights(weights, shape, where: str) -> np.ndarray:
@@ -181,6 +246,11 @@ class Dist:
         return self.weights[self.alphabet.index[symbol]]
 
     __getitem__ = weight
+
+    @cached_property
+    def integer_weights(self) -> tuple[list[int], int]:
+        """Exact weights as (numerators, den) over their common denominator."""
+        return common_denominator(self.weights.tolist())
 
     def support(self) -> tuple:
         return tuple(s for s, w in zip(self.alphabet.symbols, self.weights) if w > 0)

@@ -96,10 +96,11 @@ class Scenario:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"sample size m must be >= 1, got {self.m}")
-        if self.data_dist.alphabet != self.learner.domain:
+        domain = self.learner.domain
+        if self.data_dist.alphabet is not domain and self.data_dist.alphabet != domain:
             raise DomainMismatchError(
                 f"data distribution is over {self.data_dist.alphabet.name!r}, "
-                f"learner expects {self.learner.domain.name!r}"
+                f"learner expects {domain.name!r}"
             )
 
     def cached(self, key, build):
@@ -301,11 +302,16 @@ def exact_trn_hyp_joint(scenario: Scenario, budget: int | None = None) -> TrnHyp
 
 @dataclass(frozen=True, eq=False)
 class SideInfoKernel:
-    """Auxiliary output K drawn from the sample (and possibly the hypothesis)."""
+    """Auxiliary output K drawn from the sample (and possibly the hypothesis).
+
+    key identifies the law of K on a scenario, and so its three-way joint
+    in the scenario's cache; None means the name does.
+    """
 
     name: str
     alphabet_for: Callable[[int], Alphabet]
     fn: Callable[[tuple, Any], Mapping[Any, Any]]
+    key: Any = None
 
 
 def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
@@ -362,7 +368,8 @@ def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
 
         return add, lambda: Joint((dist.alphabet, hyp, side_alpha), weights())
 
-    return WalkRequest(("threeway", side.name), "threeway joint", start)
+    key = side.name if side.key is None else side.key
+    return WalkRequest(("threeway", key), "threeway joint", start)
 
 
 def exact_threeway_joint(
@@ -608,17 +615,24 @@ def constant_learner(domain: Alphabet, symbol="fixed") -> LearnerKernel:
     )
 
 
-def prop1_counterexample(domain_size: int) -> LearnerKernel:
+def prop1_counterexample(domain: int | Alphabet) -> LearnerKernel:
     """Memorizer whose own expected generalization risk is exactly zero.
 
     The hypothesis is the sorted sample paired with a fair bit b.  Under
     the paired loss (see losses), b flips the sign of the deviation, so
     the two signs cancel in expectation while |deviation| stays near 1/2;
     under the flipped loss the deviation is near 1/2 with probability one.
+
+    domain is the domain {0, ..., n-1}, or its size n; an alphabet is used
+    as given, so a scenario and its learner share one domain object.
     """
+    domain_size = len(domain) if isinstance(domain, Alphabet) else domain
     if domain_size < 2:
         raise ValueError("domain_size must be >= 2")
-    domain = Alphabet.of_size("z", domain_size)
+    if not isinstance(domain, Alphabet):
+        domain = Alphabet.of_size("z", domain_size)
+    elif not domain.positional and domain.symbols != tuple(range(domain_size)):
+        raise ValueError("the memorizer needs the domain {0, ..., n-1}")
     half = Fraction(1, 2)
 
     def kern(sample: tuple) -> dict:
@@ -673,20 +687,22 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
     else 0.  The empirical risk is e / (m * scale) with e the sum of the
     loss's integer table entries over the sample, so the flag is computed
     once per (h, e): in Fractions in exact mode, in floats in float mode.
+    The side is keyed by the threshold and by the loss's name and table.
     """
     from .losses import loss_table, true_risk  # local to avoid a cycle
 
     dist, m = scenario.data_dist, scenario.m
     hyp = scenario.learner.hypotheses(m)
     table, scale = loss_table(loss, dist.alphabet, hyp, True)
-    zidx = dist.alphabet.index
-    # h -> (its table column, memo e -> flag)
-    cols = {h: (col, {}) for h, col in zip(hyp.symbols, table.T.tolist())}
+    symbols = dist.alphabet.symbols
+    columns = dict(zip(hyp.symbols, table.T.tolist()))
+    # h -> ({symbol: its table entry}, memo e -> flag)
+    cols = {h: (dict(zip(symbols, col)), {}) for h, col in columns.items()}
     risks: dict = {}
 
     def flag(h, e) -> dict:
         if h not in risks:
-            risks[h] = true_risk(loss, h, dist)
+            risks[h] = true_risk(loss, h, dist, columns[h], scale)
         emp = Fraction(e, m * scale) if dist.is_exact else e / (m * scale)
         g = emp - risks[h]
         return {1 if g >= threshold else -1 if g <= -threshold else 0: 1}
@@ -695,15 +711,17 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
         col, memo = cols[h]
         e = 0
         for z in sample:
-            e += col[zidx[z]]
+            e += col[z]
         if e not in memo:
             memo[e] = flag(h, e)
         return memo[e]
 
+    name = f"deviation_sign@{threshold}"
     return SideInfoKernel(
-        name=f"deviation_sign@{threshold}",
+        name=name,
         alphabet_for=lambda m: Alphabet("k", (-1, 0, 1)),
         fn=fn,
+        key=(name, loss.name, scale, tuple(table.ravel().tolist())),
     )
 
 

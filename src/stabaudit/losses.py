@@ -24,12 +24,15 @@ entries of h over the sample, and is (e / (m * scale)) - R_true(h).  In
 exact mode the walk sums integer numerators of the masses keyed by
 (h, e) and their denominator, and finish() builds each deviation and each
 probability once per key.  In float mode the deviation is computed once
-per (h, e) and the masses are added to it in visit order.
+per (h, e) and the masses are added to it in visit order.  In exact mode
+the true risk of h is one integer dot product of its table column with
+the distribution's weights over their common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -96,14 +99,20 @@ def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
     return total / Fraction(len(sample))
 
 
-def true_risk(loss: ParametricLoss, h, dist: Dist):
+def true_risk(loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None = None, scale: int = 1):
     """Expected loss of h under the data distribution.
 
     Exact for an exact distribution, also when the loss returns floats
-    (Fraction(float) is lossless)."""
+    (Fraction(float) is lossless).  column, the exact table column of h
+    over the distribution's alphabet with its scale (loss_table), makes an
+    exact risk one integer dot product against the weights over their
+    common denominator; float mode sums the loss over the symbols."""
     if loss.true_risk_fn is not None:
         return loss.true_risk_fn(h, dist)
     exact = dist.is_exact
+    if exact and column is not None:
+        nums, den = dist.integer_weights
+        return Fraction(sum(map(operator.mul, nums, column)), den * scale)
     total = 0
     for z, w in zip(dist.alphabet.symbols, dist.weights):
         if w != 0:
@@ -179,7 +188,7 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
 
         def deviation(h, e):
             if h not in risks:
-                risks[h] = true_risk(loss, h, dist)
+                risks[h] = true_risk(loss, h, dist, cols[hidx[h]], scale)
             return Fraction(e, ms) - risks[h]
 
         if dist.is_exact:
@@ -271,10 +280,10 @@ def membership_loss() -> ParametricLoss:
 
 
 def table_loss(name: str, domain: Alphabet, hypotheses: Alphabet, values: np.ndarray) -> ParametricLoss:
-    zi, hi = domain.index, hypotheses.index
+    rows, hi = dict(zip(domain.symbols, values)), hypotheses.index
 
     def fn(z, h):
-        return values[zi[z]][hi[h]]
+        return rows[z][hi[h]]
 
     return ParametricLoss(name=name, fn=fn, params={"shape": (len(domain), len(hypotheses))})
 
@@ -308,10 +317,16 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
 
     def true_risk_fn(h, dist: Dist):
         key, b = h
-        inside = in_sample_value(b)
-        total = half
+        step = in_sample_value(b) - half
+        if dist.is_exact:
+            total = half
+            for z in set(key):
+                total = total + dist.weight(z) * step
+            return total
+        # float mode: 0.5 plus one float term per symbol, in set order
+        step, total = float(step), 0.5
         for z in set(key):
-            total = total + dist.weight(z) * (inside - half)
+            total += float(dist.weight(z)) * step
         return total
 
     return ParametricLoss(name=name, fn=fn, true_risk_fn=true_risk_fn)

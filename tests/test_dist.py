@@ -44,6 +44,51 @@ def test_alphabet_lookup():
     assert len(Alphabet.of_size("z", 5)) == 5
 
 
+BAD_KEYS = (-1, 5, "3", 1.5, None, (1,), float("nan"))
+GOOD_KEYS = (0, 4, True, 2.0, np.int64(3), Fraction(4))
+
+
+def test_of_size_is_positional_and_matches_explicit_symbols():
+    pos, explicit = Alphabet.of_size("z", 5), Alphabet("z", tuple(range(5)))
+    assert pos.positional and not explicit.positional
+    assert type(pos.symbols) is tuple and pos.symbols == explicit.symbols
+    assert pos == explicit and hash(pos) == hash(explicit)
+    assert pos != Alphabet("w", tuple(range(5)))
+    assert pos.index == explicit.index and len(pos.index) == 5
+    assert list(pos.index) == list(explicit.index)
+    for key in GOOD_KEYS:
+        assert key in pos and key in explicit
+        assert pos.index[key] == explicit.index[key]
+        assert pos.index.get(key) == explicit.index.get(key)
+    for key in BAD_KEYS:
+        assert key not in pos and key not in explicit
+        assert pos.index.get(key) is None
+        for alpha in (pos, explicit):
+            with pytest.raises(KeyError):
+                alpha.index[key]
+
+
+def test_of_size_dists_match_explicit_symbols():
+    pos, explicit = Alphabet.of_size("z", 5), Alphabet("z", tuple(range(5)))
+    mapping = {0: Fraction(1, 2), np.int64(3): Fraction(1, 3), 4.0: Fraction(1, 6)}
+    for mode in (EXACT, FLOAT64):
+        a = Dist.from_mapping(pos, mapping, mode)
+        b = Dist.from_mapping(explicit, mapping, mode)
+        assert a.weights.tolist() == b.weights.tolist()
+        for key in GOOD_KEYS:
+            assert a.weight(key) == b.weight(key)
+        for key in BAD_KEYS:
+            with pytest.raises(KeyError):
+                a.weight(key)
+    with pytest.raises(KeyError):
+        Dist.from_mapping(pos, {5: 1}, EXACT)
+
+
+def test_integer_weights_over_common_denominator():
+    d = exact_dist(ABC, Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert d.integer_weights == ([3, 2, 1], 6)
+
+
 def test_exact_dist_requires_exact_unit_mass():
     with pytest.raises(ValueError):
         exact_dist(AB, Fraction(1, 2), Fraction(1, 3))

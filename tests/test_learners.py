@@ -31,8 +31,10 @@ from stabaudit.learners import (
     stability_search,
     subsample_release,
 )
-from stabaudit.losses import membership_loss
-from stabaudit.numeric import EXACT
+from stabaudit.corpus import _build_prop1
+from stabaudit.harness import ConfigError, ScenarioConfig, build_scenario
+from stabaudit.losses import constant_loss, membership_loss
+from stabaudit.numeric import EXACT, FLOAT64
 
 F = Fraction
 
@@ -248,6 +250,24 @@ def test_deviation_sign_side_alphabet():
     assert j3.weights.sum() == 1
 
 
+def test_deviation_sign_side_is_keyed_by_loss():
+    def scenario():
+        d = Alphabet.of_size("z", 3)
+        return uniform_scenario(subsample_release(d, k=1, mode=EXACT), m=2)
+
+    s = scenario()
+    first = exact_threeway_joint(s, deviation_sign_side_info(s, membership_loss(), F(1, 4)))
+    second = exact_threeway_joint(s, deviation_sign_side_info(s, constant_loss(0), F(1, 4)))
+    fresh = scenario()
+    expected = exact_threeway_joint(fresh, deviation_sign_side_info(fresh, constant_loss(0), F(1, 4)))
+    assert second is not first
+    assert second.weights.tolist() == expected.weights.tolist()
+    assert second.weights.tolist() != first.weights.tolist()
+    # the same loss and threshold again is a cache hit
+    again = exact_threeway_joint(s, deviation_sign_side_info(s, membership_loss(), F(1, 4)))
+    assert again is first
+
+
 # ---------------------------------------------------------------------------
 # privacy measurement
 
@@ -378,6 +398,56 @@ def test_erm_validation():
 def test_prop1_requires_two_symbols():
     with pytest.raises(ValueError):
         prop1_counterexample(1)
+    with pytest.raises(ValueError):
+        prop1_counterexample(Alphabet.of_size("z", 1))
+
+
+def test_prop1_uses_the_given_domain():
+    d = Alphabet.of_size("z", 4)
+    assert prop1_counterexample(d).domain is d
+    explicit = Alphabet("z", (0, 1, 2, 3))
+    assert prop1_counterexample(explicit).domain is explicit
+    assert prop1_counterexample(4).domain == d
+    for bad in (("a", "b"), (1, 0), (0, 2)):
+        with pytest.raises(ValueError, match="memorizer needs the domain"):
+            prop1_counterexample(Alphabet("z", bad))
+
+
+def test_build_prop1_rejects_a_symbols_domain():
+    with pytest.raises(ValueError, match="memorizer needs the domain"):
+        _build_prop1(Alphabet("z", ("a", "b", "c")), {}, FLOAT64)
+    cfg = ScenarioConfig.from_dict(
+        {
+            "name": "prop1-symbols",
+            "domain": {"symbols": ["a", "b", "c"]},
+            "data_dist": "uniform",
+            "learner": {"name": "prop1_counterexample"},
+            "m": 2,
+            "audits": ["T1"],
+        }
+    )
+    with pytest.raises(ConfigError, match="memorizer needs the domain"):
+        build_scenario(cfg)
+
+
+def test_large_prop1_scenario_shares_one_domain():
+    cfg = ScenarioConfig.from_dict(
+        {
+            "name": "prop1-large",
+            "domain": {"size": 1_000_000},
+            "data_dist": "uniform",
+            "learner": {"name": "prop1_counterexample"},
+            "loss": {"name": "prop1_paired"},
+            "m": 50,
+            "numeric": "float",
+            "mode": "mc",
+            "n_runs": 10,
+            "audits": ["T1"],
+        }
+    )
+    scenario = build_scenario(cfg)
+    assert scenario.learner.domain is scenario.data_dist.alphabet
+    assert scenario.data_dist.alphabet.positional
 
 
 def test_scenario_validation():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import brute
@@ -23,6 +24,7 @@ from stabaudit.losses import (
     exhaustive_binary_loss_max,
     expected_gen_risk,
     gen_risk_from_joint,
+    loss_table,
     membership_loss,
     prop1_flipped_loss,
     prop1_paired_loss,
@@ -74,6 +76,54 @@ def test_true_risk_fast_path_matches_direct():
         fast = loss.true_risk_fn(h, dist)
         direct = sum(w * loss.fn(z, h) for z, w in zip(d.symbols, dist.weights))
         assert fast == direct
+
+
+def _prop1_risk_per_symbol(loss_name, h, dist):
+    """The memorizer's true risk summed per symbol in mixed Fraction/float
+    arithmetic, the way the closed form read before it had a float path."""
+    key, b = h
+    half = F(1, 2)
+    inside = 1 - b if loss_name == "prop1_paired" else 1
+    total = half
+    for z in set(key):
+        total = total + dist.weight(z) * (inside - half)
+    return total
+
+
+@pytest.mark.parametrize("make_loss", [prop1_paired_loss, prop1_flipped_loss])
+def test_float_prop1_true_risk_matches_the_per_symbol_sum(make_loss):
+    rng = np.random.default_rng(7)
+    loss = make_loss()
+    for n in (2, 5, 40):
+        d = Alphabet.of_size("z", n)
+        raw = rng.random(n)
+        dist = Dist(d, raw / raw.sum())
+        for m in (1, 3, 8):
+            for b in (0, 1):
+                key = tuple(sorted(int(z) for z in rng.integers(0, n, size=m)))
+                got = loss.true_risk_fn((key, b), dist)
+                assert type(got) is float
+                assert got == _prop1_risk_per_symbol(loss.name, (key, b), dist)
+
+
+def _float_valued_loss():
+    return ParametricLoss(name="float_valued", fn=lambda z, h: 0.375 if z in h else 0.1)
+
+
+@pytest.mark.parametrize("make_loss", [membership_loss, zero_one_loss, _float_valued_loss])
+def test_exact_true_risk_from_the_table_column(make_loss):
+    d = Alphabet.of_size("z", 4)
+    dist = Dist.from_mapping(d, {0: F(1, 2), 1: F(1, 6), 2: F(1, 3)}, EXACT)
+    hyp = subsample_release(d, k=2, mode=EXACT).hypotheses(2)
+    loss = make_loss()
+    table, scale = loss_table(loss, d, hyp, True)
+    for column, h in zip(table.T.tolist(), hyp.symbols):
+        got = true_risk(loss, h, dist, column, scale)
+        assert type(got) is F
+        assert got == true_risk(loss, h, dist)
+        # float mode ignores the column and keeps its per-symbol sum
+        fdist = dist.as_float()
+        assert true_risk(loss, h, fdist, column, scale) == true_risk(loss, h, fdist)
 
 
 def test_constant_loss_generalization_is_zero(tiny_scenario):
