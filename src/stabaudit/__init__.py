@@ -67,7 +67,6 @@ from .learners import (
     LearnerKernel,
     Scenario,
     SideInfoKernel,
-    StabilitySearch,
     constant_learner,
     default_budget,
     deviation_sign_side_info,
@@ -80,8 +79,6 @@ from .learners import (
     randomized_response_dp,
     rerun_side_info,
     sample_hypothesis_mutual_info,
-    simplex_grid,
-    stability_search,
     subsample_release,
 )
 from .losses import (

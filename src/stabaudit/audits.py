@@ -63,10 +63,6 @@ class AuditReport:
     notes: tuple[str, ...] = ()
     series: tuple = ()
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,

@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .corpus import LEARNER_BUILDERS, LOSS_BUILDERS, corpus_configs
-from .harness import AUDITS, EXIT_CONFIG, ConfigError, corpus_run, run_config
+from .harness import AUDITS, EXIT_CONFIG, ConfigError, ScenarioConfig, corpus_run, run_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,11 +57,8 @@ def _cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    overrides = {
-        k: getattr(args, k)
-        for k in ("mode", "seed", "n_runs", "budget", "numeric", "tolerance")
-        if getattr(args, k) is not None
-    }
+    # each override flag is named after the config key it sets
+    overrides = {f.name: v for f in fields(ScenarioConfig) if (v := getattr(args, f.name, None)) is not None}
     code, bundle = run_config(raw, overrides=overrides, out_dir=args.out)
     if "error" in bundle:
         print(f"error: {bundle['error']}", file=sys.stderr)

@@ -9,7 +9,7 @@ consistency, and one scenario big enough to make enumeration sweat.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 from .dist import Alphabet
 from .learners import (
@@ -27,7 +27,6 @@ from .losses import (
     prop1_flipped_loss,
     prop1_paired_loss,
     random_table_loss,
-    table_loss,
     zero_one_loss,
 )
 from .numeric import NumericMode

@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .numeric import EXACT, FLOAT64, NumericMode, coerce_number, mode_of, zeros
+from .numeric import FLOAT64, NumericMode, coerce_number, mode_of, zeros
 
 #: absolute tolerance on total mass for float-mode construction
 MASS_ATOL = 1e-12

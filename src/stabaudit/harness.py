@@ -1,10 +1,11 @@
 """Config-driven runs and machine-readable reports.
 
-A scenario config is a JSON object; unknown keys anywhere in it are errors
-(exit 2) rather than silent no-ops.  Reports are deterministic for a fixed
-config and seed: wall-clock timings live in their own bundle field so the
-rest diffs cleanly, and files are written atomically (temp file, then
-rename).  Exit codes: 0 all audits pass, 1 some audit fails, 2 config or
+A scenario config is a JSON object whose keys are the fields of
+ScenarioConfig; a malformed or unknown key anywhere in it is an error
+(exit 2), never a silent no-op or a traceback.  Reports are deterministic
+for a fixed config and seed: wall-clock timings live in their own bundle
+field so the rest diffs cleanly, and files are written atomically (temp
+file, then rename).  Exit codes: 0 all audits pass, 1 some audit fails, 2 config or
 I/O error, 3 exact enumeration over budget with no MC fallback allowed.
 
 AUDITS is the one registry of audits: config validation, the MC fallback,
@@ -21,9 +22,10 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .audits import (
@@ -66,47 +68,112 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-_TOP_KEYS = frozenset(
-    {
-        "name",
-        "domain",
-        "data_dist",
-        "learner",
-        "loss",
-        "m",
-        "numeric",
-        "mode",
-        "seed",
-        "t_grid",
-        "n_runs",
-        "budget",
-        "tolerance",
-        "audits",
-    }
-)
-
 
 class ConfigError(ValueError):
     """The config is malformed; maps to exit code 2."""
 
 
-def _reject_unknown(raw: Mapping, allowed: frozenset, where: str) -> None:
-    unknown = set(raw) - allowed
+#: marks a config key or audit parameter the config must give
+_REQUIRED = object()
+
+# A check takes a value and the path it is reported under, and returns the
+# value to keep or raises ConfigError.
+
+
+def _object(value, where: str, checks: Mapping[str, Callable], required=()) -> dict:
+    """The keys value gives, each through its check.  An unknown key, or a
+    required one that is missing or null, is an error."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    unknown = set(value) - set(checks)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    for key in required:
+        if value.get(key) is None:
+            raise ConfigError(f"{where} needs {key!r}")
+    return {k: checks[k](v, f"{where}.{k}") for k, v in value.items()}
 
 
-def _require(raw: Mapping, key: str, where: str):
-    if key not in raw:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return raw[key]
+def _any(value, where: str):
+    return value
 
 
-def _t_grid(raw, where: str) -> tuple:
-    grid = tuple(raw)
-    if not grid or not all(isinstance(t, (int, float)) and 0 < t < 1 for t in grid):
-        raise ConfigError(f"{where}t_grid values must lie strictly inside (0, 1)")
+def _optional(check: Callable) -> Callable:
+    return lambda value, where: None if value is None else check(value, where)
+
+
+def _list(value, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _number(low=None, kinds=(int, float)) -> Callable:
+    """Check of a number of the given kinds, at least low; a bool is none."""
+    what = ("an integer" if kinds is int else "a number") + ("" if low is None else f" >= {low}")
+
+    def check(value, where: str):
+        if isinstance(value, bool) or not isinstance(value, kinds) or (low is not None and value < low):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+_real = _number()
+
+
+def _one_of(*options: str) -> Callable:
+    def check(value, where: str) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(f"{where} must be one of {list(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _name(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a nonempty string")
+    return value
+
+
+def _t_grid(value, where: str) -> tuple:
+    grid = tuple(_list(value, where))
+    if not grid or not all(0 < _real(t, where) < 1 for t in grid):
+        raise ConfigError(f"{where} values must lie strictly inside (0, 1)")
     return grid
+
+
+def _domain(value, where: str) -> dict:
+    domain = _object(value, where, {"size": _number(1, int), "symbols": _list})
+    if len(domain) != 1:
+        raise ConfigError(f"{where} needs exactly one of size or symbols")
+    return domain
+
+
+def _data_dist(value, where: str):
+    if value == "uniform":
+        return value
+    if isinstance(value, str):
+        raise ConfigError(f"{where} must be 'uniform' or an object, got {value!r}")
+    spec = _object(value, where, {"weights": _list, "family": _one_of("power"), "alpha": _real})
+    if not {"weights", "family"} & spec.keys():
+        raise ConfigError(f"{where} needs weights or family")
+    return spec
+
+
+def _registered(builders: Mapping[str, tuple]) -> Callable:
+    """Check of a {"name", "params"} object that names an entry of builders
+    and gives only params in that entry's allowed set."""
+    names = _one_of(*sorted(builders))
+
+    def check(value, where: str) -> dict:
+        spec = _object(value, where, {"name": names, "params": _any}, required=("name",))
+        allowed = dict.fromkeys(builders[spec["name"]][1], _any)
+        return {"name": spec["name"], "params": _object(spec.get("params", {}), f"{where}.params", allowed)}
+
+    return check
 
 
 @dataclass(frozen=True)
@@ -118,137 +185,64 @@ class AuditSpec:
         return self.id if not self.params else {"id": self.id, **self.params}
 
 
+def _audit(entry, where: str) -> AuditSpec:
+    raw = {"id": entry} if isinstance(entry, str) else entry
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{where} must be an audit id or object, got {entry!r}")
+    aid = _one_of(*AUDITS)(raw.get("id"), f"{where}.id")
+    defaults = AUDITS[aid].params
+    checks = {"id": _any, **{k: _AUDIT_PARAM_CHECKS[k] for k in defaults}}
+    params = _object(raw, where, checks, required=[k for k, d in defaults.items() if d is _REQUIRED])
+    del params["id"]
+    return AuditSpec(id=aid, params=params)
+
+
+def _audits(value, where: str) -> tuple[AuditSpec, ...]:
+    if not _list(value, where):
+        raise ConfigError(f"{where} must be a nonempty list")
+    return tuple(_audit(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+
+
+def _key(check: Callable, default=_REQUIRED):
+    """A config key: its default (_REQUIRED when the config must give it) and
+    its check.  null stands for a default of None."""
+    return field(metadata={"default": default, "check": _optional(check) if default is None else check})
+
+
+def _plain(value):
+    """value as JSON data: tuples become lists, audit specs config entries."""
+    if isinstance(value, AuditSpec):
+        value = value.to_config()
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    domain: Mapping[str, Any]
-    data_dist: Any
-    learner: Mapping[str, Any]
-    loss: Mapping[str, Any] | None
-    m: int
-    numeric: str
-    mode: str
-    seed: int
-    t_grid: tuple | None
-    n_runs: int
-    budget: int | None
-    tolerance: float | None
-    audits: tuple[AuditSpec, ...]
+    """A checked scenario config; each field declares one config key."""
+
+    name: str = _key(_name)
+    domain: Mapping[str, Any] = _key(_domain)
+    data_dist: Any = _key(_data_dist, "uniform")
+    learner: Mapping[str, Any] = _key(_registered(LEARNER_BUILDERS))
+    loss: Mapping[str, Any] | None = _key(_registered(LOSS_BUILDERS), None)
+    m: int = _key(_number(1, int))
+    numeric: str = _key(_one_of("exact", "float"), "float")
+    mode: str = _key(_one_of("exact", "mc", "auto"), "exact")
+    seed: int = _key(_number(0, int), 0)
+    t_grid: tuple | None = _key(_t_grid, None)
+    n_runs: int = _key(_number(1, int), 10000)
+    budget: int | None = _key(_number(1, int), None)
+    tolerance: float | None = _key(_number(0), None)
+    audits: tuple[AuditSpec, ...] = _key(_audits)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ScenarioConfig":
-        if not isinstance(raw, Mapping):
-            raise ConfigError("config must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        name = _require(raw, "name", "config")
-        if not isinstance(name, str) or not name:
-            raise ConfigError("name must be a nonempty string")
-
-        domain = _require(raw, "domain", "config")
-        if not isinstance(domain, Mapping):
-            raise ConfigError("domain must be an object")
-        _reject_unknown(domain, frozenset({"size", "symbols"}), "domain")
-        if ("size" in domain) == ("symbols" in domain):
-            raise ConfigError("domain needs exactly one of size or symbols")
-
-        data_dist = raw.get("data_dist", "uniform")
-        if isinstance(data_dist, Mapping):
-            _reject_unknown(data_dist, frozenset({"weights", "family", "alpha"}), "data_dist")
-            if not ({"weights", "family"} & set(data_dist)):
-                raise ConfigError("data_dist object needs weights or family")
-            if data_dist.get("family", "power") != "power":
-                raise ConfigError(f"unknown data_dist family {data_dist['family']!r}")
-        elif data_dist != "uniform":
-            raise ConfigError(f"data_dist must be 'uniform' or an object, got {data_dist!r}")
-
-        learner = _require(raw, "learner", "config")
-        if not isinstance(learner, Mapping):
-            raise ConfigError("learner must be an object")
-        _reject_unknown(learner, frozenset({"name", "params"}), "learner")
-        lname = _require(learner, "name", "learner")
-        if lname not in LEARNER_BUILDERS:
-            raise ConfigError(f"unknown learner {lname!r}; known: {sorted(LEARNER_BUILDERS)}")
-        _reject_unknown(dict(learner.get("params", {})), LEARNER_BUILDERS[lname][1], f"learner {lname}")
-
-        loss = raw.get("loss")
-        if loss is not None:
-            if not isinstance(loss, Mapping):
-                raise ConfigError("loss must be an object")
-            _reject_unknown(loss, frozenset({"name", "params"}), "loss")
-            fname = _require(loss, "name", "loss")
-            if fname not in LOSS_BUILDERS:
-                raise ConfigError(f"unknown loss {fname!r}; known: {sorted(LOSS_BUILDERS)}")
-            _reject_unknown(dict(loss.get("params", {})), LOSS_BUILDERS[fname][1], f"loss {fname}")
-
-        m = _require(raw, "m", "config")
-        if not isinstance(m, int) or m < 1:
-            raise ConfigError(f"m must be a positive integer, got {m!r}")
-
-        numeric = raw.get("numeric", "float")
-        if numeric not in ("exact", "float"):
-            raise ConfigError(f"numeric must be 'exact' or 'float', got {numeric!r}")
-        mode = raw.get("mode", "exact")
-        if mode not in ("exact", "mc", "auto"):
-            raise ConfigError(f"mode must be 'exact', 'mc', or 'auto', got {mode!r}")
-
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-
-        t_grid = raw.get("t_grid")
-        if t_grid is not None:
-            t_grid = _t_grid(t_grid, "")
-
-        n_runs = raw.get("n_runs", 10000)
-        if not isinstance(n_runs, int) or n_runs < 1:
-            raise ConfigError("n_runs must be a positive integer")
-
-        budget = raw.get("budget")
-        if budget is not None and (not isinstance(budget, int) or budget < 1):
-            raise ConfigError("budget must be a positive integer")
-
-        tolerance = raw.get("tolerance")
-        if tolerance is not None and (not isinstance(tolerance, (int, float)) or tolerance < 0):
-            raise ConfigError("tolerance must be a nonnegative number")
-
-        audits_raw = _require(raw, "audits", "config")
-        if not isinstance(audits_raw, Sequence) or isinstance(audits_raw, str) or not audits_raw:
-            raise ConfigError("audits must be a nonempty list")
-        audits = []
-        for entry in audits_raw:
-            if isinstance(entry, str):
-                aid, params = entry, {}
-            elif isinstance(entry, Mapping):
-                aid = _require(entry, "id", "audit entry")
-                params = {k: v for k, v in entry.items() if k != "id"}
-            else:
-                raise ConfigError(f"audit entry must be a string or object, got {entry!r}")
-            if aid not in AUDITS:
-                raise ConfigError(f"unknown audit id {aid!r}; known: {list(AUDITS)}")
-            _reject_unknown(params, frozenset(AUDITS[aid].params), f"audit {aid}")
-            if "t_grid" in params:
-                params = {**params, "t_grid": _t_grid(params["t_grid"], f"audit {aid}: ")}
-            for k, default in AUDITS[aid].params.items():
-                if default is _REQUIRED and k not in params:
-                    raise ConfigError(f"audit {aid} needs {k!r}")
-            audits.append(AuditSpec(id=aid, params=params))
-
-        cfg = cls(
-            name=name,
-            domain=dict(domain),
-            data_dist=data_dist if isinstance(data_dist, str) else dict(data_dist),
-            learner={"name": lname, "params": dict(learner.get("params", {}))},
-            loss=None if loss is None else {"name": loss["name"], "params": dict(loss.get("params", {}))},
-            m=m,
-            numeric=numeric,
-            mode=mode,
-            seed=seed,
-            t_grid=t_grid,
-            n_runs=n_runs,
-            budget=budget,
-            tolerance=tolerance,
-            audits=tuple(audits),
-        )
+        given = _object(raw, "config", _CONFIG_CHECKS, _CONFIG_REQUIRED)
+        cfg = cls(**{f.name: given.get(f.name, f.metadata["default"]) for f in fields(cls)})
         if cfg.mode == "mc":
             bad = _not_mc(cfg.audits)
             if bad:
@@ -260,85 +254,59 @@ class ScenarioConfig:
 
     def override(self, **kw) -> "ScenarioConfig":
         """Return a copy with non-None overrides applied and revalidated."""
-        raw = self.to_dict()
-        for k, v in kw.items():
-            if v is not None:
-                raw[k] = v
-        return ScenarioConfig.from_dict(raw)
+        return ScenarioConfig.from_dict({**self.to_dict(), **{k: v for k, v in kw.items() if v is not None}})
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "domain": dict(self.domain),
-            "data_dist": self.data_dist,
-            "learner": {"name": self.learner["name"], "params": dict(self.learner["params"])},
-            "m": self.m,
-            "numeric": self.numeric,
-            "mode": self.mode,
-            "seed": self.seed,
-            "n_runs": self.n_runs,
-            "audits": [a.to_config() for a in self.audits],
-        }
-        if self.loss is not None:
-            out["loss"] = {"name": self.loss["name"], "params": dict(self.loss["params"])}
-        if self.t_grid is not None:
-            out["t_grid"] = list(self.t_grid)
-        if self.budget is not None:
-            out["budget"] = self.budget
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        return out
+        """The config as JSON data, leaving out keys that are None."""
+        return {f.name: _plain(v) for f in fields(self) if (v := getattr(self, f.name)) is not None}
+
+
+_CONFIG_CHECKS = {f.name: f.metadata["check"] for f in fields(ScenarioConfig)}
+_CONFIG_REQUIRED = [f.name for f in fields(ScenarioConfig) if f.metadata["default"] is _REQUIRED]
+
+
+def _construct(where: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), with a value it rejects reported as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError, KeyError, ArithmeticError) as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def _alphabet(domain: Mapping) -> Alphabet:
+    if "size" in domain:
+        return Alphabet.of_size("z", domain["size"])
+    return Alphabet("z", tuple(domain["symbols"]))
+
+
+def _distribution(domain: Alphabet, spec, mode) -> Dist:
+    if spec == "uniform":
+        return Dist.uniform(domain, mode)
+    if "weights" in spec:
+        weights = spec["weights"]
+        if len(weights) != len(domain):
+            raise ValueError(f"{len(weights)} weights for {len(domain)} symbols")
+        return Dist.from_mapping(domain, dict(zip(domain.symbols, weights)), mode)
+    if mode.exact:
+        raise ValueError("the power family is float-only; give explicit weights for exact mode")
+    raw = [(i + 1) ** (-float(spec.get("alpha", 1.0))) for i in range(len(domain))]
+    total = sum(raw)
+    return Dist(domain, [w / total for w in raw])
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Materialize the alphabet, distribution, learner, and loss."""
+    """Materialize the alphabet, distribution, learner, and loss.
+
+    from_dict has checked every key, so what fails here is a value the
+    constructors reject, such as weights that do not sum to one.
+    """
     mode = EXACT if cfg.numeric == "exact" else FLOAT64
-    if "size" in cfg.domain:
-        size = cfg.domain["size"]
-        if not isinstance(size, int) or size < 1:
-            raise ConfigError("domain size must be a positive integer")
-        domain = Alphabet.of_size("z", size)
-    else:
-        symbols = cfg.domain["symbols"]
-        try:
-            domain = Alphabet("z", tuple(symbols))
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-
-    if cfg.data_dist == "uniform":
-        dist = Dist.uniform(domain, mode)
-    elif "weights" in cfg.data_dist:
-        weights = cfg.data_dist["weights"]
-        if len(weights) != len(domain):
-            raise ConfigError(f"{len(weights)} weights for {len(domain)} symbols")
-        try:
-            dist = Dist.from_mapping(
-                domain, dict(zip(domain.symbols, weights)), mode
-            )
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad data_dist weights: {e}") from None
-    elif "family" in cfg.data_dist:
-        family = cfg.data_dist["family"]
-        if family != "power":
-            raise ConfigError(f"unknown data_dist family {family!r}")
-        if mode.exact:
-            raise ConfigError("the power family is float-only; give explicit weights for exact mode")
-        alpha = cfg.data_dist.get("alpha", 1.0)
-        raw = [(i + 1) ** (-float(alpha)) for i in range(len(domain))]
-        total = sum(raw)
-        dist = Dist(domain, [w / total for w in raw])
-    else:
-        raise ConfigError("data_dist object needs weights or family")
-
-    builder, _ = LEARNER_BUILDERS[cfg.learner["name"]]
-    try:
-        learner = builder(domain, cfg.learner["params"], mode)
-    except (ValueError, TypeError, KeyError) as e:
-        raise ConfigError(f"learner {cfg.learner['name']}: {e}") from None
-
+    domain = _construct("domain", _alphabet, cfg.domain)
+    dist = _construct("data_dist", _distribution, domain, cfg.data_dist, mode)
+    lname = cfg.learner["name"]
+    learner = _construct(f"learner {lname}", LEARNER_BUILDERS[lname][0], domain, cfg.learner["params"], mode)
     loss = None
     if cfg.loss is not None:
-        loss_builder, _ = LOSS_BUILDERS[cfg.loss["name"]]
         ctx = {
             "domain": domain,
             "learner": learner,
@@ -347,17 +315,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             "mode": mode,
             "params": cfg.loss["params"],
         }
-        try:
-            loss = loss_builder(ctx)
-        except (ValueError, TypeError, KeyError) as e:
-            raise ConfigError(f"loss {cfg.loss['name']}: {e}") from None
-
-    try:
-        return Scenario(
-            name=cfg.name, learner=learner, data_dist=dist, m=cfg.m, loss=loss, seed=cfg.seed
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+        loss = _construct(f"loss {cfg.loss['name']}", LOSS_BUILDERS[cfg.loss["name"]][0], ctx)
+    return _construct(
+        "scenario", Scenario, name=cfg.name, learner=learner, data_dist=dist, m=cfg.m, loss=loss, seed=cfg.seed
+    )
 
 
 def _mc_t1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
@@ -424,15 +385,12 @@ def _mc_c1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
     )
 
 
-#: marks an audit parameter the config must give
-_REQUIRED = object()
-
-
 @dataclass(frozen=True)
 class AuditDef:
     """One audit.
 
-    params maps each parameter to its default; a t_grid default of None
+    params maps each parameter to its default (_REQUIRED when the config
+    must give it), checked by _AUDIT_PARAM_CHECKS; a t_grid default of None
     stands for the config's t_grid.  needs names the walk results the audit
     reads (keys of _WALK_RESULTS).  exact(scenario, kwargs) runs the audit
     with the resolved params plus budget and tol as keyword arguments;
@@ -468,6 +426,16 @@ AUDITS: dict[str, AuditDef] = {
         {"epsilon": _REQUIRED, "delta": _REQUIRED}, ("joint",), lambda s, kw: audit_c2_forward(s, **kw)
     ),
     "ERM": AuditDef({"t_grid": ERM_T_GRID}, ("joint",), lambda s, kw: audit_erm(s, **kw)),
+}
+
+#: audit parameter -> its check, shared by every audit that takes it
+_AUDIT_PARAM_CHECKS: dict[str, Callable] = {
+    "epsilon": _optional(_real),  # null: the learner's declared epsilon
+    "delta": _real,
+    "threshold": _real,
+    "tol": _real,
+    "side": _one_of("duplicate", "rerun", "sign"),
+    "t_grid": _t_grid,
 }
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .dist import (
     Joint,
     TransitionKernel,
     product_weights,
-    tv_distance,
 )
 
 __all__ = [

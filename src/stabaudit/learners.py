@@ -723,66 +723,3 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
         fn=fn,
         key=(name, loss.name, scale, tuple(table.ravel().tolist())),
     )
-
-
-# ---------------------------------------------------------------------------
-# stability search
-
-
-@dataclass(frozen=True)
-class StabilitySearch:
-    """Supremum of vi(Z_trn; H) over a family of data distributions.
-
-    The supremum over a finite family only lower-bounds the worst case over
-    all distributions, so sup_info is a one-sided certificate.
-    """
-
-    learner_name: str
-    m: int
-    infos: tuple
-    sup_info: object
-    argmax_index: int
-
-    @property
-    def argmax_info(self):
-        return self.infos[self.argmax_index]
-
-
-def stability_search(
-    learner: LearnerKernel, m: int, family: Sequence[Dist], budget: int | None = None
-) -> StabilitySearch:
-    if not family:
-        raise ValueError("need at least one candidate distribution")
-    infos = []
-    from .info import variational_info  # deferred: info does not know learners
-
-    for dist in family:
-        scenario = Scenario(name="stability-probe", learner=learner, data_dist=dist, m=m)
-        tj = exact_trn_hyp_joint(scenario, budget=budget)
-        infos.append(variational_info(tj.joint))
-    best = max(range(len(infos)), key=lambda i: infos[i])
-    return StabilitySearch(
-        learner_name=learner.name,
-        m=m,
-        infos=tuple(infos),
-        sup_info=infos[best],
-        argmax_index=best,
-    )
-
-
-def simplex_grid(alphabet: Alphabet, resolution: int, mode: NumericMode | None = None) -> tuple[Dist, ...]:
-    """All distributions on the alphabet with weights in multiples of 1/resolution."""
-    from .numeric import EXACT
-
-    mode = mode or EXACT
-    n = len(alphabet)
-    out = []
-    for cut in itertools.combinations(range(resolution + n - 1), n - 1):
-        bounds = (-1,) + cut + (resolution + n - 1,)
-        counts = [bounds[i + 1] - bounds[i] - 1 for i in range(n)]
-        if mode.exact:
-            w = np.array([Fraction(c, resolution) for c in counts], dtype=object)
-        else:
-            w = np.array([c / resolution for c in counts], dtype=np.float64)
-        out.append(Dist(alphabet, w))
-    return tuple(out)

@@ -1,11 +1,16 @@
 import copy
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabaudit.audits import AUDIT_IDS
 from stabaudit.cli import main
+from stabaudit.corpus import CORPUS
 from stabaudit.harness import (
     AUDITS,
     EXIT_BUDGET,
@@ -48,6 +53,23 @@ def test_minimal_config_parses():
     assert [a.id for a in cfg.audits] == ["T1", "T2"]
 
 
+#: malformed configs whose type errors once escaped from_dict as tracebacks
+CRASHED_BEFORE = [
+    {"t_grid": 5},
+    {"audits": [{"id": "T4", "t_grid": 5}]},
+    {"domain": {"symbols": 5}},
+    {"data_dist": {"weights": 5}},
+    {"data_dist": {"family": "power", "alpha": "x"}, "numeric": "float"},
+    {"learner": {"name": "subsample_release", "params": 5}},
+    {"learner": {"name": ["a"]}},
+    {"loss": {"name": "membership", "params": [1]}},
+    {"audits": [{"id": ["T1"]}]},
+    {"audits": [{"id": "C2-forward", "epsilon": "a", "delta": 0.1}]},
+    {"audits": [{"id": "P4", "epsilon": "a"}]},
+    {"audits": [{"id": "T3", "threshold": "a"}]},
+]
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
@@ -77,11 +99,28 @@ def test_minimal_config_parses():
         {"audits": [{"id": "T4", "t_grid": [0.0, 0.5]}]},
         {"audits": [{"id": "C2-forward", "epsilon": 0.5}]},
         {"audits": [3]},
+        *CRASHED_BEFORE,
+        # booleans are not integers or numbers
+        {"m": True},
+        {"seed": True},
+        {"domain": {"size": True}},
+        {"n_runs": True},
+        {"budget": True},
+        {"tolerance": True},
+        {"audits": [{"id": "T2", "threshold": True}]},
     ],
 )
 def test_malformed_configs_are_rejected(mutation):
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(cfg_with(**mutation))
+
+
+@pytest.mark.parametrize("mutation", CRASHED_BEFORE[:4])
+def test_cli_run_rejects_a_malformed_config_without_a_traceback(tmp_path, capsys, mutation):
+    assert main(["run", write_config(tmp_path, cfg_with(**mutation))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_mc_mode_rejects_exact_only_audits():
@@ -117,6 +156,65 @@ def test_config_round_trips_through_to_dict():
     cfg = ScenarioConfig.from_dict(cfg_with(t_grid=[0.2, 0.4], budget=500, tolerance=1e-9))
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+#: one value of each JSON type
+JSON_VALUES = (None, True, 3, 0.5, "x", [1], {"a": 1})
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _paths(value, path=()):
+    """The path of every value nested in value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+@st.composite
+def corrupted_corpus_configs(draw):
+    """A corpus config with one key or list entry dropped, or one value,
+    at any depth, replaced by a value of another JSON type."""
+    raw = copy.deepcopy(draw(st.sampled_from(CORPUS)))
+    *head, last = draw(st.sampled_from(list(_paths(raw))))
+    parent = raw
+    for key in head:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[last]
+    else:
+        others = [v for v in JSON_VALUES if _json_type(v) != _json_type(parent[last])]
+        parent[last] = copy.deepcopy(draw(st.sampled_from(others)))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_corpus_configs())
+def test_a_corrupted_config_fails_only_with_a_config_error(raw):
+    try:
+        cfg = ScenarioConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    try:
+        build_scenario(cfg)
+    except ConfigError:
+        pass
+
+
+def test_readme_config_schema_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1].split("\n#", 1)[0]
+    keys = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    keys += [p for d in AUDITS.values() for p in d.params]
+    assert [k for k in keys if f"`{k}`" not in section] == []
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from stabaudit.learners import (
     randomized_response_dp,
     rerun_side_info,
     sample_hypothesis_mutual_info,
-    simplex_grid,
-    stability_search,
     subsample_release,
 )
 from stabaudit.corpus import _build_prop1
@@ -473,22 +471,3 @@ def test_mutual_info_identity_is_log_n():
     d = Alphabet.of_size("z", 3)
     s = uniform_scenario(subsample_release(d, k=1, mode=EXACT), m=1)
     assert sample_hypothesis_mutual_info(s) == pytest.approx(math.log(3))
-
-
-def test_simplex_grid_counts_and_mass():
-    alpha = Alphabet.of_size("z", 3)
-    grid = simplex_grid(alpha, 4)
-    assert len(grid) == math.comb(6, 2)
-    assert all(sum(d.weights) == 1 for d in grid)
-
-
-def test_stability_search_picks_uniform_for_identity():
-    alpha = Alphabet.of_size("z", 2)
-    learner = subsample_release(alpha, k=1, mode=EXACT)
-    family = simplex_grid(alpha, 4)
-    found = stability_search(learner, m=1, family=family)
-    # vi = 1 - sum w^2, maximized at the uniform point of the grid
-    assert found.sup_info == F(1, 2)
-    assert found.argmax_info == found.sup_info
-    best = family[found.argmax_index]
-    assert list(best.weights) == [F(1, 2), F(1, 2)]
