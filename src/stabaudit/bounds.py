@@ -81,14 +81,22 @@ def p3_proof_bound(t, mutual_info: float, m: int) -> float:
     return math.sqrt((mutual_info + c["p3_proof_shift"]) / (c["p3_den"] * m)) / float(t)
 
 
+def _expm1(epsilon: float) -> float:
+    """e^epsilon - 1; ValueError, not OverflowError, when it is past float range."""
+    try:
+        return math.expm1(epsilon)
+    except OverflowError:
+        raise ValueError(f"epsilon = {epsilon} is too large: e^epsilon overflows a float") from None
+
+
 def dp_info_bound(epsilon: float, delta) -> float:
-    return float(BOUND_CONSTANTS["dp_info_coeff"]) * (math.expm1(epsilon) + float(delta))
+    return float(BOUND_CONSTANTS["dp_info_coeff"]) * (_expm1(epsilon) + float(delta))
 
 
 def dp_tail_bound(t, epsilon: float, delta, m: int) -> float:
     c = BOUND_CONSTANTS
     slack = math.sqrt(c["dp_sqrt_num"] * math.log(9) / (25 * m))
-    return float(c["dp_coeff"]) / float(t) * (math.expm1(epsilon) + float(delta) + slack)
+    return float(c["dp_coeff"]) / float(t) * (_expm1(epsilon) + float(delta) + slack)
 
 
 def t5_predicted_mass(info, t):

@@ -21,14 +21,37 @@ feeds every accumulator that is not cached yet.  The public functions
 below are walks with a single request.  I(S;H) needs the finished
 hypothesis marginal before its log-sum, so it walks a second time.
 
-The accumulators do no Fraction arithmetic per sample.  In exact mode a
-mass w * p is kept as the integer numerator w.numerator * p.numerator
-under the key of its denominator w.denominator * p.denominator, and
-finish() builds one Fraction per cell over the lcm of those denominators.
-In float mode the joints sum floats cell by cell in visit order, in
-nested lists turned into one array at the end.  Losses are read from
-their integer tables (losses.loss_table), so a deviation is identified by
-the integer sum of table entries over the sample.
+The walk runs in blocks of up to BLOCK_SIZE samples, in
+combinations_with_replacement order (itertools.product order for
+kernels that are not symmetric).  A Block holds the samples' symbol
+indices, their (symbol, count) groups and their weights: float64, or in
+exact mode integer numerators over a common denominator.  Float weights
+are computed in the scalar order: the multinomial as a float, then
+times w[i] ** c per group, from a table of w[i] ** c taken with Python's
+**.  The index rows, groups and multinomials of a small sample space
+depend only on its shape and are kept for the next walk over it.  A
+kernel's output on a block is a Sparse array of (row, hypothesis index,
+probability) entries, in walk order and, within a sample, in the
+kernel's dict order, zeros dropped.
+
+A kernel may carry a batch form, attached with with_batch, that computes
+that array for a whole block; subsample_release has one, and so does the
+deviation-sign side channel.  A batch form is used only while the
+kernel is the very function it was attached to: a learner whose kernel
+was replaced (a wrapper, dataclasses.replace) loses it.  Every other
+kernel and side function runs through one adapter that calls it once per
+sample, in walk order.  The blocks come from a vectorised enumerator;
+when the module-level iter_weighted_samples has been replaced (to count
+or trace a walk), the walk reads its rows from that function instead.
+
+Each accumulator takes one call per block.  Float sums add entries with
+np.add.at, in entry order, so every cell sums its terms in visit order
+exactly as a per-sample loop would.  Exact mode keeps integer numerators
+per denominator and finish() builds one Fraction per cell over their
+lcm.  Losses are read from their integer tables (losses.loss_table), so
+a deviation is identified by the integer sum of table entries over the
+sample (entry_pairs).  What two accumulators read alike on a block (the
+cell masses, the (h, e) pairs) is computed once and kept on the block.
 """
 
 from __future__ import annotations
@@ -36,18 +59,22 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dist import Alphabet, Dist, DomainMismatchError, Joint, fractions_by_key
-from .numeric import EXACT, FLOAT64, NumericMode, coerce_number, zeros
+from .dist import Alphabet, Dist, DomainMismatchError, Joint, common_denominator
+from .numeric import FLOAT64, NumericMode, coerce_number
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "STABAUDIT_BUDGET"
+#: samples per block of a walk
+BLOCK_SIZE = 10_000
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -140,6 +167,205 @@ def _multinomial(m: int, counts) -> int:
     return coeff
 
 
+# ---------------------------------------------------------------------------
+# blocks of the walk
+
+
+@dataclass(eq=False)
+class Block:
+    """Consecutive samples of a walk, in walk order.
+
+    idx (B, m) holds each sample's symbol indices; sym and cnt (B, G) its
+    (symbol index, count) groups in index order, padded with count 0.
+    weights are float64, or exact integer numerators over den.
+    """
+
+    idx: np.ndarray
+    sym: np.ndarray
+    cnt: np.ndarray
+    weights: np.ndarray
+    den: int
+    symbols: tuple
+    _samples: list | None = None
+    _memo: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def memo(self, key, out: "Sparse", build: Callable):
+        """build(), kept under key for this block and kernel output, so the
+        accumulators of one walk share it."""
+        hit = self._memo.get(key)
+        if hit is None or hit[0] is not out:
+            hit = self._memo[key] = (out, build())
+        return hit[1]
+
+    @property
+    def exact(self) -> bool:
+        return self.weights.dtype == object
+
+    @property
+    def samples(self) -> list:
+        """The samples as tuples of symbols, built on first use."""
+        if self._samples is None:
+            s = self.symbols
+            self._samples = [tuple(s[i] for i in row) for row in self.idx.tolist()]
+        return self._samples
+
+
+@dataclass(frozen=True, eq=False)
+class Sparse:
+    """Sparse kernel output over a block: entry j puts prob[j] on output
+    col[j] of owner row[j] (a sample of the block, or for a side channel an
+    entry of the kernel's output).  prob is float64, or exact integer
+    numerators over den."""
+
+    row: np.ndarray
+    col: np.ndarray
+    prob: np.ndarray
+    den: int = 1
+
+
+def _sparse(rows: list, cols: list, probs: list, exact: bool) -> Sparse:
+    row, col = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    if not exact:
+        return Sparse(row, col, np.fromiter(map(float, probs), np.float64, len(probs)))
+    nums, den = common_denominator(probs)
+    return Sparse(row, col, np.array(nums, dtype=object), den)
+
+
+def per_row(fn: Callable, args: Sequence[tuple], index: Mapping, exact: bool) -> Sparse:
+    """The generic adapter: fn(*a) for each a in args, in order, with its
+    nonzero outputs as entries owned by a's position."""
+    rows, cols, probs = [], [], []
+    for r, a in enumerate(args):
+        for key, p in fn(*a).items():
+            if p:
+                rows.append(r)
+                cols.append(index[key])
+                probs.append(p)
+    return _sparse(rows, cols, probs, exact)
+
+
+def with_batch(fn: Callable, batch: Callable) -> Callable:
+    """Attach batch, the block form of fn, to fn.  batch refers back to fn
+    weakly, so the pair is freed without a garbage collection."""
+    batch.form_of = weakref.ref(fn)
+    fn.batch = batch
+    return fn
+
+
+def batch_form(fn: Callable) -> Callable | None:
+    """fn's batch form, or None when fn is not the function it was attached
+    to (a wrapper that copied the attribute included)."""
+    batch = getattr(fn, "batch", None)
+    form_of = getattr(batch, "form_of", None)
+    return batch if form_of is not None and form_of() is fn else None
+
+
+def _groups(idx: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(symbol, count) groups of each row in index order, as padded (sym, cnt)."""
+    srt = idx if symmetric else np.sort(idx, axis=1)
+    rows, m = srt.shape
+    if m == 1:
+        return srt, np.ones_like(srt)
+    start = np.ones((rows, m), dtype=bool)
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=start[:, 1:])
+    group = start.cumsum(axis=1)
+    width = int(group[:, -1].max())
+    first = np.flatnonzero(start)
+    at = first // m * width + group.ravel()[first] - 1
+    sym = np.zeros(rows * width, dtype=np.intp)
+    cnt = np.zeros(rows * width, dtype=np.intp)
+    sym[at] = srt.ravel()[first]
+    cnt[at] = np.concatenate((first[1:], [rows * m])) - first
+    return sym.reshape(rows, width), cnt.reshape(rows, width)
+
+
+def _index_rows(n: int, m: int, symmetric: bool) -> Iterator[np.ndarray]:
+    """Symbol index rows of every sample, BLOCK_SIZE rows at a time."""
+    combos = (
+        itertools.combinations_with_replacement(range(n), m)
+        if symmetric
+        else itertools.product(range(n), repeat=m)
+    )
+    flat, step = itertools.chain.from_iterable(combos), BLOCK_SIZE * m
+    while True:
+        idx = np.fromiter(itertools.islice(flat, step), dtype=np.intp)
+        if not idx.size:
+            return
+        yield idx.reshape(-1, m)
+
+
+def _index_blocks(n: int, m: int, symmetric: bool) -> Iterator[tuple]:
+    """(idx, sym, cnt, multinomial) per block of index rows; the
+    multinomial is None for ordered samples."""
+    # m! / prod c! is the multinomial; int64 holds 20! exactly
+    fact = np.array([math.factorial(c) for c in range(m + 1)], dtype=np.int64) if m <= 20 else None
+    for idx in _index_rows(n, m, symmetric):
+        sym, cnt = _groups(idx, symmetric)
+        if not symmetric:
+            mult = None
+        elif fact is not None:
+            mult = fact[m] // fact.take(cnt).prod(axis=1)
+        else:
+            mult = np.array([_multinomial(m, row) for row in cnt.tolist()], dtype=object)
+        yield idx, sym, cnt, mult
+
+
+@lru_cache(maxsize=16)
+def _small_index_blocks(n: int, m: int, symmetric: bool, block_size: int) -> tuple:
+    """_index_blocks of a small sample space, kept (read-only) for the next
+    walk over the same shape."""
+    blocks = tuple(_index_blocks(n, m, symmetric))
+    for arrays in blocks:
+        for a in arrays:
+            if a is not None:
+                a.setflags(write=False)
+    return blocks
+
+
+def _weighted_blocks(data_dist: Dist, m: int, symmetric: bool) -> Iterator[Block]:
+    """Blocks of every sample of positive probability, in walk order.
+
+    Float weights: the multinomial as a float, then times w[i] ** c per
+    group (symmetric), or the product of the entries' weights in sample
+    order; the powers come from a table taken with Python's **.  Exact
+    weights: the same products of the weights' integer numerators, over
+    their common denominator to the m-th power.
+    """
+    exact = data_dist.is_exact
+    if exact:
+        base, d = data_dist.integer_weights
+        den = d**m
+    else:
+        base, den = list(data_dist.weights), 1
+    n = len(base)
+    dtype = object if exact else np.float64
+    if symmetric:  # powers[i * (m + 1) + c] = w[i] ** c
+        powers = np.array([x**c for x in base for c in range(m + 1)], dtype=dtype)
+    else:
+        base = np.array(base, dtype=dtype)
+    if enumeration_size(n, m, symmetric) * m <= 2**15:
+        blocks = _small_index_blocks(n, m, symmetric, BLOCK_SIZE)
+    else:
+        blocks = _index_blocks(n, m, symmetric)
+    for idx, sym, cnt, mult in blocks:
+        if symmetric:
+            w = mult.astype(dtype)
+            for j in range(sym.shape[1]):
+                w = w * powers.take(sym[:, j] * (m + 1) + cnt[:, j])
+        else:
+            w = base[idx[:, 0]]
+            for j in range(1, m):
+                w = w * base[idx[:, j]]
+        keep = w != 0
+        if not keep.all():
+            idx, sym, cnt, w = idx[keep], sym[keep], cnt[keep], w[keep]
+        if len(w):
+            yield Block(idx, sym, cnt, w, den, data_dist.alphabet.symbols)
+
+
 def iter_weighted_samples(
     data_dist: Dist, m: int, symmetric: bool = True
 ) -> Iterator[tuple[tuple, Any, tuple[tuple[int, int], ...]]]:
@@ -149,39 +375,109 @@ def iter_weighted_samples(
     sorted multiset appears once with its multinomial coefficient folded
     into the weight.
     """
-    symbols = data_dist.alphabet.symbols
-    w = data_dist.weights
-    n = len(symbols)
-    if symmetric:
-        for combo in itertools.combinations_with_replacement(range(n), m):
-            counts = [(i, len(list(g))) for i, g in itertools.groupby(combo)]
-            weight = _multinomial(m, (c for _, c in counts))
-            for i, c in counts:
-                weight = weight * w[i] ** c
-            if weight == 0:
-                continue
-            yield tuple(symbols[i] for i in combo), weight, tuple(counts)
-    else:
-        for combo in itertools.product(range(n), repeat=m):
-            weight = 1
-            for i in combo:
-                weight = weight * w[i]
-            if weight == 0:
-                continue
-            counts = tuple(
-                (i, len(list(g))) for i, g in itertools.groupby(sorted(combo))
-            )
-            yield tuple(symbols[i] for i in combo), weight, counts
+    for block in _weighted_blocks(data_dist, m, symmetric):
+        weights = [Fraction(w, block.den) for w in block.weights] if block.exact else block.weights
+        for sample, w, sym, cnt in zip(block.samples, weights, block.sym.tolist(), block.cnt.tolist()):
+            yield sample, w, tuple((i, c) for i, c in zip(sym, cnt) if c)
+
+
+def _blocks(data_dist: Dist, m: int, symmetric: bool, *, _own=iter_weighted_samples) -> Iterator[Block]:
+    """The walk's blocks: vectorised, or read from a replaced iter_weighted_samples.
+
+    _own is the function defined above, held as a default so that rebinding
+    the module's names (as a tracer does) leaves it alone.
+    """
+    if iter_weighted_samples is _own:
+        yield from _weighted_blocks(data_dist, m, symmetric)
+        return
+    index, symbols = data_dist.alphabet.index, data_dist.alphabet.symbols
+    rows = iter_weighted_samples(data_dist, m, symmetric)
+    while chunk := list(itertools.islice(rows, BLOCK_SIZE)):
+        samples = [sample for sample, _, _ in chunk]
+        idx = np.array([[index[z] for z in sample] for sample in samples], dtype=np.intp).reshape(len(chunk), m)
+        if data_dist.is_exact:
+            nums, den = common_denominator([w for _, w, _ in chunk])
+            weights = np.array(nums, dtype=object)
+        else:
+            weights, den = np.array([w for _, w, _ in chunk], dtype=np.float64), 1
+        yield Block(idx, *_groups(idx, symmetric), weights, den, symbols, samples)
+
+
+def kernel_output(learner: LearnerKernel, block: Block, hyp: Alphabet | None) -> Sparse:
+    """The learner's kernel on every sample of the block, as (row, h index,
+    prob) entries: its batch form when it has one, else one call per sample
+    (hyp, the hypothesis alphabet, is needed then)."""
+    batch = batch_form(learner.kernel)
+    if batch is not None:
+        return batch(block)
+    return per_row(learner.kernel, [(s,) for s in block.samples], hyp.index, block.exact)
+
+
+def entry_pairs(block: Block, out: Sparse, table: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct pairs (h index, e) of the kernel entries, with e the sum
+    of the integer table[z, h] over the entry's sample, and each entry's
+    position among them, sorted.  Kept on the block for its kernel output,
+    so the deviation law and the sign side channel, which read one table,
+    share it."""
+
+    def build():
+        h, flat, e = out.col, table.ravel(), 0
+        for sym, cnt in zip(block.sym.T, block.cnt.T):
+            e = e + cnt.take(out.row) * flat.take(sym.take(out.row) * table.shape[1] + h)
+        if e.dtype != object and len(e) >= 256:  # many int64 sums: mark each code in a table
+            lo = int(e.min())
+            span = int(e.max()) - lo + 1
+            size = (int(h.max()) + 1) * span
+            if size <= 4 * len(e) + 4096:
+                codes = h * span + (e - lo)
+                seen = np.zeros(size, dtype=bool)
+                seen[codes] = True
+                hs, es = np.divmod(np.flatnonzero(seen), span)
+                return list(zip(hs.tolist(), (es + lo).tolist())), (np.cumsum(seen) - 1).take(codes)
+        keys = list(zip(h.tolist(), e.tolist()))
+        pairs = sorted(set(keys))
+        slot = {p: i for i, p in enumerate(pairs)}
+        return pairs, np.array([slot[p] for p in keys], dtype=np.intp)
+
+    return block.memo(("pairs", id(table)), out, build)
+
+
+class Sums:
+    """Sums into size slots in entry order, one array per denominator.
+
+    np.add.at adds in entry order, so in float mode (one denominator, 1)
+    each slot sums its terms in visit order.  In exact mode the arrays hold
+    integer numerators, and total() brings them to their lcm.
+    """
+
+    def __init__(self, size: int, exact: bool):
+        self.size, self.exact, self.parts = size, exact, {}
+
+    def _zeros(self) -> np.ndarray:
+        return np.zeros(self.size, dtype=object if self.exact else np.float64)
+
+    def add(self, at: np.ndarray, terms: np.ndarray, den: int = 1) -> None:
+        part = self.parts.get(den)
+        if part is None:
+            part = self.parts[den] = self._zeros()
+        np.add.at(part, at, terms)
+
+    def total(self) -> tuple[np.ndarray, int]:
+        """(sums, den): the summed numerators over den."""
+        if not self.parts:
+            return self._zeros(), 1
+        top = lcm(*self.parts)
+        return sum(part * (top // den) for den, part in self.parts.items()), top
 
 
 @dataclass(frozen=True)
 class WalkRequest:
     """One result the walker builds and caches under key.
 
-    start() returns a fresh accumulator (add, finish): add(sample, weight,
-    counts, kernel_out) runs once per sample, finish() returns the result.
-    what names the result in budget errors; factor is the number of walks
-    the result costs.
+    start() returns a fresh accumulator (add, finish): add(block, out) runs
+    once per block with the kernel's output on it, finish() returns the
+    result.  what names the result in budget errors; factor is the number
+    of walks the result costs.
     """
 
     key: Any
@@ -191,11 +487,12 @@ class WalkRequest:
 
 
 def _visit(scenario: Scenario, adds: Sequence[Callable]) -> None:
-    learner = scenario.learner
-    for sample, w, counts in iter_weighted_samples(scenario.data_dist, scenario.m, learner.symmetric):
-        out = learner.kernel(sample)
+    learner, m = scenario.learner, scenario.m
+    hyp = None if batch_form(learner.kernel) else learner.hypotheses(m)
+    for block in _blocks(scenario.data_dist, m, learner.symmetric):
+        out = kernel_output(learner, block, hyp)
         for add in adds:
-            add(sample, w, counts, out)
+            add(block, out)
 
 
 def walk(scenario: Scenario, requests: Sequence[WalkRequest], budget: int | None = None) -> list:
@@ -215,27 +512,35 @@ def walk(scenario: Scenario, requests: Sequence[WalkRequest], budget: int | None
     return [scenario.cached(req.key, finish.get(req.key)) for req in requests]
 
 
-def _zero_grid(shape: tuple, zero=0) -> list:
-    """Nested lists of zero of the given shape."""
-    if len(shape) == 1:
-        return [zero] * shape[0]
-    return [_zero_grid(shape[1:], zero) for _ in range(shape[0])]
-
-
-def _exact_weights(grids: dict, shape: tuple, extra: int) -> np.ndarray:
-    """Sum {den: grid of integer numerators} into exact weights over den * extra.
-
-    Every grid is brought to the lcm of the denominators first, so each
-    nonzero cell costs one Fraction; untouched cells stay int 0.
-    """
-    total = zeros(shape, EXACT)
-    if grids:
-        top = lcm(*grids)
-        for den, grid in grids.items():
-            total = total + np.array(grid, dtype=object) * (top // den)
-        den = top * extra
-        total = np.array([Fraction(x, den) if x else 0 for x in total.ravel().tolist()], dtype=object)
+def _cell_weights(cells: Sums, shape: tuple, extra: int) -> np.ndarray:
+    """The summed cells as joint weights: float sums, or one Fraction per
+    nonzero cell over den * extra (untouched cells stay int 0)."""
+    total, den = cells.total()
+    if cells.exact:
+        den *= extra
+        total = np.array([Fraction(x, den) if x else 0 for x in total.tolist()], dtype=object)
     return total.reshape(shape)
+
+
+def _cell_terms(block: Block, out: Sparse, m: int, hyps: int):
+    """Per kernel entry and group of its sample (E, G): (cell, mass), with
+    cell = z * hyps + h the (Z_trn, H) cell and mass the entry's mass on
+    it: (w * c / m) * p in float mode, the integer w * c * p (over den * m)
+    in exact mode.  A padding group has mass 0, which leaves a cell's sum
+    as it is.  Kept on the block for its kernel output, so the joint and
+    the three-way joint share it."""
+
+    def build():
+        per_z = block.weights[:, None] * block.cnt
+        if not block.exact:
+            per_z = per_z / m
+        cell = block.sym.take(out.row, axis=0) * hyps
+        cell += out.col[:, None]
+        mass = per_z.take(out.row, axis=0)
+        mass *= out.prob[:, None]
+        return cell, mass
+
+    return block.memo("cell_terms", out, build)
 
 
 def trn_hyp_request(scenario: Scenario) -> WalkRequest:
@@ -243,50 +548,18 @@ def trn_hyp_request(scenario: Scenario) -> WalkRequest:
 
     def start():
         hyp = learner.hypotheses(m)
-        hidx = hyp.index
         shape = (len(dist.alphabet), len(hyp))
+        cells = Sums(shape[0] * shape[1], dist.is_exact)
         evals = 0
-        if dist.is_exact:
-            grids: dict = {}
 
-            def add(sample, w, counts, out):
-                nonlocal evals
-                evals += 1
-                wn, wd = w.numerator, w.denominator
-                for h, ph in out.items():
-                    if not ph:
-                        continue
-                    den = wd * ph.denominator
-                    grid = grids.get(den)
-                    if grid is None:
-                        grid = grids[den] = _zero_grid(shape)
-                    num, col = wn * ph.numerator, hidx[h]
-                    for row, c in counts:
-                        grid[row][col] += num * c
-
-            def weights():
-                return _exact_weights(grids, shape, m)
-
-        else:
-            grid = _zero_grid(shape, 0.0)
-
-            def add(sample, w, counts, out):
-                nonlocal evals
-                evals += 1
-                w = float(w)
-                per_z = [(i, w * c / m) for i, c in counts]
-                for h, ph in out.items():
-                    if not ph:
-                        continue
-                    col = hidx[h]
-                    for row, wz in per_z:
-                        grid[row][col] += wz * ph
-
-            def weights():
-                return np.array(grid)
+        def add(block: Block, out: Sparse):
+            nonlocal evals
+            evals += len(block)
+            cell, mass = _cell_terms(block, out, m, shape[1])
+            cells.add(cell.ravel(), mass.ravel(), block.den * out.den)
 
         def finish() -> TrnHypJoint:
-            joint = Joint((dist.alphabet, hyp), weights())
+            joint = Joint((dist.alphabet, hyp), _cell_weights(cells, shape, m))
             method = "exact-multiset" if learner.symmetric else "exact-ordered"
             return TrnHypJoint(joint=joint, method=method, kernel_evals=evals)
 
@@ -305,7 +578,9 @@ class SideInfoKernel:
     """Auxiliary output K drawn from the sample (and possibly the hypothesis).
 
     key identifies the law of K on a scenario, and so its three-way joint
-    in the scenario's cache; None means the name does.
+    in the scenario's cache; None means the name does.  fn may carry a
+    batch form (with_batch) taking (block, kernel output) and returning
+    (kernel entry, k index, prob) entries.
     """
 
     name: str
@@ -320,53 +595,27 @@ def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
     def start():
         hyp = learner.hypotheses(m)
         side_alpha = side.alphabet_for(m)
-        hidx, kidx = hyp.index, side_alpha.index
         shape = (len(dist.alphabet), len(hyp), len(side_alpha))
-        if dist.is_exact:
-            grids: dict = {}
+        cells = Sums(math.prod(shape), dist.is_exact)
 
-            def add(sample, w, counts, out):
-                wn, wd = w.numerator, w.denominator
-                for h, ph in out.items():
-                    if not ph:
-                        continue
-                    col = hidx[h]
-                    hn, hd = wn * ph.numerator, wd * ph.denominator
-                    for k, pk in side.fn(sample, h).items():
-                        if not pk:
-                            continue
-                        den = hd * pk.denominator
-                        grid = grids.get(den)
-                        if grid is None:
-                            grid = grids[den] = _zero_grid(shape)
-                        num, lay = hn * pk.numerator, kidx[k]
-                        for row, c in counts:
-                            grid[row][col][lay] += num * c
+        def add(block: Block, out: Sparse):
+            batch = batch_form(side.fn)
+            if batch is not None:
+                ks = batch(block, out)
+            else:
+                samples, hs = block.samples, hyp.symbols
+                args = [(samples[r], hs[h]) for r, h in zip(out.row.tolist(), out.col.tolist())]
+                ks = per_row(side.fn, args, side_alpha.index, block.exact)
+            cell, mass = _cell_terms(block, out, m, shape[1])
+            if len(ks.row) != len(out.row) or (ks.row != np.arange(len(ks.row))).any():
+                cell, mass = cell.take(ks.row, axis=0), mass.take(ks.row, axis=0)
+            if (ks.prob != 1).any():  # x * 1 is x, so a sure side output needs no product
+                mass = mass * ks.prob[:, None]
+            at = cell * shape[2]
+            at += ks.col[:, None]
+            cells.add(at.ravel(), mass.ravel(), block.den * out.den * ks.den)
 
-            def weights():
-                return _exact_weights(grids, shape, m)
-
-        else:
-            grid = _zero_grid(shape, 0.0)
-
-            def add(sample, w, counts, out):
-                w = float(w)
-                per_z = [(i, w * c / m) for i, c in counts]
-                for h, ph in out.items():
-                    if not ph:
-                        continue
-                    col = hidx[h]
-                    for k, pk in side.fn(sample, h).items():
-                        if not pk:
-                            continue
-                        lay = kidx[k]
-                        for row, wz in per_z:
-                            grid[row][col][lay] += wz * ph * pk
-
-            def weights():
-                return np.array(grid)
-
-        return add, lambda: Joint((dist.alphabet, hyp, side_alpha), weights())
+        return add, lambda: Joint((dist.alphabet, hyp, side_alpha), _cell_weights(cells, shape, m))
 
     key = side.name if side.key is None else side.key
     return WalkRequest(("threeway", key), "threeway joint", start)
@@ -382,39 +631,41 @@ def exact_threeway_joint(
 def mi_request(scenario: Scenario) -> WalkRequest:
     """I(S;H) in two walks: the first sums the hypothesis marginal, the
     second the log terms against it."""
-    exact = scenario.data_dist.is_exact
+    learner, m = scenario.learner, scenario.m
+
+    def masses(block: Block, out: Sparse) -> np.ndarray:
+        """P(S) K(h|S) per entry: float64, or exact integers over den."""
+        return block.weights.take(out.row) * out.prob
 
     def start():
-        # exact: (h, denominator) -> integer numerator; float: h -> mass
-        sums: dict = {}
+        marginal = Sums(len(learner.hypotheses(m)), scenario.data_dist.is_exact)
 
-        def add(sample, w, counts, out):
-            if exact:
-                wn, wd = w.numerator, w.denominator
-                for h, ph in out.items():
-                    if ph:
-                        key = (h, wd * ph.denominator)
-                        sums[key] = sums.get(key, 0) + wn * ph.numerator
-            else:
-                for h, ph in out.items():
-                    if ph:
-                        sums[h] = sums.get(h, 0) + w * ph
+        def add(block: Block, out: Sparse):
+            marginal.add(out.col, masses(block, out), block.den * out.den)
 
         def finish() -> float:
-            masses = {h: mass for (h,), mass in fractions_by_key(sums).items()} if exact else sums
-            marg = {h: float(mass) for h, mass in masses.items()}
-            total = 0.0
+            total, den = marginal.total()
+            # int / int rounds once, as float(Fraction) does
+            marg = (total / den).astype(np.float64) if marginal.exact else total
+            acc = np.zeros(1)
 
-            def log_sum(sample, w, counts, out):
-                nonlocal total
-                for h, ph in out.items():
-                    if ph:
-                        # int / int rounds once, as float(w * ph) does
-                        mass = (w.numerator * ph.numerator) / (w.denominator * ph.denominator) if exact else float(w * ph)
-                        total += mass * math.log(float(ph) / marg[h])
+            def log_sum(block: Block, out: Sparse):
+                mass = masses(block, out)
+                if block.exact:
+                    mass = (mass / (block.den * out.den)).astype(np.float64)
+                    ph = (out.prob / out.den).astype(np.float64)
+                else:
+                    ph = out.prob
+                ratios = ph / marg.take(out.col)
+                if len(ratios) < 256:  # few: a log each is quicker than finding repeats
+                    logs = np.array([math.log(x) for x in ratios.tolist()])
+                else:
+                    ratios, inv = np.unique(ratios, return_inverse=True)
+                    logs = np.array([math.log(x) for x in ratios.tolist()])[inv]
+                acc[0] = np.add.accumulate(np.concatenate((acc, mass * logs)))[-1]
 
             _visit(scenario, [log_sum])
-            return total
+            return float(acc[0])
 
         return add, finish
 
@@ -487,9 +738,14 @@ def effective_epsilon(learner: LearnerKernel, m: int, budget: int | None = None)
 def subsample_release(
     domain: Alphabet, k: int, delta=1, *, mode: NumericMode = FLOAT64
 ) -> LearnerKernel:
-    """Release k sample entries (sorted) with probability delta, else nothing.
+    """Release k sample entries with probability delta, else nothing.
 
-    Hypotheses are sorted k-tuples of domain symbols plus the empty tuple.
+    Hypotheses are k-tuples of domain symbols in domain order plus the
+    empty tuple; a release lists its entries in domain order.  The kernel
+    has a batch form: with the rows of a block in domain order, the
+    hypotheses a row releases appear, in the kernel's dict order, in
+    hypothesis-index order, and each pick's index is its rank in the
+    combinatorial number system (Knuth, TAOCP 7.2.1.3).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -497,6 +753,7 @@ def subsample_release(
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     one = Fraction(1) if mode.exact else 1.0
+    by_index = None if domain.positional else domain.index.__getitem__
 
     def kern(sample: tuple) -> dict:
         m = len(sample)
@@ -507,9 +764,50 @@ def subsample_release(
             out[()] = one - delta
         share = delta / math.comb(m, k)
         for pick in itertools.combinations(range(m), k):
-            h = tuple(sorted(sample[i] for i in pick))
+            h = tuple(sorted((sample[i] for i in pick), key=by_index))
             out[h] = out.get(h, 0) + share
         return out
+
+    top = len(domain) + k - 1
+    # C(x, j) for x < top and j <= k, and per sample size m the picks and
+    # the probabilities of a hypothesis picked 1, ..., C(m, k) times (then
+    # of the empty release): built on first use
+    binom: list = []
+    by_m: dict = {}
+
+    def tables(m: int) -> tuple:
+        if not binom:
+            binom.append(np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(top)], dtype=np.int64))
+        if m not in by_m:
+            picks = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+            # c picks of one hypothesis give share + share + ... (c terms)
+            probs = list(itertools.accumulate([delta / math.comb(m, k)] * len(picks))) + [one - delta]
+            nums, den = common_denominator(probs) if mode.exact else (probs, 1)
+            by_m[m] = picks, np.array(nums, dtype=object if mode.exact else np.float64), den
+        return by_m[m]
+
+    def batch(block: Block) -> Sparse:
+        rows, m = block.idx.shape
+        if k > m:
+            raise ValueError(f"cannot release {k} of {m} entries")
+        picks, probs, den = tables(m)
+        # a pick a_1 <= ... <= a_k is the set {a_j + j} of range(top), whose
+        # lexicographic rank is C(top, k) - 1 - sum_j C(top - 1 - a_j - j, k - j);
+        # its hypothesis index is that rank + 1, after the empty release
+        rank = np.full((rows, len(picks)), math.comb(top, k), dtype=np.int64)
+        for j in range(k):
+            rank -= binom[0][:, k - j].take(top - 1 - j - block.idx.take(picks[:, j], axis=1))
+        if delta != 1:  # the empty release, hypothesis 0, comes first
+            rank = np.concatenate((np.zeros((rows, 1), dtype=np.int64), rank), axis=1)
+        h = np.sort(rank, axis=1)
+        new = np.ones(h.shape, dtype=bool)
+        np.not_equal(h[:, 1:], h[:, :-1], out=new[:, 1:])
+        first = np.flatnonzero(new)
+        row, col = first // h.shape[1], h.ravel()[first]
+        which = np.concatenate((first[1:], [h.size])) - first - 1
+        if delta != 1:
+            which[col == 0] = len(picks)
+        return Sparse(row, col, probs.take(which), den)
 
     def hyp(m: int) -> Alphabet:
         tuples = tuple(itertools.combinations_with_replacement(domain.symbols, k))
@@ -518,7 +816,7 @@ def subsample_release(
     return LearnerKernel(
         name="subsample_release",
         domain=domain,
-        kernel=kern,
+        kernel=with_batch(kern, batch),
         hypotheses=hyp,
         params={"k": k, "delta": delta},
     )
@@ -688,8 +986,9 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
     loss's integer table entries over the sample, so the flag is computed
     once per (h, e): in Fractions in exact mode, in floats in float mode.
     The side is keyed by the threshold and by the loss's name and table.
+    fn has a batch form that reads e from the block's groups.
     """
-    from .losses import loss_table, true_risk  # local to avoid a cycle
+    from .losses import int_loss_table, loss_table, true_risk  # local to avoid a cycle
 
     dist, m = scenario.data_dist, scenario.m
     hyp = scenario.learner.hypotheses(m)
@@ -707,19 +1006,31 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
         g = emp - risks[h]
         return {1 if g >= threshold else -1 if g <= -threshold else 0: 1}
 
-    def fn(sample: tuple, h) -> dict:
-        col, memo = cols[h]
-        e = 0
-        for z in sample:
-            e += col[z]
+    def flag_once(h, e) -> dict:
+        memo = cols[h][1]
         if e not in memo:
             memo[e] = flag(h, e)
         return memo[e]
+
+    def fn(sample: tuple, h) -> dict:
+        col, e = cols[h][0], 0
+        for z in sample:
+            e += col[z]
+        return flag_once(h, e)
+
+    sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
+
+    def batch(block: Block, out: Sparse) -> Sparse:
+        pairs, inv = entry_pairs(block, out, sums_table)
+        # flags -1, 0, 1 sit at k indices 0, 1, 2
+        ks = np.array([next(iter(flag_once(hyp.symbols[hi], e))) + 1 for hi, e in pairs], dtype=np.intp)
+        ones = np.ones(len(inv), dtype=object if block.exact else np.float64)
+        return Sparse(np.arange(len(inv)), ks[inv], ones)
 
     name = f"deviation_sign@{threshold}"
     return SideInfoKernel(
         name=name,
         alphabet_for=lambda m: Alphabet("k", (-1, 0, 1)),
-        fn=fn,
+        fn=with_batch(fn, batch),
         key=(name, loss.name, scale, tuple(table.ravel().tolist())),
     )

@@ -43,7 +43,16 @@ import numpy as np
 from .bounds import erm_markov_bound
 from .dist import Alphabet, Dist, common_denominator, fractions_by_key
 from .info import variational_info
-from .learners import Scenario, TrnHypJoint, WalkRequest, exact_trn_hyp_joint, walk
+from .learners import (
+    Block,
+    Scenario,
+    Sparse,
+    TrnHypJoint,
+    WalkRequest,
+    entry_pairs,
+    exact_trn_hyp_joint,
+    walk,
+)
 from .learners import iter_weighted_samples  # noqa: F401  (perfbench looks the walker up here)
 
 #: grouping width for float-mode deviation values
@@ -87,6 +96,17 @@ def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exa
             loss._tables[key] = (np.array(nums, dtype=object).reshape(shape), scale)
         else:
             loss._tables[key] = (np.array([float(v) for v in values]).reshape(shape), 1)
+    return loss._tables[key]
+
+
+def int_loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, m: int) -> np.ndarray:
+    """The exact table of loss_table as int64 when sums of m entries stay
+    small, else as it is (Python ints); built once per loss, alphabets and m."""
+    key = (domain, hypotheses, "sums of", m)
+    if key not in loss._tables:
+        table, _ = loss_table(loss, domain, hypotheses, True)
+        top = max((abs(x) for x in table.ravel().tolist()), default=0)
+        loss._tables[key] = table.astype(np.int64) if top * m < 2**31 else table
     return loss._tables[key]
 
 
@@ -183,55 +203,58 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
     table, scale = loss_table(loss, dist.alphabet, hyp, True)
 
     def start():
-        hidx, cols, ms = hyp.index, table.T.tolist(), m * scale
+        cols, ms = table.T.tolist(), m * scale
+        sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
         risks: dict = {}
 
-        def deviation(h, e):
+        def deviation(hi, e):
+            h = hyp.symbols[hi]
             if h not in risks:
-                risks[h] = true_risk(loss, h, dist, cols[hidx[h]], scale)
+                risks[h] = true_risk(loss, h, dist, cols[hi], scale)
             return Fraction(e, ms) - risks[h]
+
+        def masses(block: Block, out: Sparse):
+            """The distinct (h index, e) pairs of the block's kernel entries,
+            each entry's pair, and each entry's mass P(S) K(h|S)."""
+            pairs, inv = entry_pairs(block, out, sums_table)
+            return pairs, inv, block.weights.take(out.row) * out.prob
 
         if dist.is_exact:
             nums: dict = {}  # (h index, e, denominator) -> numerator
 
-            def add(sample, w, counts, out):
-                wn, wd = w.numerator, w.denominator
-                for h, ph in out.items():
-                    if not ph:
-                        continue
-                    hi = hidx[h]
-                    col, e = cols[hi], 0
-                    for i, c in counts:
-                        e += c * col[i]
-                    key = (hi, e, wd * ph.denominator)
-                    nums[key] = nums.get(key, 0) + wn * ph.numerator
+            def add(block: Block, out: Sparse):
+                pairs, inv, mass = masses(block, out)
+                sums = np.zeros(len(pairs), dtype=object)
+                np.add.at(sums, inv, mass)
+                den = block.den * out.den
+                for (hi, e), num in zip(pairs, sums.tolist()):
+                    nums[hi, e, den] = nums.get((hi, e, den), 0) + num
 
             def law() -> dict:
                 acc: dict = {}
                 for (hi, e), p in fractions_by_key(nums).items():
-                    g = deviation(hyp.symbols[hi], e)
+                    g = deviation(hi, e)
                     acc[g] = acc.get(g, 0) + p
                 return acc
 
         else:
-            memo: dict = {}  # (h index, e) -> deviation
-            acc: dict = {}
+            slot_of: dict = {}  # (h index, e) -> slot of its deviation
+            slots: dict = {}  # deviation -> slot
+            sums = np.zeros(0)
 
-            def add(sample, w, counts, out):
-                for h, ph in out.items():
-                    if not ph:
-                        continue
-                    hi = hidx[h]
-                    col, e = cols[hi], 0
-                    for i, c in counts:
-                        e += c * col[i]
-                    g = memo.get((hi, e))
-                    if g is None:
-                        g = memo[hi, e] = deviation(h, e)
-                    acc[g] = acc.get(g, 0) + w * ph
+            def add(block: Block, out: Sparse):
+                nonlocal sums
+                pairs, inv, mass = masses(block, out)
+                at = []
+                for p in pairs:
+                    if p not in slot_of:
+                        slot_of[p] = slots.setdefault(deviation(*p), len(slots))
+                    at.append(slot_of[p])
+                sums = np.concatenate((sums, np.zeros(len(slots) - len(sums))))
+                np.add.at(sums, np.array(at, dtype=np.intp)[inv], mass)
 
             def law() -> dict:
-                return acc
+                return dict(zip(slots, sums))
 
         def finish() -> DeviationLaw:
             points = _merged_points(law(), dist.is_exact)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +86,35 @@ def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | run_index))
 
 
+def run_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """stream(i) draws as _run_rng(seed, i) does.
+
+    Building a Philox per run costs several times what the draws of a
+    small run do, so one bit generator is reset per run instead: key words
+    [i, seed], zero counter, empty buffer, no saved 32-bit half.  The
+    generator returned is the same object each time, good until the next
+    call.  Keys that do not fit two 64-bit words get a new generator.
+    """
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+
+    def stream(i: int) -> np.random.Generator:
+        if not (0 <= seed < 2**64 and 0 <= i < 2**64):
+            return _run_rng(seed, i)
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": np.array([i, seed], dtype=np.uint64)},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+    return stream
+
+
 def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBatch:
     """Draw (sample, Z_trn, H) triples; stream i is keyed by (seed, i)."""
     if n_runs < 1:
@@ -98,8 +127,9 @@ def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBa
     m = scenario.m
     kernel = scenario.learner.kernel
     runs = []
+    stream = run_streams(seed)
     for i in range(n_runs):
-        rng = _run_rng(seed, i)
+        rng = stream(i)
         picks = np.searchsorted(cdf, rng.random(m), side="right")
         sample = tuple(symbols[j] for j in picks)
         trn = sample[rng.integers(m)]

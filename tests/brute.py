@@ -2,12 +2,15 @@
 
 Everything here walks all n^m ordered samples with plain dicts and exact
 Fractions: slow but obviously correct.  Tests cross-check the multiset
-engine against these on small scenarios.
+engine against these on small scenarios.  The float walk references at
+the end instead pin the order of float operations: they sum sorted
+multisets one at a time, as a scalar loop would, and the block walk must
+agree with them bit for bit.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, groupby, product
 
 
 def joint_pairs(dist_map, kernel, m):
@@ -155,3 +158,48 @@ def adjacent_epsilon(symbols, kernel, m):
                     return float("inf")
                 best = max(best, abs(math.log(float(p / q))))
     return best
+
+
+def _float_multisets(dist, kernel, m):
+    """(weight, counts, kernel output) per sorted multiset of positive
+    float weight: the multinomial, then times w[i] ** c per group."""
+    symbols, w = dist.alphabet.symbols, dist.weights
+    for combo in combinations_with_replacement(range(len(symbols)), m):
+        counts = [(i, len(list(g))) for i, g in groupby(combo)]
+        weight, rem = 1, m
+        for _, c in counts:
+            weight *= math.comb(rem, c)
+            rem -= c
+        for i, c in counts:
+            weight = weight * w[i] ** c
+        if weight != 0:
+            yield float(weight), counts, kernel(tuple(symbols[i] for i in combo))
+
+
+def walk_float_joint(dist, kernel, m):
+    """Float P(z_trn, h): each cell adds (w * c / m) * p in visit order."""
+    symbols, acc = dist.alphabet.symbols, {}
+    for w, counts, out in _float_multisets(dist, kernel, m):
+        for h, ph in out.items():
+            if ph:
+                for i, c in counts:
+                    key = (symbols[i], h)
+                    acc[key] = acc.get(key, 0.0) + w * c / m * ph
+    return acc
+
+
+def walk_float_mi(dist, kernel, m):
+    """Float I(S; H): the marginal summed per h in visit order, then the
+    log terms w * p * log(p / P(h)) summed in visit order."""
+    rows = list(_float_multisets(dist, kernel, m))
+    marg = {}
+    for w, _, out in rows:
+        for h, ph in out.items():
+            if ph:
+                marg[h] = marg.get(h, 0) + w * ph
+    total = 0.0
+    for w, _, out in rows:
+        for h, ph in out.items():
+            if ph:
+                total += w * ph * math.log(float(ph) / marg[h])
+    return total

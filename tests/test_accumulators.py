@@ -1,7 +1,10 @@
 """The walk's accumulators (joint, three-way joint with the deviation-sign
 side channel, deviation law, I(S;H)) against the ordered brute-force
 oracles on random small scenarios, float mode against exact mode, and the
-chain rule and data processing on what they build."""
+chain rule and data processing on what they build.  Block sizes 1, 2 and 7
+put block edges inside the sample space: the batch kernels and the
+per-sample adapter must match the oracles there, and in float mode give
+bit-identical results."""
 
 import itertools
 from fractions import Fraction
@@ -12,18 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+import stabaudit.learners as learners
 from stabaudit.dist import Alphabet, Dist, TransitionKernel
 from stabaudit.info import chain_decompose, dpi_check
 from stabaudit.learners import (
+    Scenario,
+    batch_form,
     deviation_sign_side_info,
     mi_request,
     rerun_side_info,
+    subsample_release,
     threeway_request,
     trn_hyp_request,
     walk,
 )
-from stabaudit.losses import deviation_request
-from strategies import losses, scenarios
+from stabaudit.losses import deviation_request, membership_loss
+from stabaudit.numeric import EXACT, FLOAT64
+from strategies import BLOCK_SIZES, block_size, losses, per_sample_twin, releases, scenarios
 
 F = Fraction
 
@@ -50,6 +58,99 @@ def _cells(joint):
 
 def _dist_map(s):
     return dict(zip(s.data_dist.alphabet.symbols, s.data_dist.weights))
+
+
+@st.composite
+def release_cases(draw):
+    s_exact, s_float = draw(releases())
+    loss = draw(losses(s_exact.learner.domain, s_exact.learner.hypotheses(s_exact.m)))
+    return s_exact, s_float, loss
+
+
+def _fresh(s):
+    """s with an empty cache."""
+    return Scenario(name=s.name, learner=s.learner, data_dist=s.data_dist, m=s.m, loss=s.loss)
+
+
+def _assert_matches_oracles(s, loss, threshold, results):
+    tj, j3, law, mi = results
+    dist_map, kernel, m = _dist_map(s), s.learner.kernel, s.m
+    pairs = brute.joint_pairs(dist_map, kernel, m)
+    assert all(got == pairs.get(idx, 0) for idx, got in _cells(tj.joint))
+    triples = brute.threeway_triples(dist_map, kernel, brute.deviation_sign(dist_map, loss.fn, threshold), m)
+    assert all(got == triples.get(idx, 0) for idx, got in _cells(j3))
+    assert list(law.points) == brute.deviation_points(dist_map, kernel, m, loss.fn)
+    assert mi == pytest.approx(brute.sample_hyp_mi(dist_map, kernel, m), rel=1e-9, abs=1e-12)
+
+
+def _assert_same(a, b):
+    """Equal walk results; float arrays equal bit for bit."""
+    (tj, j3, law, mi), (tj2, j32, law2, mi2) = a, b
+    for x, y in ((tj.joint.weights, tj2.joint.weights), (j3.weights, j32.weights)):
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+        if x.dtype != object:
+            assert x.tobytes() == y.tobytes()
+    assert tj.kernel_evals == tj2.kernel_evals
+    assert law.points == law2.points
+    assert mi == mi2
+
+
+@settings(max_examples=60, deadline=None)
+@given(release_cases(), st.sampled_from(BLOCK_SIZES), st.sampled_from([F(1, 4), F(1, 2)]))
+def test_batch_kernels_match_the_oracles_across_block_edges(case, size, threshold):
+    s, _, loss = case
+    twin = per_sample_twin(s)
+    assert batch_form(s.learner.kernel) is not None and batch_form(twin.learner.kernel) is None
+    with block_size(size):
+        batch = _walk_all(s, loss, deviation_sign_side_info(s, loss, threshold))
+        adapter = _walk_all(twin, loss, deviation_sign_side_info(twin, loss, threshold))
+    _assert_matches_oracles(s, loss, threshold, batch)
+    _assert_same(batch, adapter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(release_cases(), st.sampled_from(BLOCK_SIZES))
+def test_float_batch_kernels_are_bit_identical_to_the_adapter(case, size):
+    _, s, loss = case
+    twin = per_sample_twin(s)
+    with block_size(size):
+        batch = _walk_all(s, loss, deviation_sign_side_info(s, loss, 0.25))
+    adapter = _walk_all(twin, loss, deviation_sign_side_info(twin, loss, 0.25))
+    _assert_same(batch, adapter)
+    assert batch[3] == brute.walk_float_mi(s.data_dist, s.learner.kernel, s.m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases(), st.sampled_from(BLOCK_SIZES))
+def test_adapter_blocks_match_the_oracles_and_one_block(case, size):
+    s, s_float, loss = case
+    with block_size(size):
+        exact = _walk_all(s, loss, deviation_sign_side_info(s, loss, F(1, 4)))
+        floats = _walk_all(s_float, loss, deviation_sign_side_info(s_float, loss, 0.25))
+    _assert_matches_oracles(s, loss, F(1, 4), exact)
+    one = _fresh(s_float)
+    _assert_same(floats, _walk_all(one, loss, deviation_sign_side_info(one, loss, 0.25)))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_one_large_block_equals_small_blocks(mode):
+    """330 multisets give one block of about 1,500 kernel entries, which
+    counts its (h, e) pairs in a code table and dedupes its log ratios;
+    blocks of 7 samples take the dict paths.  The results must agree, in
+    float mode bit for bit."""
+    domain = Alphabet.of_size("z", 8)
+    raw = [F(i % 3 + 1) for i in range(8)]
+    conv = (lambda x: x) if mode.exact else float
+    dist = Dist(domain, np.array([conv(w / sum(raw)) for w in raw], dtype=mode.dtype))
+    learner = subsample_release(domain, 2, F(1, 2), mode=mode)
+    loss = membership_loss()
+    threshold = F(1, 4) if mode.exact else 0.25
+    results = []
+    for size in (learners.BLOCK_SIZE, 7):
+        s = Scenario(name="large", learner=learner, data_dist=dist, m=4, loss=loss)
+        with block_size(size):
+            results.append(_walk_all(s, loss, deviation_sign_side_info(s, loss, threshold)))
+    _assert_same(*results)
 
 
 @settings(max_examples=80, deadline=None)

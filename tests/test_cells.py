@@ -2,11 +2,13 @@
 (variational information, gen risk, the worst-case loss), against the
 ordered brute-force oracles on random small scenarios."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 import stabaudit.dist as dist_mod
@@ -15,7 +17,7 @@ from stabaudit.harness import EXIT_PASS, run_config
 from stabaudit.info import shannon_mutual_info, variational_info
 from stabaudit.learners import exact_trn_hyp_joint
 from stabaudit.losses import ParametricLoss, gen_risk_from_joint, loss_table, worst_case_loss
-from strategies import cases
+from strategies import BLOCK_SIZES, block_size, cases, per_sample_twin, quarter_table_loss, releases
 
 F = Fraction
 
@@ -59,6 +61,30 @@ def test_float_mode_agrees_with_exact_mode(case):
     assert abs(gen_risk_from_joint(tf, loss) - float(gen_risk_from_joint(tj, loss))) <= 1e-12
     worst_exact, worst_float = worst_case_loss(tj), worst_case_loss(tf)
     assert abs(gen_risk_from_joint(tf, worst_float) - float(gen_risk_from_joint(tj, worst_exact))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(releases(), st.sampled_from(BLOCK_SIZES), st.data())
+def test_cell_readers_on_block_walked_joints(case, size, data):
+    """Joints walked in blocks by the release's batch kernel: exact readers
+    match the oracles, float joints equal the per-sample adapter's bit for bit."""
+    s, s_float = case
+    loss = quarter_table_loss(data.draw, s.learner.domain, s.learner.hypotheses(s.m))
+    with block_size(size):
+        tj, tf = exact_trn_hyp_joint(s), exact_trn_hyp_joint(s_float)
+    pairs = _pairs(s)
+    info = variational_info(tj.joint)
+    assert info == brute.variational_info_pairs(pairs)
+    assert gen_risk_from_joint(tj, loss) == brute.gen_risk_pairs(pairs, loss.fn)
+    assert abs(gen_risk_from_joint(tj, worst_case_loss(tj))) == info
+
+    ta = exact_trn_hyp_joint(per_sample_twin(s_float))
+    assert tf.joint.weights.tobytes() == ta.joint.weights.tobytes()
+    scalar = brute.walk_float_joint(s_float.data_dist, s_float.learner.kernel, s.m)
+    for idx, got in zip(itertools.product(*(ax.symbols for ax in tf.joint.axes)), tf.joint.weights.ravel().tolist()):
+        assert got == scalar.get(idx, 0.0)
+    assert variational_info(tf.joint) == variational_info(ta.joint)
+    assert gen_risk_from_joint(tf, loss) == gen_risk_from_joint(ta, loss)
 
 
 def test_cell_table_hand_case():

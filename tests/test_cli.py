@@ -372,9 +372,24 @@ REJECTED_AFTER_BUILD = [
     (cfg_with(loss=None, audits=["T4"]), "tail audit needs a loss"),
     (cfg_with(learner={"name": "subsample_release", "params": {"k": 3}}, m=2), "cannot release 3 of 2 entries"),
 ]
+# an epsilon whose e^epsilon overflows a float reaches the DP bounds
+for audit in ("P4", "C1"):
+    REJECTED_AFTER_BUILD.append(
+        (
+            cfg_with(
+                domain={"size": 2},
+                learner={"name": "randomized_response_dp", "params": {"epsilon": 1.0}},
+                loss={"name": "zero_one"},
+                m=3,
+                audits=[{"id": audit, "epsilon": 1000}],
+            ),
+            "epsilon = 1000 is too large: e^epsilon overflows a float",
+        )
+    )
+REJECTED_IDS = ["t4-no-loss", "k-above-m", "p4-epsilon-overflow", "c1-epsilon-overflow"]
 
 
-@pytest.mark.parametrize("raw,message", REJECTED_AFTER_BUILD, ids=["t4-no-loss", "k-above-m"])
+@pytest.mark.parametrize("raw,message", REJECTED_AFTER_BUILD, ids=REJECTED_IDS)
 def test_run_config_maps_late_value_errors_to_config_exit(raw, message):
     code, bundle = run_config(raw)
     assert code == EXIT_CONFIG
@@ -518,7 +533,7 @@ def test_cli_corpus_unknown_name(capsys):
     assert main(["corpus", "--only", "nope"]) == 2
 
 
-@pytest.mark.parametrize("raw,message", REJECTED_AFTER_BUILD, ids=["t4-no-loss", "k-above-m"])
+@pytest.mark.parametrize("raw,message", REJECTED_AFTER_BUILD, ids=REJECTED_IDS)
 def test_cli_run_late_value_error_exits_2(tmp_path, capsys, raw, message):
     assert main(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"

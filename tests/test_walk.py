@@ -3,6 +3,7 @@ single-result calls give, both match the ordered brute-force oracles, and
 an exact run walks the sample space no more often than it must."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -13,10 +14,11 @@ import brute
 import stabaudit.corpus as corpus
 import stabaudit.learners as learners
 from stabaudit.dist import Alphabet, Dist
-from stabaudit.harness import EXIT_PASS, run_config
+from stabaudit.harness import EXIT_PASS, ScenarioConfig, build_scenario, run_config
 from stabaudit.learners import (
     LearnerKernel,
     Scenario,
+    batch_form,
     deviation_sign_side_info,
     exact_threeway_joint,
     exact_trn_hyp_joint,
@@ -30,6 +32,7 @@ from stabaudit.learners import (
 )
 from stabaudit.losses import deviation_law, deviation_request, membership_loss, zero_one_loss
 from stabaudit.numeric import EXACT, FLOAT64
+from strategies import BLOCK_SIZES, block_size
 
 F = Fraction
 
@@ -218,3 +221,55 @@ def test_dropped_scenario_is_freed_without_a_collection():
         assert tj.kernel_evals == math.comb(4 + 2 - 1, 2) and law.points
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_a_replaced_kernel_is_called_once_per_multiset(size):
+    learner, dist, loss = _case("subsample", 4, 3, FLOAT64)
+    calls = []
+
+    def kernel(sample):
+        calls.append(sample)
+        return learner.kernel(sample)
+
+    s = _scenario(dataclasses.replace(learner, kernel=kernel), dist, loss, 3)
+    requests = [
+        trn_hyp_request(s),
+        threeway_request(s, deviation_sign_side_info(s, loss, 0.25)),
+        deviation_request(s, loss),
+    ]
+    with block_size(size):
+        walk(s, requests)
+    assert calls == list(itertools.combinations_with_replacement(dist.alphabet.symbols, 3))
+
+
+def test_a_wrapped_kernel_loses_its_batch_form():
+    learner = subsample_release(Alphabet.of_size("z", 3), k=2)
+
+    @functools.wraps(learner.kernel)
+    def wrapped(sample):
+        return learner.kernel(sample)
+
+    assert batch_form(learner.kernel) is not None
+    assert wrapped.batch is learner.kernel.batch  # functools.wraps copies it
+    assert batch_form(wrapped) is None
+
+
+def test_release_on_a_domain_listed_out_of_sorted_order():
+    raw = {
+        "name": "unsorted",
+        "domain": {"symbols": ["b", "a", "c"]},
+        "learner": {"name": "subsample_release", "params": {"k": 2, "delta": "1/2"}},
+        "loss": {"name": "membership"},
+        "m": 3,
+        "numeric": "exact",
+        "audits": ["T1", {"id": "T3", "side": "sign", "threshold": 0.25}, "T4", "P3"],
+    }
+    code, _ = run_config(raw)
+    assert code == EXIT_PASS
+    s = build_scenario(ScenarioConfig.from_dict(raw))
+    tj = exact_trn_hyp_joint(s)
+    assert ("b", "a") in tj.joint.axes[1].symbols
+    pairs = brute.joint_pairs(dict(zip(s.data_dist.alphabet.symbols, s.data_dist.weights)), s.learner.kernel, s.m)
+    for idx, got in zip(itertools.product(*(ax.symbols for ax in tj.joint.axes)), tj.joint.weights.ravel()):
+        assert got == pairs.get(idx, 0)
