@@ -28,15 +28,14 @@ indices, their (symbol, count) groups and their weights: float64, or in
 exact mode integer numerators over a common denominator.  Float weights
 are computed in the scalar order: the multinomial as a float, then
 times w[i] ** c per group, from a table of w[i] ** c taken with Python's
-**.  The index rows, groups and multinomials of a small sample space
-depend only on its shape and are kept for the next walk over it.  A
-kernel's output on a block is a Sparse array of (row, hypothesis index,
-probability) entries, in walk order and, within a sample, in the
+**.  A kernel's output on a block is a Sparse array of (row, hypothesis
+index, probability) entries, in walk order and, within a sample, in the
 kernel's dict order, zeros dropped.
 
 A kernel may carry a batch form, attached with with_batch, that computes
 that array for a whole block; subsample_release has one, and so does the
-deviation-sign side channel.  A batch form is used only while the
+deviation-sign side channel.  A kernel's batch form may assume rows in
+index order and is used only in a symmetric walk, and only while the
 kernel is the very function it was attached to: a learner whose kernel
 was replaced (a wrapper, dataclasses.replace) loses it.  Every other
 kernel and side function runs through one adapter that calls it once per
@@ -62,7 +61,6 @@ import os
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -175,8 +173,9 @@ def _multinomial(m: int, counts) -> int:
 class Block:
     """Consecutive samples of a walk, in walk order.
 
-    idx (B, m) holds each sample's symbol indices; sym and cnt (B, G) its
-    (symbol index, count) groups in index order, padded with count 0.
+    idx (B, m) holds each sample's symbol indices; sym and cnt (B, m) its
+    (symbol index, count) groups in index order, with groups of count 0
+    between them (see _groups).
     weights are float64, or exact integer numerators over den.
     """
 
@@ -264,22 +263,17 @@ def batch_form(fn: Callable) -> Callable | None:
 
 
 def _groups(idx: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(symbol, count) groups of each row in index order, as padded (sym, cnt)."""
+    """(symbol, count) groups of each row in index order, as (sym, cnt) of
+    the rows' shape: sym is the sorted row, and cnt holds each run's length
+    at its first entry and 0 elsewhere."""
     srt = idx if symmetric else np.sort(idx, axis=1)
-    rows, m = srt.shape
-    if m == 1:
-        return srt, np.ones_like(srt)
-    start = np.ones((rows, m), dtype=bool)
+    start = np.empty(srt.shape, dtype=bool)
+    start[:, 0] = True
     np.not_equal(srt[:, 1:], srt[:, :-1], out=start[:, 1:])
-    group = start.cumsum(axis=1)
-    width = int(group[:, -1].max())
     first = np.flatnonzero(start)
-    at = first // m * width + group.ravel()[first] - 1
-    sym = np.zeros(rows * width, dtype=np.intp)
-    cnt = np.zeros(rows * width, dtype=np.intp)
-    sym[at] = srt.ravel()[first]
-    cnt[at] = np.concatenate((first[1:], [rows * m])) - first
-    return sym.reshape(rows, width), cnt.reshape(rows, width)
+    cnt = np.zeros(srt.size, dtype=np.intp)
+    cnt[first] = np.concatenate((first[1:], [srt.size])) - first
+    return srt, cnt.reshape(srt.shape)
 
 
 def _index_rows(n: int, m: int, symmetric: bool) -> Iterator[np.ndarray]:
@@ -313,18 +307,6 @@ def _index_blocks(n: int, m: int, symmetric: bool) -> Iterator[tuple]:
         yield idx, sym, cnt, mult
 
 
-@lru_cache(maxsize=16)
-def _small_index_blocks(n: int, m: int, symmetric: bool, block_size: int) -> tuple:
-    """_index_blocks of a small sample space, kept (read-only) for the next
-    walk over the same shape."""
-    blocks = tuple(_index_blocks(n, m, symmetric))
-    for arrays in blocks:
-        for a in arrays:
-            if a is not None:
-                a.setflags(write=False)
-    return blocks
-
-
 def _weighted_blocks(data_dist: Dist, m: int, symmetric: bool) -> Iterator[Block]:
     """Blocks of every sample of positive probability, in walk order.
 
@@ -346,19 +328,13 @@ def _weighted_blocks(data_dist: Dist, m: int, symmetric: bool) -> Iterator[Block
         powers = np.array([x**c for x in base for c in range(m + 1)], dtype=dtype)
     else:
         base = np.array(base, dtype=dtype)
-    if enumeration_size(n, m, symmetric) * m <= 2**15:
-        blocks = _small_index_blocks(n, m, symmetric, BLOCK_SIZE)
-    else:
-        blocks = _index_blocks(n, m, symmetric)
-    for idx, sym, cnt, mult in blocks:
+    for idx, sym, cnt, mult in _index_blocks(n, m, symmetric):
+        # multiply.reduce multiplies along a row from left to right
         if symmetric:
-            w = mult.astype(dtype)
-            for j in range(sym.shape[1]):
-                w = w * powers.take(sym[:, j] * (m + 1) + cnt[:, j])
+            factors = np.concatenate((mult.astype(dtype)[:, None], powers.take(sym * (m + 1) + cnt)), axis=1)
         else:
-            w = base[idx[:, 0]]
-            for j in range(1, m):
-                w = w * base[idx[:, j]]
+            factors = base.take(idx)
+        w = np.multiply.reduce(factors, axis=1)
         keep = w != 0
         if not keep.all():
             idx, sym, cnt, w = idx[keep], sym[keep], cnt[keep], w[keep]
@@ -403,16 +379,6 @@ def _blocks(data_dist: Dist, m: int, symmetric: bool, *, _own=iter_weighted_samp
         yield Block(idx, *_groups(idx, symmetric), weights, den, symbols, samples)
 
 
-def kernel_output(learner: LearnerKernel, block: Block, hyp: Alphabet | None) -> Sparse:
-    """The learner's kernel on every sample of the block, as (row, h index,
-    prob) entries: its batch form when it has one, else one call per sample
-    (hyp, the hypothesis alphabet, is needed then)."""
-    batch = batch_form(learner.kernel)
-    if batch is not None:
-        return batch(block)
-    return per_row(learner.kernel, [(s,) for s in block.samples], hyp.index, block.exact)
-
-
 def entry_pairs(block: Block, out: Sparse, table: np.ndarray) -> tuple[list, np.ndarray]:
     """The distinct pairs (h index, e) of the kernel entries, with e the sum
     of the integer table[z, h] over the entry's sample, and each entry's
@@ -421,23 +387,14 @@ def entry_pairs(block: Block, out: Sparse, table: np.ndarray) -> tuple[list, np.
     share it."""
 
     def build():
-        h, flat, e = out.col, table.ravel(), 0
-        for sym, cnt in zip(block.sym.T, block.cnt.T):
-            e = e + cnt.take(out.row) * flat.take(sym.take(out.row) * table.shape[1] + h)
-        if e.dtype != object and len(e) >= 256:  # many int64 sums: mark each code in a table
-            lo = int(e.min())
-            span = int(e.max()) - lo + 1
-            size = (int(h.max()) + 1) * span
-            if size <= 4 * len(e) + 4096:
-                codes = h * span + (e - lo)
-                seen = np.zeros(size, dtype=bool)
-                seen[codes] = True
-                hs, es = np.divmod(np.flatnonzero(seen), span)
-                return list(zip(hs.tolist(), (es + lo).tolist())), (np.cumsum(seen) - 1).take(codes)
-        keys = list(zip(h.tolist(), e.tolist()))
-        pairs = sorted(set(keys))
-        slot = {p: i for i, p in enumerate(pairs)}
-        return pairs, np.array([slot[p] for p in keys], dtype=np.intp)
+        at = block.idx.take(out.row, axis=0) * table.shape[1]
+        at += out.col[:, None]
+        e = table.ravel().take(at).sum(axis=1)
+        lo = int(e.min())
+        span = int(e.max()) - lo + 1
+        # the code h * span + e - lo orders entries as the pairs (h, e) do
+        codes, slot = np.unique(out.col * span + (e - lo), return_inverse=True)
+        return list(zip((codes // span).tolist(), (codes % span + lo).tolist())), slot
 
     return block.memo(("pairs", id(table)), out, build)
 
@@ -487,10 +444,17 @@ class WalkRequest:
 
 
 def _visit(scenario: Scenario, adds: Sequence[Callable]) -> None:
+    """Feed each block's kernel output to every add: from the kernel's batch
+    form, which needs the rows of a symmetric walk (index order), else one
+    call per sample."""
     learner, m = scenario.learner, scenario.m
-    hyp = None if batch_form(learner.kernel) else learner.hypotheses(m)
+    batch = batch_form(learner.kernel) if learner.symmetric else None
+    index = None if batch else learner.hypotheses(m).index
     for block in _blocks(scenario.data_dist, m, learner.symmetric):
-        out = kernel_output(learner, block, hyp)
+        if batch:
+            out = batch(block)
+        else:
+            out = per_row(learner.kernel, [(s,) for s in block.samples], index, block.exact)
         for add in adds:
             add(block, out)
 
@@ -523,10 +487,10 @@ def _cell_weights(cells: Sums, shape: tuple, extra: int) -> np.ndarray:
 
 
 def _cell_terms(block: Block, out: Sparse, m: int, hyps: int):
-    """Per kernel entry and group of its sample (E, G): (cell, mass), with
+    """Per kernel entry and group of its sample (E, m): (cell, mass), with
     cell = z * hyps + h the (Z_trn, H) cell and mass the entry's mass on
     it: (w * c / m) * p in float mode, the integer w * c * p (over den * m)
-    in exact mode.  A padding group has mass 0, which leaves a cell's sum
+    in exact mode.  A group of count 0 has mass 0, which leaves a cell's sum
     as it is.  Kept on the block for its kernel output, so the joint and
     the three-way joint share it."""
 
@@ -656,12 +620,8 @@ def mi_request(scenario: Scenario) -> WalkRequest:
                     ph = (out.prob / out.den).astype(np.float64)
                 else:
                     ph = out.prob
-                ratios = ph / marg.take(out.col)
-                if len(ratios) < 256:  # few: a log each is quicker than finding repeats
-                    logs = np.array([math.log(x) for x in ratios.tolist()])
-                else:
-                    ratios, inv = np.unique(ratios, return_inverse=True)
-                    logs = np.array([math.log(x) for x in ratios.tolist()])[inv]
+                ratios, at = np.unique(ph / marg.take(out.col), return_inverse=True)
+                logs = np.array([math.log(x) for x in ratios.tolist()]).take(at)
                 acc[0] = np.add.accumulate(np.concatenate((acc, mass * logs)))[-1]
 
             _visit(scenario, [log_sum])

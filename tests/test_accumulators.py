@@ -6,6 +6,7 @@ put block edges inside the sample space: the batch kernels and the
 per-sample adapter must match the oracles there, and in float mode give
 bit-identical results."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from stabaudit.learners import (
     trn_hyp_request,
     walk,
 )
-from stabaudit.losses import deviation_request, membership_loss
+from stabaudit.losses import deviation_request, int_loss_table, membership_loss, table_loss
 from stabaudit.numeric import EXACT, FLOAT64
 from strategies import BLOCK_SIZES, block_size, losses, per_sample_twin, releases, scenarios
 
@@ -120,6 +121,22 @@ def test_float_batch_kernels_are_bit_identical_to_the_adapter(case, size):
     assert batch[3] == brute.walk_float_mi(s.data_dist, s.learner.kernel, s.m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(release_cases(), st.sampled_from(BLOCK_SIZES))
+def test_an_ordered_walk_of_a_release_matches_the_oracles(case, size):
+    """A release copied with symmetric=False walks every ordered sample, in
+    itertools.product order, so its rows are not in index order and its
+    kernel must run per sample, not through the batch form."""
+    s, _, loss = case
+    ordered = Scenario(
+        name=s.name, learner=dataclasses.replace(s.learner, symmetric=False), data_dist=s.data_dist, m=s.m
+    )
+    with block_size(size):
+        results = _walk_all(ordered, loss, deviation_sign_side_info(ordered, loss, F(1, 4)))
+    _assert_matches_oracles(ordered, loss, F(1, 4), results)
+    assert results[0].method == "exact-ordered"
+
+
 @settings(max_examples=60, deadline=None)
 @given(walk_cases(), st.sampled_from(BLOCK_SIZES))
 def test_adapter_blocks_match_the_oracles_and_one_block(case, size):
@@ -134,10 +151,9 @@ def test_adapter_blocks_match_the_oracles_and_one_block(case, size):
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
 def test_one_large_block_equals_small_blocks(mode):
-    """330 multisets give one block of about 1,500 kernel entries, which
-    counts its (h, e) pairs in a code table and dedupes its log ratios;
-    blocks of 7 samples take the dict paths.  The results must agree, in
-    float mode bit for bit."""
+    """330 multisets in one block of about 1,500 kernel entries, or in
+    blocks of 7 samples: the results must agree, in float mode bit for
+    bit."""
     domain = Alphabet.of_size("z", 8)
     raw = [F(i % 3 + 1) for i in range(8)]
     conv = (lambda x: x) if mode.exact else float
@@ -151,6 +167,24 @@ def test_one_large_block_equals_small_blocks(mode):
         with block_size(size):
             results.append(_walk_all(s, loss, deviation_sign_side_info(s, loss, threshold)))
     _assert_same(*results)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_a_loss_table_past_int64_sums_matches_the_oracles(size):
+    """A loss over a denominator past 2^31 keeps its integer table as Python
+    ints (an object array): the (h, e) pairs, the sign side channel and the
+    deviation law still match the oracles."""
+    domain = Alphabet("z", tuple("bac"))
+    dist = Dist(domain, np.array([F(1, 2), F(1, 3), F(1, 6)], dtype=object))
+    s = Scenario(name="big", learner=subsample_release(domain, 2, F(1, 2), mode=EXACT), data_dist=dist, m=3)
+    hyp = s.learner.hypotheses(3)
+    tiny = F(1, 2**40 + 1)
+    values = [[F((3 * i + j) % 5, 5) + tiny * ((i + j) % 2) for j in range(len(hyp))] for i in range(len(domain))]
+    loss = table_loss("big", domain, hyp, values)
+    assert int_loss_table(loss, domain, hyp, 3).dtype == object
+    with block_size(size):
+        results = _walk_all(s, loss, deviation_sign_side_info(s, loss, F(1, 4)))
+    _assert_matches_oracles(s, loss, F(1, 4), results)
 
 
 @settings(max_examples=80, deadline=None)
