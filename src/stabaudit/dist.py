@@ -13,10 +13,13 @@ and products of independent marginals.
 
 An alphabet built from range(n), as Alphabet.of_size builds it, is
 positional: symbol i sits at position i.  It keeps no per-symbol set or
-dict, so building one costs the symbols tuple alone, and its index answers
-lookups by arithmetic (Positions) with the semantics of the dict
-{i: i for i in range(n)}.  Its symbols are still the tuple (0, ..., n-1),
-so it equals and hashes like Alphabet(name, tuple(range(n))).
+dict, and no symbols tuple until .symbols is read, so building one costs
+O(1).  Its index answers lookups by arithmetic (Positions) with the
+semantics of the dict {i: i for i in range(n)}.  Its symbols are still the
+tuple (0, ..., n-1), so it equals and hashes like Alphabet(name,
+tuple(range(n))); the hash builds that tuple, equality between two
+positional alphabets does not.  Code that runs on huge domains reads
+symbol i as i instead of reading .symbols.
 
 Every cell-wise quantity of a two-axis joint P(Z, H) (variational
 information, generalization risk, the worst-case loss) reads the same
@@ -37,7 +40,7 @@ import itertools
 import numbers
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
@@ -108,39 +111,67 @@ def _as_int(key) -> int | None:
     return i if i == key else None
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered finite symbol set with a name used for axis lookup.
 
-    Symbols given as range(n) make a positional alphabet (see the module
-    docstring); positional is not compared or hashed.
+    Immutable.  Symbols given as range(n) make a positional alphabet (see
+    the module docstring), which builds its symbols tuple on first read
+    of .symbols; positional is not compared or hashed.
     """
 
-    name: str
-    symbols: tuple
-    positional: bool = field(default=False, init=False, compare=False, repr=False)
+    def __init__(self, name: str, symbols):
+        positional = isinstance(symbols, range) and symbols.start == 0 and symbols.step == 1
+        set_ = object.__setattr__
+        set_(self, "name", name)
+        set_(self, "positional", positional)
+        if not positional:
+            symbols = tuple(symbols)
+            set_(self, "symbols", symbols)
+        set_(self, "_size", len(symbols))
+        if not self._size:
+            raise ValueError(f"alphabet {name!r} is empty")
+        if not positional and len(set(symbols)) != self._size:
+            raise ValueError(f"alphabet {name!r} repeats a symbol")
 
-    def __post_init__(self):
-        raw = self.symbols
-        positional = isinstance(raw, range) and raw.start == 0 and raw.step == 1
-        object.__setattr__(self, "symbols", tuple(raw))
-        object.__setattr__(self, "positional", positional)
-        if not self.symbols:
-            raise ValueError(f"alphabet {self.name!r} is empty")
-        if not positional and len(set(self.symbols)) != len(self.symbols):
-            raise ValueError(f"alphabet {self.name!r} repeats a symbol")
+    def __setattr__(self, attr, *value):
+        raise AttributeError(f"cannot assign to or delete {attr!r} of an Alphabet")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def symbols(self) -> tuple:
+        """The symbols in order; a positional alphabet builds (0, ..., n-1) once."""
+        return tuple(range(self._size))
 
     @cached_property
     def index(self) -> Mapping:
         if self.positional:
-            return Positions(len(self.symbols))
+            return Positions(self._size)
         return {s: i for i, s in enumerate(self.symbols)}
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self._size
 
     def __contains__(self, symbol) -> bool:
         return symbol in self.index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.name != other.name or self._size != other._size:
+            return False
+        return (self.positional and other.positional) or self.symbols == other.symbols
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.symbols))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        symbols = f"range(0, {self._size})" if self.positional else repr(self.symbols)
+        return f"Alphabet(name={self.name!r}, symbols={symbols})"
 
     @classmethod
     def of_size(cls, name: str, n: int) -> "Alphabet":
@@ -149,9 +180,7 @@ class Alphabet:
 
 def _validated_weights(weights, shape, where: str) -> np.ndarray:
     w = np.asarray(weights)
-    if w.dtype != object:
-        w = w.astype(np.float64)
-    w = w.copy()
+    w = w.copy() if w.dtype == object else w.astype(np.float64)  # astype copies
     if w.shape != shape:
         raise DomainMismatchError(f"{where}: weights shape {w.shape} != {shape}")
     exact = w.dtype == object

@@ -61,7 +61,7 @@ from .learners import (
 )
 from .losses import ERM_T_GRID, deviation_request
 from .mc import draw_runs, estimate_gen_risk, estimate_tail, estimate_variational_info
-from .numeric import EXACT, FLOAT64
+from .numeric import EXACT, FLOAT64, coerce_number
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -286,7 +286,8 @@ def _distribution(domain: Alphabet, spec, mode) -> Dist:
         weights = spec["weights"]
         if len(weights) != len(domain):
             raise ValueError(f"{len(weights)} weights for {len(domain)} symbols")
-        return Dist.from_mapping(domain, dict(zip(domain.symbols, weights)), mode)
+        # the i-th weight is the weight of symbol i
+        return Dist(domain, [coerce_number(v, mode) for v in weights])
     if mode.exact:
         raise ValueError("the power family is float-only; give explicit weights for exact mode")
     raw = [(i + 1) ** (-float(spec.get("alpha", 1.0))) for i in range(len(domain))]

@@ -247,7 +247,8 @@ def per_row(fn: Callable, args: Sequence[tuple], index: Mapping, exact: bool) ->
 
 
 def with_batch(fn: Callable, batch: Callable) -> Callable:
-    """Attach batch, the block form of fn, to fn.  batch refers back to fn
+    """Attach batch, the batch form of fn (a kernel's or side channel's
+    block form, a loss's array form), to fn.  batch refers back to fn
     weakly, so the pair is freed without a garbage collection."""
     batch.form_of = weakref.ref(fn)
     fn.batch = batch

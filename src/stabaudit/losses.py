@@ -24,9 +24,10 @@ entries of h over the sample, and is (e / (m * scale)) - R_true(h).  In
 exact mode the walk sums integer numerators of the masses keyed by
 (h, e) and their denominator, and finish() builds each deviation and each
 probability once per key.  In float mode the deviation is computed once
-per (h, e) and the masses are added to it in visit order.  In exact mode
-the true risk of h is one integer dot product of its table column with
-the distribution's weights over their common denominator.
+per (h, e) and the masses are added to it in visit order.  The true risk
+of h reads its table column: in exact mode it is one integer dot product
+with the distribution's weights over their common denominator, in float
+mode the sum of w * (column / scale) in symbol order.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .learners import (
     entry_pairs,
     exact_trn_hyp_joint,
     walk,
+    with_batch,
 )
 from .learners import iter_weighted_samples  # noqa: F401  (perfbench looks the walker up here)
 
@@ -123,21 +125,33 @@ def true_risk(loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None 
     """Expected loss of h under the data distribution.
 
     Exact for an exact distribution, also when the loss returns floats
-    (Fraction(float) is lossless).  column, the exact table column of h
-    over the distribution's alphabet with its scale (loss_table), makes an
-    exact risk one integer dot product against the weights over their
-    common denominator; float mode sums the loss over the symbols."""
+    (Fraction(float) is lossless): one integer dot product of the weights
+    and the loss values over their common denominators.  Float mode sums
+    w * L(z, h) in symbol order over the positive weights.  column, the
+    exact table column of h over the distribution's alphabet with its
+    scale (loss_table), gives the loss values without calling loss.fn;
+    in float mode each is column[i] / scale, the float of the same
+    rational that float(loss.fn(z, h)) rounds."""
     if loss.true_risk_fn is not None:
         return loss.true_risk_fn(h, dist)
-    exact = dist.is_exact
-    if exact and column is not None:
+    if dist.is_exact:
         nums, den = dist.integer_weights
+        if column is None:
+            at = [i for i, x in enumerate(nums) if x]
+            symbols, fn = dist.alphabet.symbols, loss.fn
+            column, scale = common_denominator([fn(symbols[i], h) for i in at])
+            nums = [nums[i] for i in at]
         return Fraction(sum(map(operator.mul, nums, column)), den * scale)
-    total = 0
-    for z, w in zip(dist.alphabet.symbols, dist.weights):
-        if w != 0:
-            v = loss.fn(z, h)
-            total = total + w * (Fraction(v) if exact and isinstance(v, float) else v)
+    total = 0.0
+    if column is None:
+        fn = loss.fn
+        for z, w in zip(dist.alphabet.symbols, dist.weights.tolist()):
+            if w:
+                total += w * float(fn(z, h))
+    else:
+        for c, w in zip(column, dist.weights.tolist()):
+            if w:
+                total += w * (c / scale)
     return total
 
 
@@ -329,7 +343,12 @@ def _as_set(key: tuple) -> frozenset:
 
 
 def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
-    """Shared shape of the memorizer losses: off-sample points cost 1/2."""
+    """Shared shape of the memorizer losses: off-sample points cost 1/2.
+
+    fn has a batch form over integer observations (a positional domain):
+    membership of each z in its hypothesis's key, tested for all entries
+    at once.
+    """
     half = Fraction(1, 2)
 
     def fn(z, h):
@@ -337,6 +356,21 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
         if z in _as_set(key):
             return in_sample_value(b)
         return half
+
+    def batch(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> np.ndarray:
+        if z.dtype.kind not in "iu":
+            pairs = zip(z.ravel().tolist(), h.ravel().tolist())
+            return np.array([float(fn(a, hypotheses[i])) for a, i in pairs]).reshape(z.shape)
+        keys = [key for key, _ in hypotheses]
+        owner = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
+        members = np.fromiter(itertools.chain.from_iterable(keys), np.int64, len(owner))
+        # (hypothesis, member) and (hypothesis, z) pairs as one integer each,
+        # looked up among the sorted member pairs
+        span = max(int(members.max(initial=0)), int(z.max(initial=0))) + 1
+        pairs, wanted = np.sort(owner * span + members), h * span + z
+        inside = pairs.take(np.searchsorted(pairs, wanted), mode="clip") == wanted
+        in_values = np.array([float(in_sample_value(b)) for _, b in hypotheses])
+        return np.where(inside, in_values[h], 0.5)
 
     def true_risk_fn(h, dist: Dist):
         key, b = h
@@ -347,12 +381,11 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
                 total = total + dist.weight(z) * step
             return total
         # float mode: 0.5 plus one float term per symbol, in set order
-        step, total = float(step), 0.5
-        for z in set(key):
-            total += float(dist.weight(z)) * step
-        return total
+        index = dist.alphabet.index
+        terms = dist.weights.take([index[z] for z in set(key)]) * float(step)
+        return float(np.add.accumulate(np.concatenate(([0.5], terms)))[-1])
 
-    return ParametricLoss(name=name, fn=fn, true_risk_fn=true_risk_fn)
+    return ParametricLoss(name=name, fn=with_batch(fn, batch), true_risk_fn=true_risk_fn)
 
 
 def prop1_paired_loss() -> ParametricLoss:

@@ -1,9 +1,26 @@
 """Monte Carlo estimators for scenarios beyond exact enumeration.
 
 Runs are drawn with counter-based streams (Philox keyed by (seed, run
-index)), so any subset of runs is reproducible independently of draw
-order.  The plug-in estimate of vi from a contingency table of (Z_trn, H)
-pairs writes the unobserved-pair mass in closed form:
+index); Salmon et al., SC 2011), so any subset of runs is reproducible
+independently of draw order.  Each run takes, in order, m uniforms for its
+sample, one integer for the position of Z_trn, and one uniform that picks
+its hypothesis from the kernel's output.
+
+A RunBatch holds the runs as columns: the samples' domain indices
+(runs, m), the domain index of each run's Z_trn, and each run's hypothesis
+as an index into the batch's distinct hypotheses, in first-seen order.
+draw_runs maps every sample uniform through the cdf in one call and calls
+the kernel once per distinct ordered sample.  On a positional domain
+symbol i is i, so neither drawing nor estimating reads the domain's
+symbols.  The estimators are array ops over the columns.  They read loss
+values through one helper, which calls the loss's batch form (attached
+with learners.with_batch; a wrapped fn loses it, as a wrapped kernel
+does) or else loss.fn once per distinct (z, h) pair.  Every float sum
+keeps the order of a loop over the runs, so estimates do not depend on
+how the columns are computed.
+
+The plug-in estimate of vi from a contingency table of (Z_trn, H) pairs
+writes the unobserved-pair mass in closed form:
 
     vi_hat = 1/2 [ sum_observed |c_zh/N - r_z c_h / N^2|
                    + (1 - sum_observed r_z c_h / N^2) ],
@@ -17,12 +34,15 @@ number of runs; estimates carry a warning note when that happens.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .learners import Scenario
+from .dist import Alphabet
+from .learners import Scenario, batch_form
 from .losses import ParametricLoss, true_risk
 
 Z95 = 1.959963984540054
@@ -38,16 +58,35 @@ class RunSample:
 
 @dataclass(frozen=True, eq=False)
 class RunBatch:
-    """Drawn runs plus the scenario they came from."""
+    """Drawn runs as columns, plus the scenario they came from.
+
+    idx (runs, m) holds each sample's domain indices, trn the domain index
+    of each run's Z_trn, and hyp each run's index into hypotheses, the
+    distinct hypotheses in first-seen order.  runs, the per-run view, is
+    built on first use.
+    """
 
     scenario: Scenario
-    runs: tuple[RunSample, ...]
+    idx: np.ndarray
+    trn: np.ndarray
+    hyp: np.ndarray
+    hypotheses: tuple
+    seed: int
+
+    @cached_property
+    def runs(self) -> tuple[RunSample, ...]:
+        alphabet, hs = self.scenario.data_dist.alphabet, self.hypotheses
+        columns = zip(_symbols_at(alphabet, self.idx), _symbols_at(alphabet, self.trn), self.hyp.tolist())
+        return tuple(
+            RunSample(sample=tuple(sample), trn_example=z, hypothesis=hs[h], seed_path=(self.seed, i))
+            for i, (sample, z, h) in enumerate(columns)
+        )
 
     def __iter__(self) -> Iterator[RunSample]:
         return iter(self.runs)
 
     def __len__(self) -> int:
-        return len(self.runs)
+        return len(self.idx)
 
 
 @dataclass(frozen=True)
@@ -97,14 +136,16 @@ def run_streams(seed: int) -> Callable[[int], np.random.Generator]:
     """
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
+    # plain lists: the state setter reads them word by word, which costs
+    # less than indexing numpy arrays
+    zeros = [0, 0, 0, 0]
 
     def stream(i: int) -> np.random.Generator:
         if not (0 <= seed < 2**64 and 0 <= i < 2**64):
             return _run_rng(seed, i)
         bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": np.array([i, seed], dtype=np.uint64)},
+            "state": {"counter": zeros, "key": [i, seed]},
             "buffer": zeros,
             "buffer_pos": 4,
             "has_uint32": 0,
@@ -115,34 +156,100 @@ def run_streams(seed: int) -> Callable[[int], np.random.Generator]:
     return stream
 
 
+def _symbols_at(alphabet: Alphabet, idx: np.ndarray) -> list:
+    """The symbols at the domain indices idx, as nested lists of idx's
+    shape; on a positional domain symbol i is i."""
+    if alphabet.positional:
+        return idx.tolist()
+    symbols = alphabet.symbols
+    if idx.ndim == 1:
+        return [symbols[i] for i in idx.tolist()]
+    return [[symbols[i] for i in row] for row in idx.tolist()]
+
+
+def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, rank) over the entries of a 1-D array or the rows of a 2-D
+    one: where each distinct value first appears, in order of appearance,
+    and each entry's rank in that order."""
+    _, first, inv = np.unique(a, axis=0 if a.ndim > 1 else None, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inv.reshape(-1)]
+
+
+def symbol_indices(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The domain index that each uniform in u draws under weights.
+
+    Uniform x draws the first i with x < cdf[i], where cdf is the float
+    cumulative sum of the weights, set to 1.0 from the last positive
+    weight on, so no uniform below 1 draws a trailing symbol of weight
+    zero.  u is searched in sorted order, which sweeps the cdf once, and
+    the indices come back in u's shape.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    cdf = np.cumsum(w)
+    cdf[-1 if w[-1] > 0 else np.flatnonzero(w)[-1] :] = 1.0
+    flat = u.ravel()
+    order = np.argsort(flat)
+    out = np.empty(flat.shape, dtype=np.intp)
+    out[order] = np.searchsorted(cdf, flat[order], side="right")
+    return out.reshape(u.shape)
+
+
 def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBatch:
     """Draw (sample, Z_trn, H) triples; stream i is keyed by (seed, i)."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     seed = scenario.seed if seed is None else seed
-    dist = scenario.data_dist
-    symbols = dist.alphabet.symbols
-    cdf = np.cumsum(dist.weights.astype(np.float64))
-    cdf[-1] = 1.0
     m = scenario.m
-    kernel = scenario.learner.kernel
-    runs = []
+    u = np.empty((n_runs, m))
+    at = np.empty(n_runs, dtype=np.intp)
+    pick = np.empty(n_runs)
     stream = run_streams(seed)
     for i in range(n_runs):
         rng = stream(i)
-        picks = np.searchsorted(cdf, rng.random(m), side="right")
-        sample = tuple(symbols[j] for j in picks)
-        trn = sample[rng.integers(m)]
-        u = rng.random()
-        acc = 0.0
-        hypothesis = None
-        for h, ph in kernel(sample).items():
-            acc += float(ph)
-            hypothesis = h
-            if u < acc:
-                break
-        runs.append(RunSample(sample=sample, trn_example=trn, hypothesis=hypothesis, seed_path=(seed, i)))
-    return RunBatch(scenario=scenario, runs=tuple(runs))
+        rng.random(out=u[i])
+        at[i] = rng.integers(m)
+        pick[i] = rng.random()
+    dist = scenario.data_dist
+    idx = symbol_indices(dist.weights, u)
+    trn = idx[np.arange(n_runs), at]
+    # one kernel call per distinct ordered sample; its entries' running
+    # sums, so that bisect_right finds the first entry with u < acc
+    first, sample_of = _first_seen(idx)
+    kernel, outputs = scenario.learner.kernel, []
+    for sample in _symbols_at(dist.alphabet, idx[first]):
+        acc, hs, total = [], [], 0.0
+        for h, ph in kernel(tuple(sample)).items():
+            total += float(ph)
+            acc.append(total)
+            hs.append(h)
+        outputs.append((acc, hs))
+    ids: dict = {}
+    hyp = np.empty(n_runs, dtype=np.intp)
+    for i, (g, x) in enumerate(zip(sample_of.tolist(), pick.tolist())):
+        acc, hs = outputs[g]
+        # past the last running sum, the last entry; no entries, None
+        h = hs[min(bisect_right(acc, x), len(hs) - 1)] if hs else None
+        hyp[i] = ids.setdefault(h, len(ids))
+    return RunBatch(scenario, idx, trn, hyp, tuple(ids), seed)
+
+
+def _loss_values(batch: RunBatch, loss: ParametricLoss, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """float(loss.fn(z, h)) for each entry of the domain index array z and
+    the hypothesis index array h, of one shape: from the loss's batch
+    form, or from one fn call per distinct (z, h) pair."""
+    alphabet, hs = batch.scenario.data_dist.alphabet, batch.hypotheses
+    batch_fn = batch_form(loss.fn)
+    if batch_fn is not None:
+        symbols = z if alphabet.positional else np.fromiter(alphabet.symbols, object, len(alphabet))[z]
+        return batch_fn(symbols, hs, h)
+    pairs, at = np.unique((z * len(hs) + h).ravel(), return_inverse=True)
+    zs = _symbols_at(alphabet, pairs // len(hs))
+    fn = loss.fn
+    values = np.array([float(fn(a, hs[b])) for a, b in zip(zs, (pairs % len(hs)).tolist())])
+    return values[at].reshape(z.shape)
 
 
 def _boot_rng(seed: int) -> np.random.Generator:
@@ -155,35 +262,34 @@ def estimate_variational_info(
     """Plug-in vi(Z_trn; H) from pair counts, with a bootstrap interval."""
     seed = batch.scenario.seed if seed is None else seed
     n = len(batch)
-    pair_counts: dict = {}
-    for run in batch:
-        key = (run.trn_example, run.hypothesis)
-        pair_counts[key] = pair_counts.get(key, 0) + 1
-    keys = list(pair_counts)
-    c = np.array([pair_counts[k] for k in keys], dtype=np.float64)
-    z_ids: dict = {}
-    h_ids: dict = {}
-    for z, h in keys:
-        z_ids.setdefault(z, len(z_ids))
-        h_ids.setdefault(h, len(h_ids))
-    zi = np.array([z_ids[z] for z, _ in keys])
-    hi = np.array([h_ids[h] for _, h in keys])
+    # the (Z_trn, H) keys in first-seen order, which fixes the order of
+    # every float sum and of the multinomial's pvals; each key's z and h ids
+    first, key = _first_seen(batch.trn * len(batch.hypotheses) + batch.hyp)
+    c = np.bincount(key).astype(np.float64)
+    zi = np.unique(batch.trn[first], return_inverse=True)[1]
+    hi = batch.hyp[first]
+    nz, nh = int(zi.max()) + 1, len(batch.hypotheses)
 
-    def stat(counts: np.ndarray) -> float:
-        rz = np.bincount(zi, weights=counts, minlength=len(z_ids))
-        ch = np.bincount(hi, weights=counts, minlength=len(h_ids))
-        prod = rz[zi] * ch[hi] / (n * n)
-        return 0.5 * (np.abs(counts / n - prod).sum() + (1.0 - prod.sum()))
+    def stats(counts: np.ndarray) -> np.ndarray:
+        """The plug-in vi of each row of pair counts."""
+        rows = np.arange(len(counts))[:, None]
+        # one bincount over all rows adds each row's counts in key order
+        rz = np.bincount((rows * nz + zi).ravel(), counts.ravel(), len(counts) * nz).reshape(-1, nz)
+        ch = np.bincount((rows * nh + hi).ravel(), counts.ravel(), len(counts) * nh).reshape(-1, nh)
+        prod = rz[:, zi] * ch[:, hi] / (n * n)
+        dev = np.abs(counts / n - prod)
+        # per-row 1-D sums: a 2-D sum along rows may round differently
+        return np.array([0.5 * (d.sum() + (1.0 - p.sum())) for d, p in zip(dev, prod)])
 
-    point = stat(c)
+    point = stats(c[None])[0]
     rng = _boot_rng(seed)
     draws = rng.multinomial(n, c / c.sum(), size=n_boot).astype(np.float64)
-    boots = np.array([stat(row) for row in draws])
+    boots = stats(draws)
     lo, hi_q = np.percentile(boots, [(1 - level) / 2 * 100, (1 + level) / 2 * 100])
     notes = []
-    if len(h_ids) > n / 10:
+    if nh > n / 10:
         notes.append(
-            f"{len(h_ids)} distinct hypotheses in {n} runs: plug-in vi is biased upward"
+            f"{nh} distinct hypotheses in {n} runs: plug-in vi is biased upward"
         )
     return Estimate(
         point=float(point),
@@ -207,12 +313,9 @@ def estimate_gen_risk(
     """
     seed = batch.scenario.seed if seed is None else seed
     n = len(batch)
-    a = np.empty(n)
-    b = np.empty(n)
-    runs = batch.runs
-    for i, run in enumerate(runs):
-        a[i] = float(loss.fn(run.trn_example, run.hypothesis))
-        b[i] = float(loss.fn(runs[(i + 1) % n].trn_example, run.hypothesis))
+    # each run's loss on its own Z_trn, and on the next run's
+    z = np.stack((batch.trn, np.roll(batch.trn, -1)))
+    a, b = _loss_values(batch, loss, z, np.stack((batch.hyp, batch.hyp)))
     point = a.mean() - b.mean()
     rng = _boot_rng(seed)
     idx = rng.integers(0, n, size=(n_boot, n))
@@ -242,17 +345,11 @@ def _wilson(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
 def deviations(batch: RunBatch, loss: ParametricLoss) -> np.ndarray:
     """G_i = R_emp(H_i) - R_true(H_i) for every run, as float64."""
     dist = batch.scenario.data_dist
-    cache: dict = {}
-    out = np.empty(len(batch))
-    for i, run in enumerate(batch):
-        h = run.hypothesis
-        if h not in cache:
-            cache[h] = float(true_risk(loss, h, dist))
-        emp = 0.0
-        for z in run.sample:
-            emp += float(loss.fn(z, h))
-        out[i] = emp / len(run.sample) - cache[h]
-    return out
+    risks = np.array([float(true_risk(loss, h, dist)) for h in batch.hypotheses])
+    values = _loss_values(batch, loss, batch.idx, np.broadcast_to(batch.hyp[:, None], batch.idx.shape))
+    # each row summed from left to right
+    emp = np.add.accumulate(values, axis=1)[:, -1]
+    return emp / batch.idx.shape[1] - risks[batch.hyp]
 
 
 def estimate_tail(

@@ -5,12 +5,20 @@ Fractions: slow but obviously correct.  Tests cross-check the multiset
 engine against these on small scenarios.  The float walk references at
 the end instead pin the order of float operations: they sum sorted
 multisets one at a time, as a scalar loop would, and the block walk must
-agree with them bit for bit.
+agree with them bit for bit.  The Monte Carlo references draw and
+estimate one run at a time, in the loops that mc's column code must
+match exactly.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
+
+import numpy as np
+
+from stabaudit.losses import true_risk
+from stabaudit.mc import Estimate, RunSample, _boot_rng, run_streams
 
 
 def joint_pairs(dist_map, kernel, m):
@@ -202,4 +210,149 @@ def walk_float_mi(dist, kernel, m):
         for h, ph in out.items():
             if ph:
                 total += w * ph * math.log(float(ph) / marg[h])
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo, one run at a time
+
+
+@dataclass(frozen=True, eq=False)
+class RunList:
+    """Drawn runs plus the scenario they came from."""
+
+    scenario: object
+    runs: tuple
+
+    def __iter__(self):
+        return iter(self.runs)
+
+    def __len__(self):
+        return len(self.runs)
+
+
+def mc_draw_runs(scenario, n_runs, seed=None):
+    """Draw (sample, Z_trn, H) triples; stream i is keyed by (seed, i).
+    The cdf is 1.0 from the last positive weight on."""
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    seed = scenario.seed if seed is None else seed
+    dist = scenario.data_dist
+    symbols = dist.alphabet.symbols
+    w = dist.weights.astype(np.float64)
+    cdf = np.cumsum(w)
+    cdf[np.flatnonzero(w)[-1] :] = 1.0
+    m = scenario.m
+    kernel = scenario.learner.kernel
+    runs = []
+    stream = run_streams(seed)
+    for i in range(n_runs):
+        rng = stream(i)
+        picks = np.searchsorted(cdf, rng.random(m), side="right")
+        sample = tuple(symbols[j] for j in picks)
+        trn = sample[rng.integers(m)]
+        u = rng.random()
+        acc = 0.0
+        hypothesis = None
+        for h, ph in kernel(sample).items():
+            acc += float(ph)
+            hypothesis = h
+            if u < acc:
+                break
+        runs.append(RunSample(sample=sample, trn_example=trn, hypothesis=hypothesis, seed_path=(seed, i)))
+    return RunList(scenario=scenario, runs=tuple(runs))
+
+
+def mc_variational_info(batch, n_boot=500, level=0.95, seed=None):
+    """Plug-in vi(Z_trn; H) from pair counts, with a bootstrap interval."""
+    seed = batch.scenario.seed if seed is None else seed
+    n = len(batch)
+    pair_counts: dict = {}
+    for run in batch:
+        key = (run.trn_example, run.hypothesis)
+        pair_counts[key] = pair_counts.get(key, 0) + 1
+    keys = list(pair_counts)
+    c = np.array([pair_counts[k] for k in keys], dtype=np.float64)
+    z_ids: dict = {}
+    h_ids: dict = {}
+    for z, h in keys:
+        z_ids.setdefault(z, len(z_ids))
+        h_ids.setdefault(h, len(h_ids))
+    zi = np.array([z_ids[z] for z, _ in keys])
+    hi = np.array([h_ids[h] for _, h in keys])
+
+    def stat(counts):
+        rz = np.bincount(zi, weights=counts, minlength=len(z_ids))
+        ch = np.bincount(hi, weights=counts, minlength=len(h_ids))
+        prod = rz[zi] * ch[hi] / (n * n)
+        return 0.5 * (np.abs(counts / n - prod).sum() + (1.0 - prod.sum()))
+
+    point = stat(c)
+    rng = _boot_rng(seed)
+    draws = rng.multinomial(n, c / c.sum(), size=n_boot).astype(np.float64)
+    boots = np.array([stat(row) for row in draws])
+    lo, hi_q = np.percentile(boots, [(1 - level) / 2 * 100, (1 + level) / 2 * 100])
+    notes = []
+    if len(h_ids) > n / 10:
+        notes.append(f"{len(h_ids)} distinct hypotheses in {n} runs: plug-in vi is biased upward")
+    return Estimate(
+        point=float(point),
+        se=float(boots.std()),
+        ci_low=float(lo),
+        ci_high=float(hi_q),
+        n_runs=n,
+        method="plugin+bootstrap",
+        bias=float(boots.mean() - point),
+        notes=tuple(notes),
+    )
+
+
+def mc_gen_risk(batch, loss, n_boot=500, seed=None):
+    """Paired term minus the term rotated by one run, with a bootstrap."""
+    seed = batch.scenario.seed if seed is None else seed
+    n = len(batch)
+    a = np.empty(n)
+    b = np.empty(n)
+    runs = batch.runs
+    for i, run in enumerate(runs):
+        a[i] = float(loss.fn(run.trn_example, run.hypothesis))
+        b[i] = float(loss.fn(runs[(i + 1) % n].trn_example, run.hypothesis))
+    point = a.mean() - b.mean()
+    rng = _boot_rng(seed)
+    idx = rng.integers(0, n, size=(n_boot, n))
+    boots = (a[idx] - b[idx]).mean(axis=1)
+    lo, hi = np.percentile(boots, [2.5, 97.5])
+    return Estimate(
+        point=float(point),
+        se=float(boots.std()),
+        ci_low=float(lo),
+        ci_high=float(hi),
+        n_runs=n,
+        method="paired-vs-rotated+bootstrap",
+        bias=float(boots.mean() - point),
+    )
+
+
+def mc_deviations(batch, loss):
+    """G_i = R_emp(H_i) - R_true(H_i) for every run, as float64."""
+    dist = batch.scenario.data_dist
+    cache: dict = {}
+    out = np.empty(len(batch))
+    for i, run in enumerate(batch):
+        h = run.hypothesis
+        if h not in cache:
+            cache[h] = float(true_risk(loss, h, dist))
+        emp = 0.0
+        for z in run.sample:
+            emp += float(loss.fn(z, h))
+        out[i] = emp / len(run.sample) - cache[h]
+    return out
+
+
+def float_true_risk(loss_fn, h, dist):
+    """Float E L(Z, h): w * L(z, h) added in symbol order over the positive weights."""
+    total = 0
+    for z, w in zip(dist.alphabet.symbols, dist.weights):
+        if w != 0:
+            total = total + w * loss_fn(z, h)
     return total

@@ -84,6 +84,51 @@ def test_of_size_dists_match_explicit_symbols():
         Dist.from_mapping(pos, {5: 1}, EXACT)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_positional_and_tuple_alphabets_are_interchangeable(n):
+    pos, explicit = Alphabet.of_size("z", n), Alphabet("z", tuple(range(n)))
+    assert pos == explicit and explicit == pos and not pos != explicit
+    assert hash(pos) == hash(explicit) == hash(("z", tuple(range(n))))
+    assert pos == Alphabet.of_size("z", n) and pos == Alphabet("z", range(n))
+    for a, b in ((pos, explicit), (explicit, pos)):
+        table = {a: "value"}
+        assert table[b] == "value" and b in table and b in {a}
+        assert {a: 1, b: 2} == {a: 2}
+    assert (pos, "x") == (explicit, "x") and hash((pos, 1)) == hash((explicit, 1))
+    assert pos.symbols == explicit.symbols and type(pos.symbols) is tuple
+    assert pos.symbols is pos.symbols  # built once
+
+
+def test_positional_alphabets_differ_where_their_tuples_do():
+    pos = Alphabet.of_size("z", 3)
+    for other in (
+        Alphabet.of_size("w", 3),
+        Alphabet.of_size("z", 4),
+        Alphabet("z", (0, 1, 3)),
+        Alphabet("z", (2, 1, 0)),
+        Alphabet("z", ("a", "b", "c")),
+        Alphabet("z", range(1, 4)),
+    ):
+        assert pos != other and other != pos
+    assert Alphabet("z", (0, 1.0, 2)) == pos == Alphabet("z", (0, True, 2))
+    assert pos != ("z", (0, 1, 2)) and pos.__eq__(None) is NotImplemented
+
+
+def test_alphabets_are_immutable_and_of_size_builds_no_tuple():
+    a = Alphabet.of_size("z", 10**9)
+    assert len(a) == 10**9 and 10**9 - 1 in a and 10**9 not in a
+    assert a == Alphabet.of_size("z", 10**9) and a != Alphabet.of_size("z", 10**9 - 1)
+    assert repr(Alphabet.of_size("z", 3)) == "Alphabet(name='z', symbols=range(0, 3))"
+    assert repr(AB) == "Alphabet(name='x', symbols=('a', 'b'))"
+    for target in (a, AB):
+        with pytest.raises(AttributeError):
+            target.name = "q"
+        with pytest.raises(AttributeError):
+            del target.name
+    with pytest.raises(ValueError):
+        Alphabet.of_size("z", 0)
+
+
 def test_integer_weights_over_common_denominator():
     d = exact_dist(ABC, Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     assert d.integer_weights == ([3, 2, 1], 6)

@@ -126,6 +126,30 @@ def test_exact_true_risk_from_the_table_column(make_loss):
         assert true_risk(loss, h, fdist, column, scale) == true_risk(loss, h, fdist)
 
 
+def test_true_risk_reads_columns_and_sums_exactly_as_the_per_symbol_loop():
+    rng = np.random.default_rng(11)
+    n = 12  # past 8 terms, numpy's pairwise sum would round differently
+    d = Alphabet.of_size("z", n)
+    hyp = subsample_release(d, k=2, mode=EXACT).hypotheses(3)
+    table_valued = random_table_loss(d, hyp, seed=4, levels=7)
+    losses = [membership_loss(), zero_one_loss(), _float_valued_loss(), table_valued]
+    for trial in range(4):
+        raw = rng.random(n) * (rng.random(n) < 0.8)
+        raw[trial] += 0.5
+        fdist = Dist(d, raw / raw.sum())
+        milli = [F(int(x * 1000)) for x in raw]
+        edist = Dist(d, np.array([x / sum(milli) for x in milli], dtype=object))
+        for loss in losses:
+            table, scale = loss_table(loss, d, hyp, True)
+            for column, h in zip(table.T.tolist(), hyp.symbols):
+                want = brute.float_true_risk(loss.fn, h, fdist)
+                assert true_risk(loss, h, fdist, column, scale) == want
+                assert true_risk(loss, h, fdist) == want
+                exact = sum(w * F(loss.fn(z, h)) for z, w in zip(d.symbols, edist.weights) if w)
+                got = true_risk(loss, h, edist)
+                assert type(got) is F and got == exact == true_risk(loss, h, edist, column, scale)
+
+
 def test_constant_loss_generalization_is_zero(tiny_scenario):
     assert expected_gen_risk(tiny_scenario, constant_loss(F(1, 3))) == 0
 

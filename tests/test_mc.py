@@ -1,9 +1,12 @@
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import brute
 from stabaudit.dist import Alphabet, Dist
 from stabaudit.learners import (
     Scenario,
@@ -15,7 +18,9 @@ from stabaudit.losses import (
     deviation_law,
     expected_gen_risk,
     membership_loss,
+    prop1_flipped_loss,
     prop1_paired_loss,
+    random_table_loss,
     zero_one_loss,
 )
 from stabaudit.mc import (
@@ -26,8 +31,9 @@ from stabaudit.mc import (
     estimate_tail,
     estimate_variational_info,
     run_streams,
+    symbol_indices,
 )
-from stabaudit.numeric import EXACT
+from stabaudit.numeric import EXACT, FLOAT64
 
 F = Fraction
 
@@ -205,3 +211,177 @@ def test_reset_streams_draw_as_fresh_generators(seed):
         m = 1 + i % 5
         fresh = _outcome(lambda: np.random.Generator(np.random.Philox(key=(seed << 64) | i)), m)
         assert _outcome(lambda: stream(i), m) == fresh, (seed, i)
+
+
+# ---------------------------------------------------------------------------
+# columns against the per-run oracles of brute.py
+
+
+def _wrapped_kernel(learner):
+    @functools.wraps(learner.kernel)
+    def kernel(sample):
+        return learner.kernel(sample)
+
+    return dataclasses.replace(learner, kernel=kernel)
+
+
+def _wrapped_loss(loss):
+    @functools.wraps(loss.fn)
+    def fn(z, h):
+        return loss.fn(z, h)
+
+    return dataclasses.replace(loss, fn=fn, _tables={})
+
+
+def _prop1(loss, mode=EXACT, wrap=False):
+    learner = prop1_counterexample(16)
+    if wrap:
+        learner, loss = _wrapped_kernel(learner), _wrapped_loss(loss)
+    return Scenario(name="p", learner=learner, data_dist=Dist.uniform(learner.domain, mode), m=3, loss=loss)
+
+
+def _skewed_float():
+    d = Alphabet.of_size("z", 6)
+    dist = Dist(d, [0.4, 0.25, 0.0, 0.2, 0.15, 0.0])
+    learner = subsample_release(d, k=2, delta=0.3)
+    return Scenario(name="f", learner=learner, data_dist=dist, m=3, loss=membership_loss())
+
+
+def _float_table_m9():
+    s = _skewed_float()
+    loss = random_table_loss(s.learner.domain, s.learner.hypotheses(9), seed=3, levels=7)
+    return dataclasses.replace(s, m=9, loss=loss, _cache={})
+
+
+def _ordered_release():
+    s = _skewed_float()
+    return dataclasses.replace(s, learner=dataclasses.replace(s.learner, symmetric=False), _cache={})
+
+
+def _strings():
+    d = Alphabet("z", ("b", "a", "c"))
+    dist = Dist.from_mapping(d, {"b": F(1, 2), "a": F(1, 3), "c": F(1, 6)}, EXACT)
+    learner = subsample_release(d, k=2, mode=EXACT)
+    return Scenario(name="s", learner=learner, data_dist=dist, m=3, loss=membership_loss())
+
+
+def _identity():
+    learner = subsample_release(Alphabet.of_size("z", 3), k=1, mode=EXACT)
+    return make_scenario(learner, m=1, loss=membership_loss())
+
+
+ORACLE_CASES = {
+    "identity": _identity,
+    "rr3": lambda: make_scenario(randomized_response_dp(math.log(2), mode=EXACT), m=3, loss=zero_one_loss()),
+    "prop1-paired": lambda: _prop1(prop1_paired_loss()),
+    "prop1-flipped": lambda: _prop1(prop1_flipped_loss()),
+    "prop1-paired-float": lambda: _prop1(prop1_paired_loss(), FLOAT64),
+    "prop1-flipped-float": lambda: _prop1(prop1_flipped_loss(), FLOAT64),
+    "skewed-float": _skewed_float,
+    "float-table-m9": _float_table_m9,
+    "ordered-release": _ordered_release,
+    "strings-out-of-order": _strings,
+    "wrapped-kernel-and-loss": lambda: _prop1(prop1_paired_loss(), FLOAT64, wrap=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_columns_equal_the_per_run_oracles(case, seed):
+    scenario = ORACLE_CASES[case]()
+    loss = scenario.loss
+    batch = draw_runs(scenario, 400, seed=seed)
+    ref = brute.mc_draw_runs(scenario, 400, seed=seed)
+    assert batch.runs == ref.runs
+    assert len(batch) == 400 and list(batch) == list(ref.runs)
+    assert estimate_variational_info(batch, seed=seed) == brute.mc_variational_info(ref, seed=seed)
+    assert estimate_gen_risk(batch, loss, seed=seed) == brute.mc_gen_risk(ref, loss, seed=seed)
+    g = deviations(batch, loss)
+    assert g.dtype == np.float64 and g.tolist() == brute.mc_deviations(ref, loss).tolist()
+
+
+def test_the_kernel_runs_once_per_distinct_ordered_sample():
+    scenario = _skewed_float()
+    calls = []
+
+    def kernel(sample):
+        calls.append(sample)
+        return scenario.learner.kernel(sample)
+
+    learner = dataclasses.replace(scenario.learner, kernel=kernel)
+    counted = dataclasses.replace(scenario, learner=learner, _cache={})
+    batch = draw_runs(counted, 300, seed=2)
+    samples = [run.sample for run in batch]
+    assert calls == list(dict.fromkeys(samples))
+    assert batch.runs == brute.mc_draw_runs(scenario, 300, seed=2).runs
+
+
+def test_a_wrapped_loss_loses_its_batch_form():
+    loss = prop1_paired_loss()
+    assert getattr(loss.fn, "batch", None) is not None
+    wrapped = _wrapped_loss(loss)
+    # functools.wraps copies the attribute; the batch form is not used for it
+    assert wrapped.fn.batch is loss.fn.batch
+    scenario = _prop1(prop1_paired_loss(), FLOAT64)
+    batch = draw_runs(scenario, 200, seed=4)
+    assert deviations(batch, wrapped).tolist() == deviations(batch, loss).tolist()
+
+
+@pytest.mark.parametrize("make_loss", [prop1_paired_loss, prop1_flipped_loss])
+def test_prop1_batch_form_matches_fn(make_loss):
+    rng = np.random.default_rng(3)
+    loss = make_loss()
+    sizes, bits = rng.integers(1, 6, 40).tolist(), rng.integers(0, 2, 40).tolist()
+    hyps = [(tuple(sorted(rng.integers(0, 20, size=k).tolist())), b) for k, b in zip(sizes, bits)]
+    z = rng.integers(0, 20, size=(7, 40))
+    h = rng.integers(0, 40, size=(7, 40))
+    got = loss.fn.batch(z, hyps, h)
+    want = [[float(loss.fn(int(a), hyps[b])) for a, b in zip(zr, hr)] for zr, hr in zip(z, h)]
+    assert got.shape == z.shape and got.tolist() == want
+    objects = np.array(z.ravel().tolist(), dtype=object).reshape(z.shape)
+    assert loss.fn.batch(objects, hyps, h).tolist() == want
+
+
+def test_a_uniform_below_one_never_draws_a_zero_weight_symbol():
+    weights = [0.7, 0.2, 0.1, 0.0]
+    assert np.cumsum(weights)[-2] < 1.0  # the float gap the last uniforms fall in
+    top = 1.0 - 2.0**-53  # the largest value random() returns
+    assert symbol_indices(weights, np.array([top])).tolist() == [2]
+    u = np.random.default_rng(0).random((50, 7))
+    plain = np.cumsum(weights)
+    plain[-1] = 1.0
+    assert symbol_indices(weights, u).tolist() == np.searchsorted(plain, u, side="right").tolist()
+    inner = [0.5, 0.0, 0.5, 0.0]
+    assert set(symbol_indices(inner, np.append(u.ravel(), top)).tolist()) == {0, 2}
+    exact = np.array([F(1, 2), F(1, 2), F(0)], dtype=object)
+    assert symbol_indices(exact, np.array([[top, 0.5, 0.25]])).tolist() == [[1, 1, 0]]
+
+
+class _SymbolReads:
+    """Stands in for Alphabet.symbols and counts its reads on positional
+    alphabets; other alphabets keep their symbols in the instance dict."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __get__(self, alphabet, owner=None):
+        if alphabet is None:
+            return self
+        self.reads += 1
+        return tuple(range(len(alphabet)))
+
+
+def test_a_prop1_mc_run_never_reads_the_positional_symbols(monkeypatch):
+    from stabaudit.corpus import corpus_configs
+    from stabaudit.harness import run_config
+
+    (cfg,) = [c for c in corpus_configs() if c["name"] == "prop1-mc"]
+    assert cfg["domain"]["size"] >= 10**6
+    guard = _SymbolReads()
+    monkeypatch.setattr(Alphabet, "symbols", guard)
+    rc, bundle = run_config(cfg, overrides={"n_runs": 500})
+    assert rc == 0, bundle
+    assert bundle["estimates"]["info"]["n_runs"] == 500
+    assert guard.reads == 0
+    # the guard does count reads
+    assert Alphabet.of_size("z", 3).symbols == (0, 1, 2) and guard.reads == 1
