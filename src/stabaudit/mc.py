@@ -76,10 +76,10 @@ class RunBatch:
     @cached_property
     def runs(self) -> tuple[RunSample, ...]:
         alphabet, hs = self.scenario.data_dist.alphabet, self.hypotheses
-        columns = zip(_symbols_at(alphabet, self.idx), _symbols_at(alphabet, self.trn), self.hyp.tolist())
+        samples, trn = (_symbols_at(alphabet, a).tolist() for a in (self.idx, self.trn))
         return tuple(
             RunSample(sample=tuple(sample), trn_example=z, hypothesis=hs[h], seed_path=(self.seed, i))
-            for i, (sample, z, h) in enumerate(columns)
+            for i, (sample, z, h) in enumerate(zip(samples, trn, self.hyp.tolist()))
         )
 
     def __iter__(self) -> Iterator[RunSample]:
@@ -156,15 +156,12 @@ def run_streams(seed: int) -> Callable[[int], np.random.Generator]:
     return stream
 
 
-def _symbols_at(alphabet: Alphabet, idx: np.ndarray) -> list:
-    """The symbols at the domain indices idx, as nested lists of idx's
-    shape; on a positional domain symbol i is i."""
+def _symbols_at(alphabet: Alphabet, idx: np.ndarray) -> np.ndarray:
+    """The symbols at the domain indices idx, in idx's shape: idx itself on
+    a positional domain, where symbol i is i, else an object array."""
     if alphabet.positional:
-        return idx.tolist()
-    symbols = alphabet.symbols
-    if idx.ndim == 1:
-        return [symbols[i] for i in idx.tolist()]
-    return [[symbols[i] for i in row] for row in idx.tolist()]
+        return idx
+    return np.fromiter(alphabet.symbols, object, len(alphabet))[idx]
 
 
 def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +216,7 @@ def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBa
     # sums, so that bisect_right finds the first entry with u < acc
     first, sample_of = _first_seen(idx)
     kernel, outputs = scenario.learner.kernel, []
-    for sample in _symbols_at(dist.alphabet, idx[first]):
+    for sample in _symbols_at(dist.alphabet, idx[first]).tolist():
         acc, hs, total = [], [], 0.0
         for h, ph in kernel(tuple(sample)).items():
             total += float(ph)
@@ -243,10 +240,9 @@ def _loss_values(batch: RunBatch, loss: ParametricLoss, z: np.ndarray, h: np.nda
     alphabet, hs = batch.scenario.data_dist.alphabet, batch.hypotheses
     batch_fn = batch_form(loss.fn)
     if batch_fn is not None:
-        symbols = z if alphabet.positional else np.fromiter(alphabet.symbols, object, len(alphabet))[z]
-        return batch_fn(symbols, hs, h)
+        return batch_fn(_symbols_at(alphabet, z), hs, h)
     pairs, at = np.unique((z * len(hs) + h).ravel(), return_inverse=True)
-    zs = _symbols_at(alphabet, pairs // len(hs))
+    zs = _symbols_at(alphabet, pairs // len(hs)).tolist()
     fn = loss.fn
     values = np.array([float(fn(a, hs[b])) for a, b in zip(zs, (pairs % len(hs)).tolist())])
     return values[at].reshape(z.shape)
