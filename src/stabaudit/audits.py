@@ -80,6 +80,15 @@ def _tol(scenario: Scenario, tol):
     return scenario.data_dist.mode.tolerance if tol is None else tol
 
 
+def declared_epsilon(scenario: Scenario, epsilon):
+    """The audit's epsilon; None stands for the learner's declared one."""
+    if epsilon is None:
+        epsilon = scenario.learner.params.get("epsilon")
+    if epsilon is None:
+        raise ValueError("audit needs the declared epsilon")
+    return epsilon
+
+
 def default_battery(tj, seed: int, loss: ParametricLoss | None = None) -> tuple[ParametricLoss, ...]:
     """Losses probed by the gen-risk audit: fixed shapes, seeded tables, the
     scenario's loss when given, and the exact maximizer."""
@@ -320,10 +329,7 @@ def audit_p4(
 ) -> AuditReport:
     """Privacy implies stability: vi <= (e^eps - 1 + delta) / 2."""
     tol = _tol(scenario, tol)
-    if epsilon is None:
-        epsilon = scenario.learner.params.get("epsilon")
-    if epsilon is None:
-        raise ValueError("audit needs the declared epsilon")
+    epsilon = declared_epsilon(scenario, epsilon)
     tj = exact_trn_hyp_joint(scenario, budget=budget)
     info = variational_info(tj.joint)
     bound = bounds.dp_info_bound(epsilon, delta)
@@ -386,10 +392,7 @@ def audit_dp(
     fails and the verdict is inconclusive rather than a bound violation.
     """
     tol = _tol(scenario, tol)
-    if epsilon is None:
-        epsilon = scenario.learner.params.get("epsilon")
-    if epsilon is None:
-        raise ValueError("audit needs the declared epsilon")
+    epsilon = declared_epsilon(scenario, epsilon)
     mech = audit_dp_mechanism(scenario, budget=budget)
     eff = mech.effective_epsilon
     notes = [f"measured effective epsilon {eff!r} over {mech.pairs_checked} adjacent pairs"]

@@ -217,19 +217,6 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
-def fractions_by_key(nums: Mapping) -> dict:
-    """{(*key, den): integer numerator} summed into {key: Fraction}.
-
-    The numerators of a key are brought to the lcm of all the
-    denominators and summed, so each key costs one Fraction.
-    """
-    top = lcm(*{k[-1] for k in nums})
-    sums: dict = {}
-    for k, num in nums.items():
-        sums[k[:-1]] = sums.get(k[:-1], 0) + num * (top // k[-1])
-    return {k: Fraction(num, top) for k, num in sums.items()}
-
-
 @dataclass(frozen=True)
 class CellTable:
     """D = joint - product of marginals of a two-axis joint, as d / scale.

@@ -42,6 +42,7 @@ from .audits import (
     audit_t2,
     audit_t3,
     audit_t4,
+    declared_epsilon,
 )
 from .bounds import dp_info_bound, dp_tail_bound
 from .corpus import LEARNER_BUILDERS, LOSS_BUILDERS, corpus_configs
@@ -345,7 +346,7 @@ def _mc_t1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
 
 def _mc_p4(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
     info_est = est["info"]
-    bound = dp_info_bound(p["epsilon"] or scenario.learner.params.get("epsilon"), p["delta"])
+    bound = dp_info_bound(declared_epsilon(scenario, p["epsilon"]), p["delta"])
     ok = info_est.point - 3 * info_est.se <= bound
     return AuditReport(
         scenario=scenario.name,
@@ -362,7 +363,7 @@ def _mc_c1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
     tail_rep = est["tails"]
     if tail_rep is None:
         raise ConfigError("MC C1 audit needs a loss")
-    epsilon = p["epsilon"] or scenario.learner.params.get("epsilon")
+    epsilon = declared_epsilon(scenario, p["epsilon"])
     rows = []
     ok = True
     worst = None
@@ -667,6 +668,10 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+#: the columns of a summary CSV, one row per audit
+SUMMARY_COLUMNS = ("scenario", "theorem", "verdict", "computed", "bound", "slack")
+
+
 def _summary_rows(bundles: Sequence[Mapping]) -> list[dict]:
     rows = []
     for b in bundles:
@@ -702,7 +707,7 @@ def write_bundle(bundle: Mapping, out_dir: str | os.PathLike) -> None:
     rows = _summary_rows([bundle])
     _atomic_write(
         out / f"{name}_summary.csv",
-        _csv_text(rows, ["scenario", "theorem", "verdict", "computed", "bound", "slack"]),
+        _csv_text(rows, SUMMARY_COLUMNS),
     )
     for r in bundle.get("audits", ()):
         if r.get("series"):
@@ -757,7 +762,7 @@ def corpus_run(
         rows = _summary_rows([b for b in bundles if "audits" in b])
         _atomic_write(
             out / "corpus_summary.csv",
-            _csv_text(rows, ["scenario", "theorem", "verdict", "computed", "bound", "slack"]),
+            _csv_text(rows, SUMMARY_COLUMNS),
         )
         for b in bundles:
             if "config" in b:

@@ -35,9 +35,10 @@ kernel's dict order, zeros dropped.
 A kernel may carry a batch form, attached with with_batch, that computes
 that array for a whole block; subsample_release has one, and so does the
 deviation-sign side channel.  A kernel's batch form may assume rows in
-index order and is used only in a symmetric walk, and only while the
-kernel is the very function it was attached to: a learner whose kernel
-was replaced (a wrapper, dataclasses.replace) loses it.  Every other
+index order and is used only in a symmetric walk; a side channel's runs
+in every walk and must not.  Either is used only while its function is
+the very one it was attached to: a learner whose kernel was replaced (a
+wrapper, dataclasses.replace) loses it.  Every other
 kernel and side function runs through one adapter that calls it once per
 sample, in walk order.  The blocks come from a vectorised enumerator;
 when the module-level iter_weighted_samples has been replaced (to count
@@ -47,10 +48,8 @@ Each accumulator takes one call per block.  Float sums add entries with
 np.add.at, in entry order, so every cell sums its terms in visit order
 exactly as a per-sample loop would.  Exact mode keeps integer numerators
 per denominator and finish() builds one Fraction per cell over their
-lcm.  Losses are read from their integer tables (losses.loss_table), so
-a deviation is identified by the integer sum of table entries over the
-sample (entry_pairs).  What two accumulators read alike on a block (the
-cell masses, the (h, e) pairs) is computed once and kept on the block.
+lcm.  What two accumulators read alike on a block (the cell masses, the
+deviation table's (h, e) pairs) is computed once and kept on the block.
 """
 
 from __future__ import annotations
@@ -380,26 +379,6 @@ def _blocks(data_dist: Dist, m: int, symmetric: bool, *, _own=iter_weighted_samp
         yield Block(idx, *_groups(idx, symmetric), weights, den, symbols, samples)
 
 
-def entry_pairs(block: Block, out: Sparse, table: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct pairs (h index, e) of the kernel entries, with e the sum
-    of the integer table[z, h] over the entry's sample, and each entry's
-    position among them, sorted.  Kept on the block for its kernel output,
-    so the deviation law and the sign side channel, which read one table,
-    share it."""
-
-    def build():
-        at = block.idx.take(out.row, axis=0) * table.shape[1]
-        at += out.col[:, None]
-        e = table.ravel().take(at).sum(axis=1)
-        lo = int(e.min())
-        span = int(e.max()) - lo + 1
-        # the code h * span + e - lo orders entries as the pairs (h, e) do
-        codes, slot = np.unique(out.col * span + (e - lo), return_inverse=True)
-        return list(zip((codes // span).tolist(), (codes % span + lo).tolist())), slot
-
-    return block.memo(("pairs", id(table)), out, build)
-
-
 class Sums:
     """Sums into size slots in entry order, one array per denominator.
 
@@ -411,19 +390,26 @@ class Sums:
     def __init__(self, size: int, exact: bool):
         self.size, self.exact, self.parts = size, exact, {}
 
-    def _zeros(self) -> np.ndarray:
-        return np.zeros(self.size, dtype=object if self.exact else np.float64)
+    def _zeros(self, size: int) -> np.ndarray:
+        return np.zeros(size, dtype=object if self.exact else np.float64)
+
+    def grow(self, size: int) -> None:
+        """Widen every array to size slots; the new slots are zero."""
+        if size > self.size:
+            extra, self.size = self._zeros(size - self.size), size
+            for den, part in self.parts.items():
+                self.parts[den] = np.concatenate((part, extra))
 
     def add(self, at: np.ndarray, terms: np.ndarray, den: int = 1) -> None:
         part = self.parts.get(den)
         if part is None:
-            part = self.parts[den] = self._zeros()
+            part = self.parts[den] = self._zeros(self.size)
         np.add.at(part, at, terms)
 
     def total(self) -> tuple[np.ndarray, int]:
         """(sums, den): the summed numerators over den."""
         if not self.parts:
-            return self._zeros(), 1
+            return self._zeros(self.size), 1
         top = lcm(*self.parts)
         return sum(part * (top // den) for den, part in self.parts.items()), top
 
@@ -940,51 +926,30 @@ def rerun_side_info(learner: LearnerKernel) -> SideInfoKernel:
 
 
 def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKernel:
-    """Three-valued flag comparing empirical to true risk at a threshold.
+    """Three-valued flag of the deviation G at a threshold.
 
-    K = +1 when R_emp(h) - R_true(h) >= threshold, -1 when <= -threshold,
-    else 0.  The empirical risk is e / (m * scale) with e the sum of the
-    loss's integer table entries over the sample, so the flag is computed
-    once per (h, e): in Fractions in exact mode, in floats in float mode.
-    The side is keyed by the threshold and by the loss's name and table.
-    fn has a batch form that reads e from the block's groups.
+    K = +1 when G = R_emp(h) - R_true(h) >= threshold, -1 when <= -threshold,
+    else 0, with G read from the loss's losses.DeviationTable.  The side is
+    keyed by the threshold and the table.  fn has a batch form that reads
+    the block's (h, e) pairs.
     """
-    from .losses import int_loss_table, loss_table, true_risk  # local to avoid a cycle
+    from .losses import DeviationTable  # local to avoid a cycle
 
-    dist, m = scenario.data_dist, scenario.m
-    hyp = scenario.learner.hypotheses(m)
-    table, scale = loss_table(loss, dist.alphabet, hyp, True)
-    symbols = dist.alphabet.symbols
-    columns = dict(zip(hyp.symbols, table.T.tolist()))
-    # h -> ({symbol: its table entry}, memo e -> flag)
-    cols = {h: (dict(zip(symbols, col)), {}) for h, col in columns.items()}
-    risks: dict = {}
+    dev = DeviationTable(scenario, loss)
+    index = dev.hypotheses.index
 
-    def flag(h, e) -> dict:
-        if h not in risks:
-            risks[h] = true_risk(loss, h, dist, columns[h], scale)
-        emp = Fraction(e, m * scale) if dist.is_exact else e / (m * scale)
-        g = emp - risks[h]
-        return {1 if g >= threshold else -1 if g <= -threshold else 0: 1}
-
-    def flag_once(h, e) -> dict:
-        memo = cols[h][1]
-        if e not in memo:
-            memo[e] = flag(h, e)
-        return memo[e]
+    def flag(hi: int, e: int) -> int:
+        g = dev(hi, e)
+        return 1 if g >= threshold else -1 if g <= -threshold else 0
 
     def fn(sample: tuple, h) -> dict:
-        col, e = cols[h][0], 0
-        for z in sample:
-            e += col[z]
-        return flag_once(h, e)
-
-    sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
+        hi = index[h]
+        return {flag(hi, dev.entry_sum(sample, hi)): 1}
 
     def batch(block: Block, out: Sparse) -> Sparse:
-        pairs, inv = entry_pairs(block, out, sums_table)
+        pairs, inv = dev.entry_pairs(block, out)
         # flags -1, 0, 1 sit at k indices 0, 1, 2
-        ks = np.array([next(iter(flag_once(hyp.symbols[hi], e))) + 1 for hi, e in pairs], dtype=np.intp)
+        ks = np.array([flag(hi, e) + 1 for hi, e in pairs], dtype=np.intp)
         ones = np.ones(len(inv), dtype=object if block.exact else np.float64)
         return Sparse(np.arange(len(inv)), ks[inv], ones)
 
@@ -993,5 +958,5 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
         name=name,
         alphabet_for=lambda m: Alphabet("k", (-1, 0, 1)),
         fn=with_batch(fn, batch),
-        key=(name, loss.name, scale, tuple(table.ravel().tolist())),
+        key=(name,) + dev.key,
     )

@@ -18,13 +18,13 @@ each table once and keeps it.  gen(L) is then the integer (or float) sum
 of d * table over the joint's cell table d / scale (dist.Joint.cells),
 divided once, and the deviation-law cache is keyed by the loss's table.
 
-The deviation law reads the exact integer table in both modes: the
-deviation of h on a sample is identified by e, the sum of the table
-entries of h over the sample, and is (e / (m * scale)) - R_true(h).  In
-exact mode the walk sums integer numerators of the masses keyed by
-(h, e) and their denominator, and finish() builds each deviation and each
-probability once per key.  In float mode the deviation is computed once
-per (h, e) and the masses are added to it in visit order.  The true risk
+The deviation law and the deviation-sign side channel read G through one
+DeviationTable.  The deviation of h on a sample is identified by e, the
+sum of the exact integer table entries of h over the sample, and is
+g = e / (m * scale) - R_true(h), taken once per (h index, e) as a
+Fraction less the true risk; in float mode that is e / (m * scale)
+correctly rounded, less the float risk.  The deviation law adds the
+masses into one Sums slot per distinct g, in both modes.  The true risk
 of h reads its table column: in exact mode it is one integer dot product
 with the distribution's weights over their common denominator, in float
 mode the sum of w * (column / scale) in symbol order.
@@ -42,15 +42,15 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .bounds import erm_markov_bound
-from .dist import Alphabet, Dist, common_denominator, fractions_by_key
+from .dist import Alphabet, Dist, common_denominator
 from .info import variational_info
 from .learners import (
     Block,
     Scenario,
     Sparse,
+    Sums,
     TrnHypJoint,
     WalkRequest,
-    entry_pairs,
     exact_trn_hyp_joint,
     walk,
     with_batch,
@@ -209,75 +209,96 @@ def _merged_points(acc: dict, is_exact: bool) -> tuple:
     return tuple((v, p) for v, p in merged)
 
 
+class DeviationTable:
+    """The deviation G = R_emp(h) - R_true(h) of a loss on a scenario, keyed
+    by (h index, e) with e the sum of the loss's exact integer table entries
+    of h over the sample.
+
+    key is (loss name, scale, the exact table): it identifies every law
+    read from the table.  Each true risk is computed once from its table
+    column and each g once per (h index, e).
+    """
+
+    def __init__(self, scenario: Scenario, loss: ParametricLoss):
+        dist, m = scenario.data_dist, scenario.m
+        self.loss, self.dist = loss, dist
+        self.hypotheses = hyp = scenario.learner.hypotheses(m)
+        table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
+        self.key = (loss.name, self.scale, tuple(table.ravel().tolist()))
+        self.sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
+        self._columns = table.T.tolist()
+        self._ms = m * self.scale
+        self._risks: dict = {}
+        self._g: dict = {}
+
+    def __call__(self, hi: int, e: int):
+        """g = e / (m * scale) - R_true(h): a Fraction less the true risk,
+        which in float mode is the correctly rounded e / (m * scale) less it."""
+        g = self._g.get((hi, e))
+        if g is None:
+            if hi not in self._risks:
+                h = self.hypotheses.symbols[hi]
+                self._risks[hi] = true_risk(self.loss, h, self.dist, self._columns[hi], self.scale)
+            g = self._g[hi, e] = Fraction(e, self._ms) - self._risks[hi]
+        return g
+
+    def entry_sum(self, sample: tuple, hi: int) -> int:
+        """e of hypothesis index hi on one sample."""
+        index, column = self.dist.alphabet.index, self._columns[hi]
+        return sum(column[index[z]] for z in sample)
+
+    def entry_pairs(self, block: Block, out: Sparse) -> tuple[list, np.ndarray]:
+        """The distinct pairs (h index, e) of the kernel entries, sorted, and
+        each entry's position among them.  Kept on the block for its kernel
+        output, so every reader of one table shares them."""
+        table = self.sums_table
+
+        def build():
+            at = block.idx.take(out.row, axis=0) * table.shape[1]
+            at += out.col[:, None]
+            e = table.ravel().take(at).sum(axis=1)
+            lo = int(e.min())
+            span = int(e.max()) - lo + 1
+            # the code h * span + e - lo orders entries as the pairs (h, e) do
+            codes, slot = np.unique(out.col * span + (e - lo), return_inverse=True)
+            return list(zip((codes // span).tolist(), (codes % span + lo).tolist())), slot
+
+        return block.memo(("pairs", id(table)), out, build)
+
+
 def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
-    """The deviation law as a walk request, cached under the loss's name and
-    its table over the domain and the hypotheses."""
-    dist, m = scenario.data_dist, scenario.m
-    hyp = scenario.learner.hypotheses(m)
-    table, scale = loss_table(loss, dist.alphabet, hyp, True)
+    """The deviation law as a walk request, cached under its table's key.
+
+    Each distinct deviation gets a slot in first-visit order, and the
+    masses P(S) K(h|S) of its (h, e) pairs add into it in visit order."""
+    dev = DeviationTable(scenario, loss)
+    exact = scenario.data_dist.is_exact
 
     def start():
-        cols, ms = table.T.tolist(), m * scale
-        sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
-        risks: dict = {}
+        slot_of: dict = {}  # (h index, e) -> slot of its deviation
+        slots: dict = {}  # deviation -> slot
+        sums = Sums(0, exact)
 
-        def deviation(hi, e):
-            h = hyp.symbols[hi]
-            if h not in risks:
-                risks[h] = true_risk(loss, h, dist, cols[hi], scale)
-            return Fraction(e, ms) - risks[h]
-
-        def masses(block: Block, out: Sparse):
-            """The distinct (h index, e) pairs of the block's kernel entries,
-            each entry's pair, and each entry's mass P(S) K(h|S)."""
-            pairs, inv = entry_pairs(block, out, sums_table)
-            return pairs, inv, block.weights.take(out.row) * out.prob
-
-        if dist.is_exact:
-            nums: dict = {}  # (h index, e, denominator) -> numerator
-
-            def add(block: Block, out: Sparse):
-                pairs, inv, mass = masses(block, out)
-                sums = np.zeros(len(pairs), dtype=object)
-                np.add.at(sums, inv, mass)
-                den = block.den * out.den
-                for (hi, e), num in zip(pairs, sums.tolist()):
-                    nums[hi, e, den] = nums.get((hi, e, den), 0) + num
-
-            def law() -> dict:
-                acc: dict = {}
-                for (hi, e), p in fractions_by_key(nums).items():
-                    g = deviation(hi, e)
-                    acc[g] = acc.get(g, 0) + p
-                return acc
-
-        else:
-            slot_of: dict = {}  # (h index, e) -> slot of its deviation
-            slots: dict = {}  # deviation -> slot
-            sums = np.zeros(0)
-
-            def add(block: Block, out: Sparse):
-                nonlocal sums
-                pairs, inv, mass = masses(block, out)
-                at = []
-                for p in pairs:
-                    if p not in slot_of:
-                        slot_of[p] = slots.setdefault(deviation(*p), len(slots))
-                    at.append(slot_of[p])
-                sums = np.concatenate((sums, np.zeros(len(slots) - len(sums))))
-                np.add.at(sums, np.array(at, dtype=np.intp)[inv], mass)
-
-            def law() -> dict:
-                return dict(zip(slots, sums))
+        def add(block: Block, out: Sparse):
+            pairs, inv = dev.entry_pairs(block, out)
+            at = []
+            for p in pairs:
+                if p not in slot_of:
+                    slot_of[p] = slots.setdefault(dev(*p), len(slots))
+                at.append(slot_of[p])
+            sums.grow(len(slots))
+            mass = block.weights.take(out.row) * out.prob
+            sums.add(np.array(at, dtype=np.intp)[inv], mass, block.den * out.den)
 
         def finish() -> DeviationLaw:
-            points = _merged_points(law(), dist.is_exact)
+            total, den = sums.total()
+            probs = [Fraction(x, den) for x in total.tolist()] if exact else total
+            points = _merged_points(dict(zip(slots, probs)), exact)
             return DeviationLaw(points=points, scenario_name=scenario.name, loss_name=loss.name)
 
         return add, finish
 
-    key = ("deviation_law", loss.name, scale, tuple(table.ravel().tolist()))
-    return WalkRequest(key, "deviation law", start)
+    return WalkRequest(("deviation_law",) + dev.key, "deviation law", start)
 
 
 def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None = None) -> DeviationLaw:

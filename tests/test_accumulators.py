@@ -7,6 +7,7 @@ per-sample adapter must match the oracles there, and in float mode give
 bit-identical results."""
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
@@ -135,6 +136,32 @@ def test_an_ordered_walk_of_a_release_matches_the_oracles(case, size):
         results = _walk_all(ordered, loss, deviation_sign_side_info(ordered, loss, F(1, 4)))
     _assert_matches_oracles(ordered, loss, F(1, 4), results)
     assert results[0].method == "exact-ordered"
+
+
+def _per_sample_side(side):
+    """side with its fn wrapped, so it loses its batch form and runs once per
+    kernel entry through the adapter."""
+    fn = side.fn
+    return dataclasses.replace(side, fn=functools.wraps(fn)(lambda sample, h: fn(sample, h)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(release_cases(), st.sampled_from(BLOCK_SIZES), st.booleans())
+def test_the_sign_side_per_sample_matches_its_batch_form(case, size, symmetric):
+    """The sign side channel's per-sample fn, in symmetric and ordered walks:
+    equal to its batch form in exact mode, bit-identical in float mode."""
+    for s, threshold in ((case[0], F(1, 4)), (case[1], 0.25)):
+        learner = dataclasses.replace(s.learner, symmetric=symmetric)
+        walked = []
+        for per_sample in (False, True):
+            fresh = Scenario(name=s.name, learner=learner, data_dist=s.data_dist, m=s.m)
+            side = deviation_sign_side_info(fresh, case[2], threshold)
+            if per_sample:
+                side = _per_sample_side(side)
+                assert batch_form(side.fn) is None
+            with block_size(size):
+                walked.append(_walk_all(fresh, case[2], side))
+        _assert_same(*walked)
 
 
 @settings(max_examples=60, deadline=None)

@@ -548,3 +548,47 @@ def test_cli_corpus_reports_a_rejected_scenario_and_goes_on(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert "error [2]: tail audit needs a loss" in captured.err
     assert "good: T1" in captured.out
+
+
+# ---------------------------------------------------------------------------
+# the declared epsilon of P4 and C1, in both modes
+
+#: P4 and C1 with no epsilon on a learner that declares none
+NO_EPSILON = [cfg_with(mode=mode, audits=[audit], n_runs=200) for mode in ("exact", "mc") for audit in ("P4", "C1")]
+NO_EPSILON_IDS = [f"{a}-{mode}" for mode in ("exact", "mc") for a in ("P4", "C1")]
+
+
+@pytest.mark.parametrize("raw", NO_EPSILON, ids=NO_EPSILON_IDS)
+def test_an_audit_without_an_epsilon_exits_2_in_both_modes(tmp_path, capsys, raw):
+    code, bundle = run_config(raw)
+    assert (code, bundle) == (EXIT_CONFIG, {"error": "audit needs the declared epsilon", "exit_code": EXIT_CONFIG})
+    assert main(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: audit needs the declared epsilon\n"
+
+
+def _rr_p4(mode, epsilon):
+    return cfg_with(
+        name="cli-rr",
+        domain={"size": 2},
+        learner={"name": "randomized_response_dp", "params": {"epsilon": 1.0}},
+        loss={"name": "zero_one"},
+        m=3,
+        mode=mode,
+        n_runs=200,
+        audits=[{"id": "P4", "epsilon": epsilon}],
+    )
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_a_declared_epsilon_of_zero_is_the_audit_epsilon(tmp_path, mode):
+    """epsilon 0 bounds vi by 0, in both modes; only a missing epsilon
+    stands for the learner's (epsilon 1, bound (e - 1) / 2)."""
+    code, bundle = run_config(_rr_p4(mode, 0))
+    assert bundle["method"] == mode
+    assert bundle["audits"][0]["bound"] == 0.0
+    if mode == "exact":
+        assert (code, bundle["audits"][0]["verdict"]) == (EXIT_FAIL, "fail")
+    assert run_config(_rr_p4(mode, None))[1]["audits"][0]["bound"] == pytest.approx((math.e - 1) / 2)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, _rr_p4(mode, 0)), "--out", str(out)]) == code
+    assert json.loads((out / "cli-rr.json").read_text())["audits"][0]["bound"] == 0.0
