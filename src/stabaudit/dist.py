@@ -186,14 +186,15 @@ def _validated_weights(weights, shape, where: str) -> np.ndarray:
     exact = w.dtype == object
     flat = w.ravel()
     if exact:
-        for x in flat:
+        values = flat.tolist()
+        for x in values:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"{where}: exact weights must be int or Fraction, got {type(x).__name__}")
-            if x < 0:
+            if x.numerator < 0:
                 raise ValueError(f"{where}: negative weight {x}")
-        total = sum(flat)
-        if total != 1:
-            raise ValueError(f"{where}: mass is {total}, expected exactly 1")
+        nums, den = common_denominator(values)
+        if sum(nums) != den:
+            raise ValueError(f"{where}: mass is {Fraction(sum(nums), den)}, expected exactly 1")
     else:
         if not np.all(np.isfinite(flat)):
             raise ValueError(f"{where}: non-finite weight")

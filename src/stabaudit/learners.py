@@ -929,29 +929,31 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
     """Three-valued flag of the deviation G at a threshold.
 
     K = +1 when G = R_emp(h) - R_true(h) >= threshold, -1 when <= -threshold,
-    else 0, with G read from the loss's losses.DeviationTable.  The side is
-    keyed by the threshold and the table.  fn has a batch form that reads
-    the block's (h, e) pairs.
+    else 0, with G read from the loss's losses.DeviationTable, one flag per
+    distinct g.  The side is keyed by the threshold and the table.  fn has
+    a batch form that reads the block's (h, e) pairs.
     """
     from .losses import DeviationTable  # local to avoid a cycle
 
     dev = DeviationTable(scenario, loss)
-    index = dev.hypotheses.index
+    index, z_index = dev.hypotheses.index, dev.dist.alphabet.index
 
-    def flag(hi: int, e: int) -> int:
-        g = dev(hi, e)
+    def flag(g) -> int:
         return 1 if g >= threshold else -1 if g <= -threshold else 0
 
     def fn(sample: tuple, h) -> dict:
         hi = index[h]
-        return {flag(hi, dev.entry_sum(sample, hi)): 1}
+        e = dev.sums_table[[z_index[z] for z in sample], hi].sum(keepdims=True)
+        gs, _ = dev.deviations(np.array([hi]), e)
+        return {flag(gs[0]): 1}
 
     def batch(block: Block, out: Sparse) -> Sparse:
-        pairs, inv = dev.entry_pairs(block, out)
+        h, e, inv = dev.entry_pairs(block, out)
+        gs, at = dev.deviations(h, e)
         # flags -1, 0, 1 sit at k indices 0, 1, 2
-        ks = np.array([flag(hi, e) + 1 for hi, e in pairs], dtype=np.intp)
+        ks = np.array([flag(g) + 1 for g in gs], dtype=np.intp)
         ones = np.ones(len(inv), dtype=object if block.exact else np.float64)
-        return Sparse(np.arange(len(inv)), ks[inv], ones)
+        return Sparse(np.arange(len(inv)), ks.take(at).take(inv), ones)
 
     name = f"deviation_sign@{threshold}"
     return SideInfoKernel(

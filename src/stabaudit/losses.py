@@ -14,25 +14,30 @@ Cell-wise readers see a loss as a table L[z, h] = table / scale over an
 observation alphabet and a hypothesis alphabet (loss_table).  In exact
 mode the table holds Python ints over the lcm of the values'
 denominators; in float mode it holds float64 with scale 1.  A loss builds
-each table once and keeps it.  gen(L) is then the integer (or float) sum
-of d * table over the joint's cell table d / scale (dist.Joint.cells),
-divided once, and the deviation-law cache is keyed by the loss's table.
+each table once and keeps it; a loss given by an integer table
+(random_table_loss, worst_case_loss) comes with both tables seeded on its
+own alphabets.  gen(L) is then the integer (or float) sum of d * table
+over the joint's cell table d / scale (dist.Joint.cells), divided once,
+and the deviation-law cache is keyed by the loss's table.
 
 The deviation law and the deviation-sign side channel read G through one
 DeviationTable.  The deviation of h on a sample is identified by e, the
 sum of the exact integer table entries of h over the sample, and is
-g = e / (m * scale) - R_true(h), taken once per (h index, e) as a
-Fraction less the true risk; in float mode that is e / (m * scale)
-correctly rounded, less the float risk.  The deviation law adds the
-masses into one Sums slot per distinct g, in both modes.  The true risk
-of h reads its table column: in exact mode it is one integer dot product
-with the distribution's weights over their common denominator, in float
-mode the sum of w * (column / scale) in symbol order.
+g = e / (m * scale) - R_true(h), computed for all distinct (h, e) pairs
+of a block at once: in float mode e / (m * scale) correctly rounded, less
+the float risk, in float64; in exact mode as an integer code over one
+denominator, with one Fraction per distinct code.  The deviation law adds
+the masses into one Sums slot per distinct g, in both modes.  The true
+risk of h is computed once, when h first appears, from its table column:
+in exact mode one integer dot product with the distribution's weights
+over their common denominator, in float mode the sum of
+w * (column / scale) in symbol order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,16 +147,12 @@ def true_risk(loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None 
             column, scale = common_denominator([fn(symbols[i], h) for i in at])
             nums = [nums[i] for i in at]
         return Fraction(sum(map(operator.mul, nums, column)), den * scale)
-    total = 0.0
-    if column is None:
-        fn = loss.fn
-        for z, w in zip(dist.alphabet.symbols, dist.weights.tolist()):
-            if w:
-                total += w * float(fn(z, h))
-    else:
-        for c, w in zip(column, dist.weights.tolist()):
-            if w:
-                total += w * (c / scale)
+    total, weights = 0.0, dist.weights.tolist()
+    if column is None:  # x / 1 is x
+        column, scale = [float(loss.fn(z, h)) if w else 0 for z, w in zip(dist.alphabet.symbols, weights)], 1
+    for c, w in zip(column, weights):
+        if w:
+            total += w * (c / scale)
     return total
 
 
@@ -216,41 +217,56 @@ class DeviationTable:
 
     key is (loss name, scale, the exact table): it identifies every law
     read from the table.  Each true risk is computed once from its table
-    column and each g once per (h index, e).
+    column, when its hypothesis first appears.
     """
 
     def __init__(self, scenario: Scenario, loss: ParametricLoss):
         dist, m = scenario.data_dist, scenario.m
-        self.loss, self.dist = loss, dist
+        self.loss, self.dist, self.exact = loss, dist, dist.is_exact
         self.hypotheses = hyp = scenario.learner.hypotheses(m)
         table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
         self.key = (loss.name, self.scale, tuple(table.ravel().tolist()))
         self.sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
         self._columns = table.T.tolist()
         self._ms = m * self.scale
-        self._risks: dict = {}
-        self._g: dict = {}
+        self._risks: dict = {}  # h index -> true risk, a float in float mode
+        self._r, self._den = np.zeros(len(hyp)), 1  # risks by h index; exact: numerators over _den
 
-    def __call__(self, hi: int, e: int):
-        """g = e / (m * scale) - R_true(h): a Fraction less the true risk,
-        which in float mode is the correctly rounded e / (m * scale) less it."""
-        g = self._g.get((hi, e))
-        if g is None:
-            if hi not in self._risks:
-                h = self.hypotheses.symbols[hi]
-                self._risks[hi] = true_risk(self.loss, h, self.dist, self._columns[hi], self.scale)
-            g = self._g[hi, e] = Fraction(e, self._ms) - self._risks[hi]
-        return g
+    def deviations(self, h: np.ndarray, e: np.ndarray) -> tuple[list, np.ndarray]:
+        """The distinct deviations g of the pairs (h[i], e[i]), sorted, and
+        each pair's position among them.
 
-    def entry_sum(self, sample: tuple, hi: int) -> int:
-        """e of hypothesis index hi on one sample."""
-        index, column = self.dist.alphabet.index, self._columns[hi]
-        return sum(column[index[z]] for z in sample)
+        Float mode: g = e / (m * scale) - r[h] in float64; below 2^53 the
+        quotient rounds once, as float(Fraction) does, and past that it is
+        taken in Python ints.  Exact mode: with the risks R_num / D over one
+        denominator, e * D - m * scale * R_num[h] is the integer code of
+        g * (m * scale * D), in int64 while it fits."""
+        # a set, not np.unique: without return_* it loads numpy.ma (about 1 MB) on first use
+        new = sorted(set(h.tolist()).difference(self._risks))
+        for hi in new:
+            r = true_risk(self.loss, self.hypotheses.symbols[hi], self.dist, self._columns[hi], self.scale)
+            self._risks[hi] = r if self.exact else float(r)
+        ms = self._ms
+        if not self.exact:
+            self._r[new] = [self._risks[hi] for hi in new]
+            q = e / ms if e.dtype != object and ms < 2**53 else np.array([x / ms for x in e.tolist()])
+            g, at = np.unique(q - self._r.take(h), return_inverse=True)
+            return g.tolist(), at
+        if new:
+            nums, self._den = common_denominator(self._risks.values())
+            self._r = np.zeros(len(self._columns), dtype=object)
+            self._r[list(self._risks)] = nums
+        den, r = self._den, self._r.take(h)
+        small = e.dtype != object and max(int(abs(e).max()) * den + ms * int(abs(r).max()), ms, den) < 2**63
+        codes = e * den - ms * r.astype(np.int64) if small else e.astype(object) * den - ms * r
+        codes, at = np.unique(codes, return_inverse=True)
+        return [Fraction(c, ms * den) for c in codes.tolist()], at
 
-    def entry_pairs(self, block: Block, out: Sparse) -> tuple[list, np.ndarray]:
-        """The distinct pairs (h index, e) of the kernel entries, sorted, and
-        each entry's position among them.  Kept on the block for its kernel
-        output, so every reader of one table shares them."""
+    def entry_pairs(self, block: Block, out: Sparse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct pairs (h index, e) of the kernel entries, sorted, as
+        arrays h and e, and each entry's position among them.  Kept on the
+        block for its kernel output, so every reader of one table shares
+        them."""
         table = self.sums_table
 
         def build():
@@ -259,9 +275,9 @@ class DeviationTable:
             e = table.ravel().take(at).sum(axis=1)
             lo = int(e.min())
             span = int(e.max()) - lo + 1
-            # the code h * span + e - lo orders entries as the pairs (h, e) do
-            codes, slot = np.unique(out.col * span + (e - lo), return_inverse=True)
-            return list(zip((codes // span).tolist(), (codes % span + lo).tolist())), slot
+            # the code h * span + e - lo (Python ints when e is) orders entries as the pairs (h, e) do
+            codes, slot = np.unique(out.col.astype(e.dtype, copy=False) * span + (e - lo), return_inverse=True)
+            return (codes // span).astype(np.intp), codes % span + lo, slot
 
         return block.memo(("pairs", id(table)), out, build)
 
@@ -269,26 +285,22 @@ class DeviationTable:
 def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
     """The deviation law as a walk request, cached under its table's key.
 
-    Each distinct deviation gets a slot in first-visit order, and the
+    Each distinct deviation gets a slot when a block first has it, and the
     masses P(S) K(h|S) of its (h, e) pairs add into it in visit order."""
     dev = DeviationTable(scenario, loss)
     exact = scenario.data_dist.is_exact
 
     def start():
-        slot_of: dict = {}  # (h index, e) -> slot of its deviation
         slots: dict = {}  # deviation -> slot
         sums = Sums(0, exact)
 
         def add(block: Block, out: Sparse):
-            pairs, inv = dev.entry_pairs(block, out)
-            at = []
-            for p in pairs:
-                if p not in slot_of:
-                    slot_of[p] = slots.setdefault(dev(*p), len(slots))
-                at.append(slot_of[p])
+            h, e, inv = dev.entry_pairs(block, out)
+            gs, at = dev.deviations(h, e)
+            slot = np.array([slots.setdefault(g, len(slots)) for g in gs], dtype=np.intp)
             sums.grow(len(slots))
             mass = block.weights.take(out.row) * out.prob
-            sums.add(np.array(at, dtype=np.intp)[inv], mass, block.den * out.den)
+            sums.add(slot.take(at).take(inv), mass, block.den * out.den)
 
         def finish() -> DeviationLaw:
             total, den = sums.total()
@@ -316,15 +328,7 @@ def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None =
 
 
 def constant_loss(value=1) -> ParametricLoss:
-    def fn(z, h):
-        return value
-
-    return ParametricLoss(
-        name=f"constant[{value}]",
-        fn=fn,
-        params={"value": value},
-        true_risk_fn=lambda h, dist: value,
-    )
+    return ParametricLoss(f"constant[{value}]", lambda z, h: value, {"value": value}, lambda h, dist: value)
 
 
 def zero_one_loss() -> ParametricLoss:
@@ -346,6 +350,20 @@ def table_loss(name: str, domain: Alphabet, hypotheses: Alphabet, values: np.nda
     return ParametricLoss(name=name, fn=fn, params={"shape": (len(domain), len(hypotheses))})
 
 
+def _integer_table_loss(name, domain, hypotheses, nums: np.ndarray, scale: int, params, true_risk_fn=None) -> ParametricLoss:
+    """The loss nums / scale over domain x hypotheses, for an integer array
+    nums: fn looks a cell up as a Fraction, and both tables come seeded as
+    loss_table would build them from fn.  Exact: nums and scale over their
+    gcd (what common_denominator gives), as Python ints.  Float: nums /
+    scale, which rounds each rational once, as float(Fraction) does."""
+    rows, hi = dict(zip(domain.symbols, nums.tolist())), hypotheses.index
+    loss = ParametricLoss(name, lambda z, h: Fraction(rows[z][hi[h]], scale), params, true_risk_fn)
+    g = math.gcd(scale, int(np.gcd.reduce(nums, axis=None)))
+    loss._tables[domain, hypotheses, True] = ((nums // g).astype(object), scale // g)
+    loss._tables[domain, hypotheses, False] = (nums / scale, 1)
+    return loss
+
+
 def random_table_loss(domain: Alphabet, hypotheses: Alphabet, seed: int, levels: int = 16) -> ParametricLoss:
     """Seeded random loss table with values on the grid {0, 1/levels, ..., 1}.
 
@@ -353,9 +371,7 @@ def random_table_loss(domain: Alphabet, hypotheses: Alphabet, seed: int, levels:
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     raw = rng.integers(0, levels + 1, size=(len(domain), len(hypotheses)))
-    values = [[Fraction(int(v), levels) for v in row] for row in raw]
-    loss = table_loss(f"random_table[{seed}]", domain, hypotheses, values)
-    return ParametricLoss(name=loss.name, fn=loss.fn, params={"seed": seed, "levels": levels})
+    return _integer_table_loss(f"random_table[{seed}]", domain, hypotheses, raw, levels, {"seed": seed, "levels": levels})
 
 
 @lru_cache(maxsize=65536)
@@ -431,24 +447,15 @@ def worst_case_loss(tj: TrnHypJoint, tol: float = 0.0) -> ParametricLoss:
     boundary = np.count_nonzero(d == 0) if j.is_exact else np.count_nonzero(abs(d) <= tol)
     indicator = np.where(d >= 0, 1, 0)
     zsyms, hsyms = j.axes
-    base = table_loss("worst_case", zsyms, hsyms, indicator.tolist())
     if j.is_exact:
-        table = indicator.astype(object)
-        masses = (cells.row_mass[:, None] * table).sum(axis=0)
+        masses = (cells.row_mass[:, None] * indicator.astype(object)).sum(axis=0)
         risks = [Fraction(mass, cells.den) for mass in masses]
     else:
-        table = indicator.astype(np.float64)
         # summed over z in order, not pairwise
         risks = np.add.accumulate(cells.row_mass[:, None] * indicator, axis=0)[-1]
     hrisk = dict(zip(hsyms.symbols, risks))
-    loss = ParametricLoss(
-        name="worst_case",
-        fn=base.fn,
-        params={"boundary_cells": int(boundary)},
-        true_risk_fn=lambda h, dist: hrisk[h],
-    )
-    loss._tables[(zsyms, hsyms, j.is_exact)] = (table, 1)
-    return loss
+    params = {"boundary_cells": int(boundary)}
+    return _integer_table_loss("worst_case", zsyms, hsyms, indicator, 1, params, lambda h, dist: hrisk[h])
 
 
 def exhaustive_binary_loss_max(tj: TrnHypJoint):
@@ -464,11 +471,7 @@ def exhaustive_binary_loss_max(tj: TrnHypJoint):
         raise ValueError(f"{cells} cells is too many for exhaustive search")
     best, best_table = None, None
     for bits in itertools.product((0, 1), repeat=cells):
-        total = 0
-        for b, v in zip(bits, d):
-            if b:
-                total = total + v
-        total = abs(total)
+        total = abs(sum(v for b, v in zip(bits, d) if b))
         if best is None or total > best:
             best, best_table = total, bits
     if j.is_exact:
@@ -528,11 +531,4 @@ def erm_consistency_bound(
         good = tail <= bound + tol
         ok = ok and good
         curve.append((t, tail, bound, good))
-    return ErmConsistency(
-        scenario_name=scenario.name,
-        best_hypothesis=best_h,
-        info=info,
-        excess_points=points,
-        curve=tuple(curve),
-        holds=ok,
-    )
+    return ErmConsistency(scenario.name, best_h, info, points, tuple(curve), ok)

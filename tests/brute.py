@@ -128,6 +128,46 @@ def deviation_sign(dist_map, loss_fn, threshold):
     return side
 
 
+
+def float_deviation(loss_fn, fdist, sample, h):
+    """Float-mode G of h on a sample: the mean loss over the sample as an
+    exact Fraction, rounded once, less float_true_risk under fdist."""
+    return float(sum(Fraction(loss_fn(z, h)) for z in sample) / len(sample)) - float_true_risk(loss_fn, h, fdist)
+
+
+def float_deviation_points(dist_map, kernel, m, loss_fn, fdist, atol=1e-12):
+    """Float-mode law of G with exact masses: the float deviations in
+    increasing order, each within atol of the first of its group merged
+    into it."""
+    acc = {}
+    for sample in product(list(dist_map), repeat=m):
+        w = Fraction(1)
+        for z in sample:
+            w = w * dist_map[z]
+        if w == 0:
+            continue
+        for h, ph in kernel(sample).items():
+            if ph != 0:
+                g = float_deviation(loss_fn, fdist, sample, h)
+                acc[g] = acc.get(g, 0) + w * Fraction(ph)
+    merged = []
+    for v, p in sorted(acc.items()):
+        if merged and abs(v - merged[-1][0]) <= atol:
+            merged[-1][1] += p
+        else:
+            merged.append([v, p])
+    return [(v, p) for v, p in merged]
+
+
+def float_deviation_sign(loss_fn, fdist, threshold):
+    """Side function: the flag of deviation_sign, of the float-mode G."""
+
+    def side(sample, h):
+        g = float_deviation(loss_fn, fdist, sample, h)
+        return {1 if g >= threshold else -1 if g <= -threshold else 0: 1}
+
+    return side
+
 def sample_hyp_mi(dist_map, kernel, m):
     """Shannon I(S; H) in nats over all ordered samples S."""
     joint = {}

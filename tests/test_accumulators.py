@@ -31,7 +31,7 @@ from stabaudit.learners import (
     trn_hyp_request,
     walk,
 )
-from stabaudit.losses import deviation_request, int_loss_table, membership_loss, table_loss
+from stabaudit.losses import deviation_request, int_loss_table, loss_table, membership_loss, table_loss
 from stabaudit.numeric import EXACT, FLOAT64
 from strategies import BLOCK_SIZES, block_size, losses, per_sample_twin, releases, scenarios
 
@@ -213,6 +213,73 @@ def test_a_loss_table_past_int64_sums_matches_the_oracles(size):
         results = _walk_all(s, loss, deviation_sign_side_info(s, loss, F(1, 4)))
     _assert_matches_oracles(s, loss, F(1, 4), results)
 
+
+
+#: thresholds of the array deviation tests: 1/3, which no float equals,
+#: and 1/4 and 0.25, which quarter-grid deviations hit exactly
+THRESHOLDS = (F(1, 3), F(1, 4), 0.25)
+
+
+def _assert_deviations_match(s, s_float, loss, threshold, per_sample=False):
+    """The deviation law and the sign side's three-way joint in both modes
+    against the oracles: exact mode equal; float mode with the float
+    oracles' deviations, the same values and masses within 1e-12."""
+    dist_map, kernel, m = _dist_map(s), s.learner.kernel, s.m
+    for scenario in (s, s_float):
+        side = deviation_sign_side_info(scenario, loss, threshold)
+        if per_sample:
+            side = _per_sample_side(side)
+        law, j3 = walk(scenario, [deviation_request(scenario, loss), threeway_request(scenario, side)])
+        if scenario is s:
+            assert list(law.points) == brute.deviation_points(dist_map, kernel, m, loss.fn)
+            sign = brute.deviation_sign(dist_map, loss.fn, threshold)
+            triples = brute.threeway_triples(dist_map, kernel, sign, m)
+            assert all(got == triples.get(idx, 0) for idx, got in _cells(j3))
+            continue
+        fdist = s_float.data_dist
+        want = brute.float_deviation_points(dist_map, kernel, m, loss.fn, fdist)
+        assert all(type(v) is float for v, _ in law.points)
+        assert [v for v, _ in law.points] == [v for v, _ in want]
+        assert all(abs(p - float(q)) <= 1e-12 for (_, p), (_, q) in zip(law.points, want))
+        sign = brute.float_deviation_sign(loss.fn, fdist, threshold)
+        triples = brute.threeway_triples(dist_map, kernel, sign, m)
+        assert all(abs(got - float(triples.get(idx, 0))) <= 1e-12 for idx, got in _cells(j3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases(), st.sampled_from(BLOCK_SIZES), st.sampled_from(THRESHOLDS))
+def test_array_deviations_match_the_oracles_in_both_modes(case, size, threshold):
+    s, s_float, loss = case
+    with block_size(size):
+        _assert_deviations_match(s, s_float, loss, threshold)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=str)
+@pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per-sample"])
+def test_array_deviations_past_int64_match_the_oracles(size, threshold, per_sample):
+    """A loss over a denominator past 2^60: the sums e and the exact codes
+    are Python ints (object arrays), and m * scale is past 2^53, so float
+    mode divides in Python ints; the sign side runs batched and per sample."""
+    domain = Alphabet("z", tuple("bac"))
+    weights = [F(1, 2), F(1, 3), F(1, 6)]
+    s, s_float = (
+        Scenario(
+            name="big",
+            learner=subsample_release(domain, 2, F(1, 2), mode=mode),
+            data_dist=Dist(domain, np.array([conv(w) for w in weights], dtype=mode.dtype)),
+            m=3,
+        )
+        for mode, conv in ((EXACT, F), (FLOAT64, float))
+    )
+    hyp = s.learner.hypotheses(3)
+    tiny = F(1, 2**60 + 1)
+    values = [[F((3 * i + j) % 5, 5) + tiny * ((i + j) % 2) for j in range(len(hyp))] for i in range(len(domain))]
+    loss = table_loss("big", domain, hyp, values)
+    assert int_loss_table(loss, domain, hyp, 3).dtype == object
+    assert 3 * loss_table(loss, domain, hyp, True)[1] >= 2**53
+    with block_size(size):
+        _assert_deviations_match(s, s_float, loss, threshold, per_sample)
 
 @settings(max_examples=80, deadline=None)
 @given(walk_cases(), st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(FAR_THRESHOLD)]))

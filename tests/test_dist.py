@@ -143,6 +143,19 @@ def test_exact_dist_requires_exact_unit_mass():
         Dist(AB, np.array([0.5, Fraction(1, 2)], dtype=object))
 
 
+
+def test_exact_weight_errors_name_the_fault():
+    """Messages of the exact checks: the first bad type, the first negative
+    weight, and the mass as a reduced Fraction."""
+    with pytest.raises(TypeError, match=r"^dist\[x\]: exact weights must be int or Fraction, got float$"):
+        Dist(AB, np.array([Fraction(1, 2), 0.5], dtype=object))
+    with pytest.raises(ValueError, match=r"^dist\[x\]: negative weight -1/2$"):
+        exact_dist(AB, Fraction(3, 2), Fraction(-1, 2))
+    with pytest.raises(ValueError, match=r"^dist\[x\]: mass is 99/100, expected exactly 1$"):
+        exact_dist(AB, Fraction(1, 4), Fraction(37, 50))
+    with pytest.raises(ValueError, match=r"^joint\[x,y\]: mass is 2, expected exactly 1$"):
+        Joint((AB, Alphabet("y", ("c", "d"))), np.array([[1, 0], [Fraction(1, 2), Fraction(1, 2)]], dtype=object))
+
 def test_float_dist_mass_tolerance():
     Dist(AB, [0.5, 0.5 + 5e-13])
     with pytest.raises(ValueError):

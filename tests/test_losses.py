@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import brute
 from stabaudit.dist import Alphabet, Dist
@@ -34,7 +36,7 @@ from stabaudit.losses import (
     worst_case_loss,
     zero_one_loss,
 )
-from stabaudit.numeric import EXACT
+from stabaudit.numeric import EXACT, FLOAT64
 
 F = Fraction
 
@@ -337,6 +339,27 @@ def test_exact_deviation_law_is_exact_for_a_float_valued_loss():
     assert list(law.points) == brute.deviation_points(dist_map(s.data_dist), learner.kernel, 2, exact.fn)
 
 
+
+def test_a_float_law_holds_floats_when_the_true_risk_is_a_fraction():
+    """A true_risk_fn that returns a Fraction in a float scenario: every
+    deviation of the law is a Python float, and its probabilities floats."""
+    d = Alphabet.of_size("z", 3)
+    learner = subsample_release(d, k=1, mode=FLOAT64)
+    s = Scenario(name="s", learner=learner, data_dist=Dist.uniform(d, FLOAT64), m=2)
+    exact = uniform_scenario(subsample_release(d, k=1, mode=EXACT), m=2)
+    member = membership_loss()
+    fraction_risk = ParametricLoss(
+        name="membership", fn=member.fn, true_risk_fn=lambda h, dist: true_risk(member, h, exact.data_dist)
+    )
+    for loss in (constant_loss(F(1, 3)), fraction_risk):
+        law = deviation_law(s, loss)
+        want = deviation_law(exact, loss).points
+        assert all(type(v) is float and isinstance(p, float) for v, p in law.points)
+        assert len(law.points) == len(want)
+        for (v, p), (w, q) in zip(law.points, want):
+            assert abs(v - float(w)) <= 1e-12 and abs(p - float(q)) <= 1e-12
+    assert deviation_law(s, constant_loss(F(1, 3))).points[0][0] == 0.0
+
 # ---------------------------------------------------------------------------
 # table losses
 
@@ -360,6 +383,48 @@ def test_random_table_is_seed_deterministic():
     assert grid_a != [c(z, hy) for z in d.symbols for hy in h.symbols]
     assert all(isinstance(v, Fraction) and 0 <= v <= 1 and v.denominator <= 16 for v in grid_a)
 
+
+
+def _assert_same_table(got, want):
+    """Equal (table, scale): values, dtype, value types, float bits."""
+    (a, scale), (b, want_scale) = got, want
+    assert scale == want_scale and a.dtype == b.dtype and a.shape == b.shape
+    assert [type(x) for x in a.ravel()] == [type(x) for x in b.ravel()]
+    assert a.tolist() == b.tolist()
+    if a.dtype != object:
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16), st.sampled_from([1, 2, 4, 7, 12, 16]))
+@example(n=2, k=2, seed=0, levels=16)  # draws 0, 0, 10, 4: gcd 2
+@example(n=2, k=2, seed=9, levels=12)  # draws 10, 2, 4, 10: gcd 2
+@example(n=2, k=2, seed=22, levels=4)  # draws all 2: gcd 2
+def test_seeded_tables_equal_the_per_cell_build(n, k, seed, levels):
+    """random_table_loss seeds both tables; a plain loss with the same fn
+    builds them cell by cell.  They agree in both modes, also when the
+    draws share a factor with levels and the exact scale drops below it."""
+    d = Alphabet.of_size("z", n)
+    hyp = Alphabet("h", tuple(f"h{i}" for i in range(k)))
+    loss = random_table_loss(d, hyp, seed=seed, levels=levels)
+    plain = ParametricLoss(name=loss.name, fn=loss.fn)
+    assert set(loss._tables) == {(d, hyp, True), (d, hyp, False)}
+    for exact in (True, False):
+        _assert_same_table(loss_table(loss, d, hyp, exact), loss_table(plain, d, hyp, exact))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_worst_case_tables_equal_the_per_cell_build(mode):
+    d = Alphabet.of_size("z", 3)
+    s = Scenario(
+        name="s", learner=subsample_release(d, k=1, mode=mode), data_dist=Dist.uniform(d, mode), m=2
+    )
+    tj = exact_trn_hyp_joint(s)
+    loss = worst_case_loss(tj)
+    plain = ParametricLoss(name=loss.name, fn=loss.fn)
+    z, h = tj.joint.axes
+    for exact in (True, False):
+        _assert_same_table(loss_table(loss, z, h, exact), loss_table(plain, z, h, exact))
 
 # ---------------------------------------------------------------------------
 # ERM consistency
