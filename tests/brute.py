@@ -128,7 +128,6 @@ def deviation_sign(dist_map, loss_fn, threshold):
     return side
 
 
-
 def float_deviation(loss_fn, fdist, sample, h):
     """Float-mode G of h on a sample: the mean loss over the sample as an
     exact Fraction, rounded once, less float_true_risk under fdist."""
@@ -167,6 +166,7 @@ def float_deviation_sign(loss_fn, fdist, threshold):
         return {1 if g >= threshold else -1 if g <= -threshold else 0: 1}
 
     return side
+
 
 def sample_hyp_mi(dist_map, kernel, m):
     """Shannon I(S; H) in nats over all ordered samples S."""

@@ -214,7 +214,6 @@ def test_a_loss_table_past_int64_sums_matches_the_oracles(size):
     _assert_matches_oracles(s, loss, F(1, 4), results)
 
 
-
 #: thresholds of the array deviation tests: 1/3, which no float equals,
 #: and 1/4 and 0.25, which quarter-grid deviations hit exactly
 THRESHOLDS = (F(1, 3), F(1, 4), 0.25)
@@ -280,6 +279,7 @@ def test_array_deviations_past_int64_match_the_oracles(size, threshold, per_samp
     assert 3 * loss_table(loss, domain, hyp, True)[1] >= 2**53
     with block_size(size):
         _assert_deviations_match(s, s_float, loss, threshold, per_sample)
+
 
 @settings(max_examples=80, deadline=None)
 @given(walk_cases(), st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(FAR_THRESHOLD)]))

@@ -143,7 +143,6 @@ def test_exact_dist_requires_exact_unit_mass():
         Dist(AB, np.array([0.5, Fraction(1, 2)], dtype=object))
 
 
-
 def test_exact_weight_errors_name_the_fault():
     """Messages of the exact checks: the first bad type, the first negative
     weight, and the mass as a reduced Fraction."""
@@ -155,6 +154,7 @@ def test_exact_weight_errors_name_the_fault():
         exact_dist(AB, Fraction(1, 4), Fraction(37, 50))
     with pytest.raises(ValueError, match=r"^joint\[x,y\]: mass is 2, expected exactly 1$"):
         Joint((AB, Alphabet("y", ("c", "d"))), np.array([[1, 0], [Fraction(1, 2), Fraction(1, 2)]], dtype=object))
+
 
 def test_float_dist_mass_tolerance():
     Dist(AB, [0.5, 0.5 + 5e-13])

@@ -339,7 +339,6 @@ def test_exact_deviation_law_is_exact_for_a_float_valued_loss():
     assert list(law.points) == brute.deviation_points(dist_map(s.data_dist), learner.kernel, 2, exact.fn)
 
 
-
 def test_a_float_law_holds_floats_when_the_true_risk_is_a_fraction():
     """A true_risk_fn that returns a Fraction in a float scenario: every
     deviation of the law is a Python float, and its probabilities floats."""
@@ -359,6 +358,7 @@ def test_a_float_law_holds_floats_when_the_true_risk_is_a_fraction():
         for (v, p), (w, q) in zip(law.points, want):
             assert abs(v - float(w)) <= 1e-12 and abs(p - float(q)) <= 1e-12
     assert deviation_law(s, constant_loss(F(1, 3))).points[0][0] == 0.0
+
 
 # ---------------------------------------------------------------------------
 # table losses
@@ -382,7 +382,6 @@ def test_random_table_is_seed_deterministic():
     assert grid_a == [b(z, hy) for z in d.symbols for hy in h.symbols]
     assert grid_a != [c(z, hy) for z in d.symbols for hy in h.symbols]
     assert all(isinstance(v, Fraction) and 0 <= v <= 1 and v.denominator <= 16 for v in grid_a)
-
 
 
 def _assert_same_table(got, want):
@@ -425,6 +424,7 @@ def test_worst_case_tables_equal_the_per_cell_build(mode):
     z, h = tj.joint.axes
     for exact in (True, False):
         _assert_same_table(loss_table(loss, z, h, exact), loss_table(plain, z, h, exact))
+
 
 # ---------------------------------------------------------------------------
 # ERM consistency
