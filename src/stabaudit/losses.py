@@ -350,7 +350,7 @@ def table_loss(name: str, domain: Alphabet, hypotheses: Alphabet, values: np.nda
     return ParametricLoss(name=name, fn=fn, params={"shape": (len(domain), len(hypotheses))})
 
 
-def _integer_table_loss(name, domain, hypotheses, nums: np.ndarray, scale: int, params, true_risk_fn=None) -> ParametricLoss:
+def _integer_table_loss(name, domain, hypotheses, nums: np.ndarray, scale: int, params, true_risk_fn) -> ParametricLoss:
     """The loss nums / scale over domain x hypotheses, for an integer array
     nums: fn looks a cell up as a Fraction, and both tables come seeded as
     loss_table would build them from fn.  Exact: nums and scale over their
@@ -371,7 +371,8 @@ def random_table_loss(domain: Alphabet, hypotheses: Alphabet, seed: int, levels:
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     raw = rng.integers(0, levels + 1, size=(len(domain), len(hypotheses)))
-    return _integer_table_loss(f"random_table[{seed}]", domain, hypotheses, raw, levels, {"seed": seed, "levels": levels})
+    params = {"seed": seed, "levels": levels}
+    return _integer_table_loss(f"random_table[{seed}]", domain, hypotheses, raw, levels, params, None)
 
 
 @lru_cache(maxsize=65536)

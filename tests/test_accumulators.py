@@ -219,7 +219,7 @@ def test_a_loss_table_past_int64_sums_matches_the_oracles(size):
 THRESHOLDS = (F(1, 3), F(1, 4), 0.25)
 
 
-def _assert_deviations_match(s, s_float, loss, threshold, per_sample=False):
+def _assert_deviations_match(s, s_float, loss, threshold, per_sample):
     """The deviation law and the sign side's three-way joint in both modes
     against the oracles: exact mode equal; float mode with the float
     oracles' deviations, the same values and masses within 1e-12."""
@@ -250,7 +250,7 @@ def _assert_deviations_match(s, s_float, loss, threshold, per_sample=False):
 def test_array_deviations_match_the_oracles_in_both_modes(case, size, threshold):
     s, s_float, loss = case
     with block_size(size):
-        _assert_deviations_match(s, s_float, loss, threshold)
+        _assert_deviations_match(s, s_float, loss, threshold, False)
 
 
 @pytest.mark.parametrize("size", BLOCK_SIZES)
