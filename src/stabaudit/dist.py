@@ -25,13 +25,16 @@ Every cell-wise quantity of a two-axis joint P(Z, H) (variational
 information, generalization risk, the worst-case loss) reads the same
 difference D = P(Z, H) - P(Z) P(H).  Joint.cells computes it once and
 keeps it on the joint, which is immutable, as a cell table d / scale.  In
-exact mode the weights are first brought to their common denominator den,
-the lcm of their denominators, so J = weights * den holds Python ints; then
+exact mode it reads integer_weights: the weights as Python ints J over
+their common denominator den, the lcm of their denominators; then
 
     d = J * den - outer(J.sum(1), J.sum(0)),    scale = den**2,
 
 and every sum over cells is an integer sum, divided once at the end.  In
-float mode d = weights - product_weights(weights) and scale = 1.
+float mode d = weights - product_weights(weights) and scale = 1.  An exact
+joint given as integers (Joint.of_integers, as the walker builds them) is
+checked in integers and builds its Fraction weights only when they are
+read.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Sequence
 
 import numpy as np
 
-from .numeric import FLOAT64, NumericMode, coerce_number, mode_of, zeros
+from .numeric import EXACT, FLOAT64, NumericMode, coerce_number, mode_of, zeros
 
 #: absolute tolerance on total mass for float-mode construction
 MASS_ATOL = 1e-12
@@ -313,14 +316,40 @@ class Joint:
     weights: np.ndarray
 
     def __post_init__(self):
-        axes = tuple(self.axes)
+        shape, where = self._set_axes(self.axes)
+        object.__setattr__(self, "weights", _validated_weights(self.weights, shape, where))
+
+    def _set_axes(self, axes) -> tuple[tuple, str]:
+        """Set the axes; return the joint's shape and its name in errors."""
+        axes = tuple(axes)
         object.__setattr__(self, "axes", axes)
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
             raise ValueError(f"axis names must be unique, got {names}")
-        shape = tuple(len(a) for a in axes)
-        w = _validated_weights(self.weights, shape, f"joint[{','.join(names)}]")
-        object.__setattr__(self, "weights", w)
+        return tuple(len(a) for a in axes), f"joint[{','.join(names)}]"
+
+    @classmethod
+    def of_integers(cls, axes, nums: np.ndarray, den: int) -> "Joint":
+        """The exact joint nums / den of an integer array, checked in integers
+        with the errors Joint(axes, weights) raises.  integer_weights are
+        nums and den over their gcd; the weights are built on first read."""
+        joint = object.__new__(_IntegerJoint)
+        shape, where = joint._set_axes(axes)
+        if nums.shape != shape:
+            raise DomainMismatchError(f"{where}: weights shape {nums.shape} != {shape}")
+        values = nums.ravel().tolist()
+        for x in values:
+            if not isinstance(x, int):
+                raise TypeError(f"{where}: exact weights must be int or Fraction, got {type(x).__name__}")
+        if min(values) < 0:
+            raise ValueError(f"{where}: negative weight {Fraction(next(x for x in values if x < 0), den)}")
+        if sum(values) != den:
+            raise ValueError(f"{where}: mass is {Fraction(sum(values), den)}, expected exactly 1")
+        g = gcd(den, *values)
+        nums = (nums // g).astype(object)
+        nums.setflags(write=False)
+        object.__setattr__(joint, "integer_weights", (nums, den // g))
+        return joint
 
     @property
     def arity(self) -> int:
@@ -332,11 +361,19 @@ class Joint:
 
     @property
     def is_exact(self) -> bool:
-        return self.weights.dtype == object
+        return "weights" not in self.__dict__ or self.weights.dtype == object
 
     @property
     def mode(self) -> NumericMode:
-        return mode_of(self.weights)
+        return EXACT if self.is_exact else FLOAT64
+
+    @cached_property
+    def integer_weights(self) -> tuple[np.ndarray, int]:
+        """Exact weights as Python ints in the joint's shape over their lcm den."""
+        nums, den = common_denominator(self.weights.ravel().tolist())
+        nums = np.array(nums, dtype=object).reshape(self.weights.shape)
+        nums.setflags(write=False)
+        return nums, den
 
     def axis(self, name: str) -> int:
         for i, a in enumerate(self.axes):
@@ -434,9 +471,20 @@ class Joint:
         if not self.is_exact:
             w = self.weights
             return CellTable(w - product_weights(w), 1, w.sum(axis=1), 1)
-        nums, den = common_denominator(self.weights.ravel())
-        big = np.array(nums, dtype=object).reshape(self.weights.shape)
+        big, den = self.integer_weights
         return CellTable(big * den - product_weights(big), den * den, big.sum(axis=1), den)
+
+
+class _IntegerJoint(Joint):
+    """An exact joint built by Joint.of_integers."""
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """One Fraction per nonzero cell; the others stay int 0."""
+        nums, den = self.integer_weights
+        w = np.array([Fraction(x, den) if x else 0 for x in nums.ravel().tolist()], dtype=object).reshape(nums.shape)
+        w.setflags(write=False)
+        return w
 
 
 def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:

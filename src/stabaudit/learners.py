@@ -47,8 +47,9 @@ or trace a walk), the walk reads its rows from that function instead.
 Each accumulator takes one call per block.  Float sums add entries with
 np.add.at, in entry order, so every cell sums its terms in visit order
 exactly as a per-sample loop would.  Exact mode keeps integer numerators
-per denominator and finish() builds one Fraction per cell over their
-lcm.  What two accumulators read alike on a block (the cell masses, the
+per denominator, and finish() hands their sum over the lcm to
+Joint.of_integers, which builds no Fraction until the weights are read.
+What two accumulators read alike on a block (the cell masses, the
 deviation table's (h, e) pairs) is computed once and kept on the block.
 """
 
@@ -463,14 +464,12 @@ def walk(scenario: Scenario, requests: Sequence[WalkRequest], budget: int | None
     return [scenario.cached(req.key, finish.get(req.key)) for req in requests]
 
 
-def _cell_weights(cells: Sums, shape: tuple, extra: int) -> np.ndarray:
-    """The summed cells as joint weights: float sums, or one Fraction per
-    nonzero cell over den * extra (untouched cells stay int 0)."""
+def _cell_joint(axes: tuple, cells: Sums, extra: int) -> Joint:
+    """The summed cells as a joint over axes: float sums, or the integer
+    numerators over den * extra."""
     total, den = cells.total()
-    if cells.exact:
-        den *= extra
-        total = np.array([Fraction(x, den) if x else 0 for x in total.tolist()], dtype=object)
-    return total.reshape(shape)
+    total = total.reshape(tuple(len(a) for a in axes))
+    return Joint.of_integers(axes, total, den * extra) if cells.exact else Joint(axes, total)
 
 
 def _cell_terms(block: Block, out: Sparse, m: int, hyps: int):
@@ -510,7 +509,7 @@ def trn_hyp_request(scenario: Scenario) -> WalkRequest:
             cells.add(cell.ravel(), mass.ravel(), block.den * out.den)
 
         def finish() -> TrnHypJoint:
-            joint = Joint((dist.alphabet, hyp), _cell_weights(cells, shape, m))
+            joint = _cell_joint((dist.alphabet, hyp), cells, m)
             method = "exact-multiset" if learner.symmetric else "exact-ordered"
             return TrnHypJoint(joint=joint, method=method, kernel_evals=evals)
 
@@ -566,7 +565,7 @@ def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
             at += ks.col[:, None]
             cells.add(at.ravel(), mass.ravel(), block.den * out.den * ks.den)
 
-        return add, lambda: Joint((dist.alphabet, hyp, side_alpha), _cell_weights(cells, shape, m))
+        return add, lambda: _cell_joint((dist.alphabet, hyp, side_alpha), cells, m)
 
     key = side.name if side.key is None else side.key
     return WalkRequest(("threeway", key), "threeway joint", start)
@@ -929,13 +928,14 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
     """Three-valued flag of the deviation G at a threshold.
 
     K = +1 when G = R_emp(h) - R_true(h) >= threshold, -1 when <= -threshold,
-    else 0, with G read from the loss's losses.DeviationTable, one flag per
-    distinct g.  The side is keyed by the threshold and the table.  fn has
-    a batch form that reads the block's (h, e) pairs.
+    else 0, with G read from the scenario's losses.DeviationTable of the
+    loss (the one its deviation law reads), one flag per distinct g.  The
+    side is keyed by the threshold and the table.  fn has a batch form that
+    reads the block's (h, e) pairs.
     """
-    from .losses import DeviationTable  # local to avoid a cycle
+    from .losses import deviation_table  # local to avoid a cycle
 
-    dev = DeviationTable(scenario, loss)
+    dev = deviation_table(scenario, loss)
     index, z_index = dev.hypotheses.index, dev.dist.alphabet.index
 
     def flag(g) -> int:

@@ -13,15 +13,21 @@ over the randomness of the sample and the kernel; tail audits read it.
 Cell-wise readers see a loss as a table L[z, h] = table / scale over an
 observation alphabet and a hypothesis alphabet (loss_table).  In exact
 mode the table holds Python ints over the lcm of the values'
-denominators; in float mode it holds float64 with scale 1.  A loss builds
-each table once and keeps it; a loss given by an integer table
-(random_table_loss, worst_case_loss) comes with both tables seeded on its
-own alphabets.  gen(L) is then the integer (or float) sum of d * table
+denominators; in float mode it holds float64 with scale 1.  Both come
+from integers nums over a scale: exact, nums and scale over their gcd;
+float, nums / scale, rounded once.  Every built-in loss gives those
+integers for a whole (z, h) grid in array steps: its fn carries an array
+form (with_integers), from which its float batch form for Monte Carlo is
+derived too.  A loss given by an integer table (random_table_loss,
+worst_case_loss) comes with both tables seeded on its own alphabets, and
+any other loss calls fn once per cell.  A loss builds each table once
+and keeps it.  gen(L) is then the integer (or float) sum of d * table
 over the joint's cell table d / scale (dist.Joint.cells), divided once,
 and the deviation-law cache is keyed by the loss's table.
 
 The deviation law and the deviation-sign side channel read G through one
-DeviationTable.  The deviation of h on a sample is identified by e, the
+DeviationTable per scenario and loss (deviation_table), so each true risk
+is computed once.  The deviation of h on a sample is identified by e, the
 sum of the exact integer table entries of h over the sample, and is
 g = e / (m * scale) - R_true(h), computed for all distinct (h, e) pairs
 of a block at once: in float mode e / (m * scale) correctly rounded, less
@@ -56,6 +62,7 @@ from .learners import (
     Sums,
     TrnHypJoint,
     WalkRequest,
+    batch_form,
     exact_trn_hyp_joint,
     walk,
     with_batch,
@@ -87,22 +94,58 @@ class ParametricLoss:
         return self.fn(z, h)
 
 
+def with_integers(fn: Callable, integers: Callable) -> Callable:
+    """Attach integers, the array form of the loss function fn, to fn:
+    integers(z, hypotheses, h) is (nums, scale) with nums / scale equal to
+    fn(z, hypotheses[h]), for arrays z of symbols and h of hypothesis indices
+    broadcast together.  fn's batch form is the float64 nums / scale.  A
+    wrapped or replaced fn loses both (batch_form)."""
+
+    def batch(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> np.ndarray:
+        return _integer_table(*integers(z, hypotheses, h), False)[0]
+
+    batch.integers = integers
+    return with_batch(fn, batch)
+
+
+def _integer_table(nums: np.ndarray, scale: int, exact: bool) -> tuple[np.ndarray, int]:
+    """(table, scale) of loss_table for the values nums / scale of an integer
+    array.  Exact: nums and scale over their gcd (what common_denominator
+    gives), as Python ints.  Float: nums / scale, which rounds once, as
+    float(Fraction) does, while both stay below 2^53; past that, each
+    distinct numerator is divided in Python ints."""
+    if exact:
+        g = math.gcd(scale, int(np.gcd.reduce(nums, axis=None)))
+        return (nums // g if g > 1 else nums).astype(object), scale // g
+    if nums.dtype != object and scale < 2**53 and int(abs(nums).max(initial=0)) < 2**53:
+        return nums / scale, 1
+    values, at = np.unique(nums.ravel(), return_inverse=True)
+    return np.array([x / scale for x in values.tolist()]).take(at).reshape(nums.shape), 1
+
+
 def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exact: bool) -> tuple[np.ndarray, int]:
     """The loss over domain x hypotheses as (table, scale), L = table / scale.
 
     Exact mode: Python ints over the lcm of the values' denominators.
-    Float mode: float64 and scale 1.  Built once per loss and alphabets.
+    Float mode: float64 and scale 1.  Built once per loss and alphabets,
+    from the array form of loss.fn when it has one (with_integers), else
+    with one fn call per cell.
     """
     key = (domain, hypotheses, exact)
     if key not in loss._tables:
-        fn = loss.fn
-        values = [fn(z, h) for z in domain.symbols for h in hypotheses.symbols]
+        integers = getattr(batch_form(loss.fn), "integers", None)
         shape = (len(domain), len(hypotheses))
-        if exact:
-            nums, scale = common_denominator(values)
-            loss._tables[key] = (np.array(nums, dtype=object).reshape(shape), scale)
+        if integers is not None:
+            z = np.arange(shape[0]) if domain.positional else np.fromiter(domain.symbols, object, shape[0])
+            loss._tables[key] = _integer_table(*integers(z[:, None], hypotheses.symbols, np.arange(shape[1])), exact)
         else:
-            loss._tables[key] = (np.array([float(v) for v in values]).reshape(shape), 1)
+            fn = loss.fn
+            values = [fn(z, h) for z in domain.symbols for h in hypotheses.symbols]
+            if exact:
+                nums, scale = common_denominator(values)
+                loss._tables[key] = (np.array(nums, dtype=object).reshape(shape), scale)
+            else:
+                loss._tables[key] = (np.array([float(v) for v in values]).reshape(shape), 1)
     return loss._tables[key]
 
 
@@ -282,12 +325,21 @@ class DeviationTable:
         return block.memo(("pairs", id(table)), out, build)
 
 
+def deviation_table(scenario: Scenario, loss: ParametricLoss) -> DeviationTable:
+    """The scenario's one DeviationTable of loss, kept in its cache under the
+    loss object (held by the key, so its id is not reused)."""
+    key = ("deviation_table", loss)
+    if key not in scenario._cache:
+        scenario._cache[key] = DeviationTable(scenario, loss)
+    return scenario._cache[key]
+
+
 def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
     """The deviation law as a walk request, cached under its table's key.
 
     Each distinct deviation gets a slot when a block first has it, and the
     masses P(S) K(h|S) of its (h, e) pairs add into it in visit order."""
-    dev = DeviationTable(scenario, loss)
+    dev = deviation_table(scenario, loss)
     exact = scenario.data_dist.is_exact
 
     def start():
@@ -327,18 +379,72 @@ def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None =
 # loss builders
 
 
+def _codes(z: np.ndarray, symbols) -> tuple[np.ndarray, np.ndarray]:
+    """z as integer codes >= 0, and symbols as the codes of the z values they
+    equal, or negative codes: by value when z and symbols are ints, else
+    through a dict of z's values, which matches them as == does."""
+    from array import array  # array("q") takes ints alone, so equality is by value
+
+    symbols = list(symbols)
+    if z.dtype.kind == "i":
+        lo = int(z.min(initial=0))
+        try:
+            codes = np.frombuffer(array("q", symbols), np.int64)
+        except (TypeError, OverflowError):
+            pass
+        else:
+            return (z - lo, codes - lo) if lo else (z, codes)
+    seen: dict = {}
+    codes = np.array([seen.setdefault(s, len(seen)) for s in z.ravel().tolist()], dtype=np.intp)
+    return codes.reshape(z.shape), np.array([seen.get(s, -1) for s in symbols], dtype=np.int64)
+
+
+def _in_keys(z: np.ndarray, keys: Sequence, h: np.ndarray) -> np.ndarray:
+    """Whether z is in keys[h], for z and h broadcast together, in one array
+    step: each (key, member) and (h, z) pair as one integer code, the wanted
+    ones looked up among the sorted member pairs."""
+    zc, members = _codes(z, itertools.chain.from_iterable(keys))
+    owner = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
+    span = int(zc.max(initial=0)) + 1
+    keep = (members >= 0) & (members < span)  # the others equal no z
+    pairs = np.concatenate(([-1], np.sort(owner[keep] * span + members[keep])))
+    wanted = h * span + zc
+    return pairs.take(np.searchsorted(pairs, wanted), mode="clip") == wanted
+
+
 def constant_loss(value=1) -> ParametricLoss:
-    return ParametricLoss(f"constant[{value}]", lambda z, h: value, {"value": value}, lambda h, dist: value)
+    """value everywhere; an int, a Fraction or a finite float has an array form."""
+
+    def fn(z, h):
+        return value
+
+    if isinstance(value, (int, Fraction)) or isinstance(value, float) and math.isfinite(value):
+        num, scale = Fraction(value).as_integer_ratio()
+        fn = with_integers(fn, lambda z, hypotheses, h: (np.full(np.broadcast(z, h).shape, num), scale))
+    return ParametricLoss(f"constant[{value}]", fn, {"value": value}, lambda h, dist: value)
 
 
 def zero_one_loss() -> ParametricLoss:
     """Disagreement between the observation and the hypothesis symbol."""
-    return ParametricLoss(name="zero_one", fn=lambda z, h: 0 if z == h else 1)
+
+    def integers(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> tuple[np.ndarray, int]:
+        zc, codes = _codes(z, hypotheses)
+        return (zc != codes.take(h)).astype(np.int64), 1
+
+    return ParametricLoss(name="zero_one", fn=with_integers(lambda z, h: 0 if z == h else 1, integers))
 
 
 def membership_loss() -> ParametricLoss:
     """1 when the observation appears in a tuple-valued hypothesis."""
-    return ParametricLoss(name="membership", fn=lambda z, h: 1 if z in h else 0)
+
+    def integers(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> tuple[np.ndarray, int]:
+        if all(isinstance(key, tuple) for key in hypotheses):
+            return _in_keys(z, hypotheses, h).astype(np.int64), 1
+        z, h = np.broadcast_arrays(z, h)  # `in` may not be equality (str): cell by cell
+        inside = [a in hypotheses[i] for a, i in zip(z.ravel().tolist(), h.ravel().tolist())]
+        return np.array(inside, dtype=np.int64).reshape(h.shape), 1
+
+    return ParametricLoss(name="membership", fn=with_integers(lambda z, h: 1 if z in h else 0, integers))
 
 
 def table_loss(name: str, domain: Alphabet, hypotheses: Alphabet, values: np.ndarray) -> ParametricLoss:
@@ -352,15 +458,12 @@ def table_loss(name: str, domain: Alphabet, hypotheses: Alphabet, values: np.nda
 
 def _integer_table_loss(name, domain, hypotheses, nums: np.ndarray, scale: int, params, true_risk_fn) -> ParametricLoss:
     """The loss nums / scale over domain x hypotheses, for an integer array
-    nums: fn looks a cell up as a Fraction, and both tables come seeded as
-    loss_table would build them from fn.  Exact: nums and scale over their
-    gcd (what common_denominator gives), as Python ints.  Float: nums /
-    scale, which rounds each rational once, as float(Fraction) does."""
+    nums: fn looks a cell up as a Fraction, and both tables come seeded
+    (_integer_table) as loss_table would build them from fn."""
     rows, hi = dict(zip(domain.symbols, nums.tolist())), hypotheses.index
     loss = ParametricLoss(name, lambda z, h: Fraction(rows[z][hi[h]], scale), params, true_risk_fn)
-    g = math.gcd(scale, int(np.gcd.reduce(nums, axis=None)))
-    loss._tables[domain, hypotheses, True] = ((nums // g).astype(object), scale // g)
-    loss._tables[domain, hypotheses, False] = (nums / scale, 1)
+    for exact in (True, False):
+        loss._tables[domain, hypotheses, exact] = _integer_table(nums, scale, exact)
     return loss
 
 
@@ -383,9 +486,8 @@ def _as_set(key: tuple) -> frozenset:
 def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
     """Shared shape of the memorizer losses: off-sample points cost 1/2.
 
-    fn has a batch form over integer observations (a positional domain):
-    membership of each z in its hypothesis's key, tested for all entries
-    at once.
+    fn's array form tests each z for membership in its hypothesis's key
+    (_in_keys), with the in-sample values over a common denominator with 1/2.
     """
     half = Fraction(1, 2)
 
@@ -395,20 +497,10 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
             return in_sample_value(b)
         return half
 
-    def batch(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> np.ndarray:
-        if z.dtype.kind not in "iu":
-            pairs = zip(z.ravel().tolist(), h.ravel().tolist())
-            return np.array([float(fn(a, hypotheses[i])) for a, i in pairs]).reshape(z.shape)
-        keys = [key for key, _ in hypotheses]
-        owner = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
-        members = np.fromiter(itertools.chain.from_iterable(keys), np.int64, len(owner))
-        # (hypothesis, member) and (hypothesis, z) pairs as one integer each,
-        # looked up among the sorted member pairs
-        span = max(int(members.max(initial=0)), int(z.max(initial=0))) + 1
-        pairs, wanted = np.sort(owner * span + members), h * span + z
-        inside = pairs.take(np.searchsorted(pairs, wanted), mode="clip") == wanted
-        in_values = np.array([float(in_sample_value(b)) for _, b in hypotheses])
-        return np.where(inside, in_values[h], 0.5)
+    def integers(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> tuple[np.ndarray, int]:
+        nums, scale = common_denominator([half] + [in_sample_value(b) for _, b in hypotheses])
+        inside = _in_keys(z, [key for key, _ in hypotheses], h)
+        return np.where(inside, np.array(nums[1:], dtype=np.int64).take(h), nums[0]), scale
 
     def true_risk_fn(h, dist: Dist):
         key, b = h
@@ -418,12 +510,16 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
             for z in set(key):
                 total = total + dist.weight(z) * step
             return total
-        # float mode: 0.5 plus one float term per symbol, in set order
-        index = dist.alphabet.index
-        terms = dist.weights.take([index[z] for z in set(key)]) * float(step)
+        # float mode: 0.5 plus one float term per symbol, in set order; on a
+        # positional alphabet int symbols in range are their own positions
+        members = list(set(key))
+        at = np.array(members) if dist.alphabet.positional else None
+        if at is None or at.dtype.kind != "i" or at.ndim != 1 or min(members) < 0 or max(members) >= dist.weights.size:
+            at = [dist.alphabet.index[z] for z in members]  # raises KeyError as Positions does
+        terms = dist.weights.take(at) * float(step)
         return float(np.add.accumulate(np.concatenate(([0.5], terms)))[-1])
 
-    return ParametricLoss(name=name, fn=with_batch(fn, batch), true_risk_fn=true_risk_fn)
+    return ParametricLoss(name=name, fn=with_integers(fn, integers), true_risk_fn=true_risk_fn)
 
 
 def prop1_paired_loss() -> ParametricLoss:

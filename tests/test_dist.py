@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabaudit.dist import (
     Alphabet,
@@ -342,3 +344,63 @@ def test_kernel_push_and_joint():
     assert j.marginal("y").weight(0) == Fraction(3, 4)
     with pytest.raises(DomainMismatchError):
         k.push(Dist.uniform(ABC, EXACT))
+
+
+# ---------------------------------------------------------------------------
+# exact joints given as integers
+
+
+def _fraction_born(axes, nums, den):
+    """The joint the walker built before it kept integers: one Fraction per
+    nonzero cell over den, int 0 elsewhere."""
+    w = np.array([Fraction(x, den) if x else 0 for x in nums.ravel().tolist()], dtype=object)
+    return Joint(axes, w.reshape(nums.shape))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.data())
+def test_integer_born_joints_equal_fraction_born_ones(rows, cols, depth, factor, data):
+    """Joint.of_integers equals the Fraction-born joint in weights (values,
+    types, read-only), integer_weights, cells, is_exact and marginals, also
+    when the numerators share a factor with den; it builds no weights to
+    answer is_exact, integer_weights or cells."""
+    axes = (Alphabet.of_size("z", rows), Alphabet("h", tuple(f"h{i}" for i in range(cols))), Alphabet.of_size("k", depth))
+    for shape in ((rows, cols), (rows, cols, depth)):
+        size = int(np.prod(shape))
+        raw = data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size).map(lambda r: [r[0] or 1] + r[1:]))
+        nums = np.array([x * factor for x in raw], dtype=object).reshape(shape)
+        den = sum(raw) * factor
+        got, want = Joint.of_integers(axes[: len(shape)], nums, den), _fraction_born(axes[: len(shape)], nums, den)
+        assert got.is_exact and want.is_exact and got.mode == want.mode
+        (a, a_den), (b, b_den) = got.integer_weights, want.integer_weights
+        assert a_den == b_den and a.tolist() == b.tolist() and {type(x) for x in a.ravel()} <= {int}
+        if len(shape) == 2:
+            c, d = got.cells, want.cells
+            assert (c.d.tolist(), c.scale, c.row_mass.tolist(), c.den) == (d.d.tolist(), d.scale, d.row_mass.tolist(), d.den)
+        assert "weights" not in got.__dict__
+        assert got.weights.tolist() == want.weights.tolist() and not got.weights.flags.writeable
+        assert [type(x) for x in got.weights.ravel()] == [type(x) for x in want.weights.ravel()]
+        for name in got.axis_names:
+            g, w = got.marginal(name).weights, want.marginal(name).weights
+            assert g.tolist() == w.tolist() and [type(x) for x in g] == [type(x) for x in w]
+
+
+def test_integer_born_joint_errors_match_the_weights_checks():
+    axes = (AB, Alphabet("y", ("c", "d")))
+    cases = [
+        ([[3, -1], [0, 0]], 2, ValueError),  # negative weight -1/2
+        ([[1, 0], [1, 1]], 4, ValueError),  # mass 3/4
+        ([[2, 0], [0, 0]], 1, ValueError),  # mass 2
+        ([[1, 0.5], [0, 0]], 2, TypeError),  # a float numerator
+    ]
+    for nums, den, error in cases:
+        weights = np.array([[x / Fraction(den) if isinstance(x, int) else x for x in row] for row in nums], dtype=object)
+        with pytest.raises(error) as want:
+            Joint(axes, weights)
+        with pytest.raises(error) as got:
+            Joint.of_integers(axes, np.array(nums, dtype=object), den)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(DomainMismatchError, match=r"weights shape \(2, 1\) != \(2, 2\)"):
+        Joint.of_integers(axes, np.array([[1], [1]], dtype=object), 2)
+    with pytest.raises(ValueError, match="axis names must be unique"):
+        Joint.of_integers((AB, AB), np.array([[1, 0], [0, 0]], dtype=object), 1)

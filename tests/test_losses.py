@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -6,21 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
+import stabaudit.losses as losses_module
 from stabaudit.dist import Alphabet, Dist
 from stabaudit.info import variational_info
 from stabaudit.learners import (
     Scenario,
+    deviation_sign_side_info,
     erm_finite,
     exact_trn_hyp_joint,
     prop1_counterexample,
     randomized_response_dp,
     subsample_release,
+    threeway_request,
+    walk,
 )
 from stabaudit.losses import (
     DeviationLaw,
     ParametricLoss,
     constant_loss,
     deviation_law,
+    deviation_request,
+    deviation_table,
     empirical_risk,
     erm_consistency_bound,
     exhaustive_binary_loss_max,
@@ -447,3 +454,145 @@ def test_erm_consistency_hand_case():
     by_t = {t: (tail, bound, ok) for t, tail, bound, ok in report.curve}
     assert by_t[F(1, 4)] == (F(1, 4), F(3, 2), True)
     assert by_t[F(1, 2)] == (0, F(3, 4), True)
+
+
+# ---------------------------------------------------------------------------
+# built-in losses: tables from their array forms
+
+
+def _per_cell(loss):
+    """The same loss with a plain fn, which loss_table calls once per cell."""
+    return ParametricLoss(loss.name, lambda z, h: loss.fn(z, h))
+
+
+@st.composite
+def _domains(draw):
+    """A positional domain, or one of mixed symbols in any order."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return Alphabet.of_size("z", n)
+    pool = [0, 1, 2, 3, -2, "a", "b", (0, 1), 2.5, 5.0]
+    return Alphabet("z", tuple(draw(st.permutations(pool))[:n]))
+
+
+# hypothesis symbols outside every domain above, and True, which equals 1
+FOREIGN = ["zz", 7.5, -9, (3,), True]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_domains(), st.integers(1, 3), st.data())
+def test_built_in_tables_equal_the_per_cell_build(domain, k, data):
+    """Every built-in loss's table, read from its array form, equals the
+    per-cell build of the same fn: values, dtype, value types, float bits
+    and scale, in both modes.  The last constant has numerator and scale
+    past 2^53, where a float64 quotient would round twice."""
+    symbols = list(domain.symbols) + FOREIGN
+    tuples = st.lists(st.sampled_from(symbols), min_size=1, max_size=k).map(tuple)
+    keyed = data.draw(st.lists(tuples, min_size=1, max_size=6, unique=True))
+    singles = data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=6, unique_by=repr))
+    cases = [
+        (membership_loss(), keyed + [()]),
+        (zero_one_loss(), singles),
+        (prop1_paired_loss(), [(key, b) for key in keyed for b in (0, 1)]),
+        (prop1_flipped_loss(), [(key, 0) for key in keyed]),
+    ] + [(constant_loss(v), singles) for v in (1, F(1, 3), 0.1, 0, F(2**60 + 3, 3**38))]
+    for loss, hyps in cases:
+        hyp = Alphabet("h", tuple(dict.fromkeys(hyps)))
+        for exact in (True, False):
+            _assert_same_table(loss_table(loss, domain, hyp, exact), loss_table(_per_cell(loss), domain, hyp, exact))
+
+
+def test_hypotheses_on_which_membership_is_not_equality_keep_their_values():
+    d = Alphabet("z", ("a", "ab", "c"))
+    hyp = Alphabet("h", ("abc", ("ab",), "x"))
+    loss = membership_loss()
+    for exact in (True, False):
+        _assert_same_table(loss_table(loss, d, hyp, exact), loss_table(_per_cell(loss), d, hyp, exact))
+    assert loss_table(loss, d, hyp, True)[0].tolist() == [[1, 0, 0], [1, 1, 0], [1, 0, 0]]
+
+
+def test_a_wrapped_loss_fn_gets_the_per_cell_table():
+    d = Alphabet.of_size("z", 3)
+    hyp = subsample_release(d, k=2).hypotheses(2)
+    loss = membership_loss()
+    calls = []
+
+    @functools.wraps(loss.fn)
+    def fn(z, h):
+        calls.append((z, h))
+        return loss.fn(z, h)
+
+    wrapped = ParametricLoss(loss.name, fn)
+    assert fn.batch is loss.fn.batch  # copied by functools.wraps, and not used
+    _assert_same_table(loss_table(wrapped, d, hyp, True), loss_table(loss, d, hyp, True))
+    assert len(calls) == len(d) * len(hyp)
+
+
+def test_the_array_forms_give_monte_carlo_floats():
+    """The float batch form derived from each array form equals float(fn),
+    on symbols of any type and on integer arrays with negative values and
+    key members past every z (whose pair codes must not meet a wanted one)."""
+    objects = np.array([["b", 4], ["a", "a"]], dtype=object)
+    ints = np.array([[3, -2], [-2, 0]])
+    h = np.array([[1, 0], [1, 2]])
+    for loss, hyps, z in [
+        (membership_loss(), [("a", 4), (4,), ()], objects),
+        (zero_one_loss(), ["a", 4, "q"], objects),
+        (membership_loss(), [(9,), (-1,), (0, True)], ints),
+        (zero_one_loss(), [9, -1, 0], ints),
+        (prop1_paired_loss(), [((9,), 0), ((-1, 3), 1), ((-2,), 0)], ints),
+        (constant_loss(F(1, 3)), [0, 1, 2], ints),
+        (constant_loss(0.1), [0, 1, 2], objects),
+    ]:
+        got = loss.fn.batch(z, hyps, h)
+        assert got.dtype == np.float64
+        assert got.tolist() == [[float(loss.fn(a, hyps[i])) for a, i in zip(zr, hr)] for zr, hr in zip(z.tolist(), h)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.lists(st.lists(st.integers(0, 39), min_size=1, max_size=9), min_size=1, max_size=8),
+       st.integers(0, 2**16))
+def test_memorizer_float_true_risk_gathers_as_the_lookups_do(n, keys, seed):
+    """On a positional domain the float true risk gathers set(key) as one
+    index array; it equals the per-symbol lookup path bit for bit, and a
+    symbol out of range raises KeyError as Positions does."""
+    d = Alphabet.of_size("z", n)
+    raw = np.random.default_rng(seed).random(n)
+    dist = Dist(d, raw / raw.sum())
+    for make_loss, b in [(prop1_paired_loss, 0), (prop1_paired_loss, 1), (prop1_flipped_loss, 0)]:
+        loss = make_loss()
+        for key in keys:
+            key = tuple(sorted(key))
+            if max(key) >= n:
+                with pytest.raises(KeyError) as err:
+                    loss.true_risk_fn((key, b), dist)
+                assert err.value.args[0] == next(z for z in set(key) if z >= n)
+                continue
+            step = float((1 - b if loss.name == "prop1_paired" else 1) - F(1, 2))
+            terms = dist.weights.take([d.index[z] for z in set(key)]) * step
+            want = float(np.add.accumulate(np.concatenate(([0.5], terms)))[-1])
+            assert loss.true_risk_fn((key, b), dist) == want
+    with pytest.raises(KeyError):
+        prop1_paired_loss().true_risk_fn(((0, -1), 0), dist)
+    assert prop1_paired_loss().true_risk_fn(((True, 1), 0), dist) == 0.5 + dist.weights[1] * 0.5
+
+
+def test_the_law_and_the_sign_side_share_one_deviation_table(monkeypatch):
+    """One DeviationTable per scenario and loss: the deviation law and the
+    sign side channel of one walk compute each true risk once."""
+    d = Alphabet.of_size("z", 4)
+    s = uniform_scenario(subsample_release(d, k=2, delta=F(1, 2), mode=EXACT), m=3, loss=membership_loss())
+    calls = []
+
+    def counted(loss, h, dist, *args):
+        calls.append(h)
+        return true_risk(loss, h, dist, *args)
+
+    monkeypatch.setattr(losses_module, "true_risk", counted)
+    side = deviation_sign_side_info(s, s.loss, F(1, 4))
+    assert deviation_table(s, s.loss) is deviation_table(s, s.loss)
+    assert deviation_table(s, membership_loss()) is not deviation_table(s, s.loss)
+    law, j3 = walk(s, [deviation_request(s, s.loss), threeway_request(s, side)])
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == len(s.learner.hypotheses(3))
+    fresh = uniform_scenario(s.learner, m=3, loss=membership_loss())
+    assert law.points == deviation_law(fresh, fresh.loss).points
