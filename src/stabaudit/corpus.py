@@ -1,7 +1,8 @@
 """Built-in scenario corpus and the name registries configs resolve against.
 
 Corpus entries are ordinary config dictionaries (the same schema the CLI
-accepts), built by _entry, which spells out every key of the format once.  Each entry exercises a different corner: tight ratio laws, privacy
+accepts), so the corpus doubles as executable documentation of the config
+format.  Each entry exercises a different corner: tight ratio laws, privacy
 audits at several epsilons, the memorizer whose own risk cancels, ERM
 consistency, and one scenario big enough to make enumeration sweat.
 """
@@ -119,48 +120,197 @@ LOSS_BUILDERS: dict[str, tuple[Callable, frozenset]] = {
 }
 
 
-def _entry(name, size, learner, loss, m, seed, audits, numeric="exact", mode="exact", data_dist="uniform", **rest):
-    """One corpus config; learner and loss are a name or a config object."""
-    learner, loss = ({"name": x} if isinstance(x, str) else x for x in (learner, loss))
-    return {"name": name, "domain": {"size": size}, "data_dist": data_dist, "learner": learner, "loss": loss,
-            "m": m, "numeric": numeric, "mode": mode, **rest, "seed": seed, "audits": audits}
-
-
-def _subsample(k: int, delta) -> dict:
-    return {"name": "subsample_release", "params": {"k": k, "delta": delta}}
-
-
 def _rr_entry(tag: str, epsilon: float, m: int) -> dict:
-    rr = {"name": "randomized_response_dp", "params": {"epsilon": epsilon}}
-    return _entry(f"rr-{tag}-m{m}", 2, rr, "zero_one", m, 11, ["C1", "P4", "T1", "T4"])
+    return {
+        "name": f"rr-{tag}-m{m}",
+        "domain": {"size": 2},
+        "data_dist": "uniform",
+        "learner": {"name": "randomized_response_dp", "params": {"epsilon": epsilon}},
+        "loss": {"name": "zero_one"},
+        "m": m,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 11,
+        "audits": ["C1", "P4", "T1", "T4"],
+    }
 
 
-_SIGN_T3 = {"id": "T3", "side": "sign", "threshold": 0.25}
-_ERM = {"name": "erm_finite", "params": {"hypotheses": ["thr1", "thr3"], "table": [[0, 0], [1, 0], [0, 1], [0, 0]]}}
 CORPUS: tuple[dict, ...] = (
-    _entry("identity-m1", 3, _subsample(1, 1), "membership", 1, 3,
-           ["T1", {"id": "T2", "side": "duplicate"}, "T4", "P3", {"id": "C2-forward", "epsilon": 0.67, "delta": 0.03}]),
-    _entry("subsample-tiny", 3, _subsample(1, 1), "membership", 2, 5,
-           ["T1", {"id": "T2", "side": "rerun"}, _SIGN_T3, "T4", "P3"]),
-    _entry("subsample-small", 8, _subsample(2, 1), "membership", 2, 7, ["T1", _SIGN_T3, "T4", "P3"]),
-    _entry("subsample-delta", 16, _subsample(1, "0.3"), "membership", 2, 9, ["T1", "T4", "P3", "T5"]),
-    _entry("t5-tight", 256, _subsample(1, "0.3"), "membership", 2, 13, ["T5", "T1", "T4", "P3"]),
-    _entry("subsample-c2", 256, _subsample(1, "0.2"), "membership", 2, 15,
-           ["T1", {"id": "C2-forward", "epsilon": 0.6, "delta": 0.25}, "T4"]),
+    {
+        "name": "identity-m1",
+        "domain": {"size": 3},
+        "data_dist": "uniform",
+        "learner": {"name": "subsample_release", "params": {"k": 1, "delta": 1}},
+        "loss": {"name": "membership"},
+        "m": 1,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 3,
+        "audits": [
+            "T1",
+            {"id": "T2", "side": "duplicate"},
+            "T4",
+            "P3",
+            {"id": "C2-forward", "epsilon": 0.67, "delta": 0.03},
+        ],
+    },
+    {
+        "name": "subsample-tiny",
+        "domain": {"size": 3},
+        "data_dist": "uniform",
+        "learner": {"name": "subsample_release", "params": {"k": 1, "delta": 1}},
+        "loss": {"name": "membership"},
+        "m": 2,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 5,
+        "audits": [
+            "T1",
+            {"id": "T2", "side": "rerun"},
+            {"id": "T3", "side": "sign", "threshold": 0.25},
+            "T4",
+            "P3",
+        ],
+    },
+    {
+        "name": "subsample-small",
+        "domain": {"size": 8},
+        "data_dist": "uniform",
+        "learner": {"name": "subsample_release", "params": {"k": 2, "delta": 1}},
+        "loss": {"name": "membership"},
+        "m": 2,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 7,
+        "audits": ["T1", {"id": "T3", "side": "sign", "threshold": 0.25}, "T4", "P3"],
+    },
+    {
+        "name": "subsample-delta",
+        "domain": {"size": 16},
+        "data_dist": "uniform",
+        "learner": {"name": "subsample_release", "params": {"k": 1, "delta": "0.3"}},
+        "loss": {"name": "membership"},
+        "m": 2,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 9,
+        "audits": ["T1", "T4", "P3", "T5"],
+    },
+    {
+        "name": "t5-tight",
+        "domain": {"size": 256},
+        "data_dist": "uniform",
+        "learner": {"name": "subsample_release", "params": {"k": 1, "delta": "0.3"}},
+        "loss": {"name": "membership"},
+        "m": 2,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 13,
+        "audits": ["T5", "T1", "T4", "P3"],
+    },
+    {
+        "name": "subsample-c2",
+        "domain": {"size": 256},
+        "data_dist": "uniform",
+        "learner": {"name": "subsample_release", "params": {"k": 1, "delta": "0.2"}},
+        "loss": {"name": "membership"},
+        "m": 2,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 15,
+        "audits": ["T1", {"id": "C2-forward", "epsilon": 0.6, "delta": 0.25}, "T4"],
+    },
     _rr_entry("eps0.1", 0.1, 1),
     _rr_entry("eps0.1", 0.1, 3),
     _rr_entry("epsln2", LN2, 1),
     _rr_entry("epsln2", LN2, 3),
     _rr_entry("eps1.0", 1.0, 1),
     _rr_entry("eps1.0", 1.0, 3),
-    _entry("erm-threshold", 4, _ERM, "erm_table", 3, 17, ["T1", _SIGN_T3, "T4", "P3", "ERM"],
-           data_dist={"weights": ["0.4", "0.3", "0.2", "0.1"]}),
-    _entry("prop1-small", 16, "prop1_counterexample", "prop1_paired", 2, 19, ["T1", "T4", "P3"]),
-    _entry("prop1-flipped-small", 16, "prop1_counterexample", "prop1_flipped", 2, 21, ["T1", "T4"]),
-    _entry("prop1-mc", 1000000, "prop1_counterexample", "prop1_paired", 50, 23, ["T1"], "float", "mc", n_runs=10000),
-    _entry("subsample-t1", 64, _subsample(2, 0.5), "membership", 4, 25, ["T1", _SIGN_T3, "T4", "P3"], "float"),
-    _entry("const-baseline", 4, "constant", {"name": "random_table", "params": {"seed": 5}}, 2, 27,
-           ["T1", {"id": "T2", "side": "duplicate"}, "T4"], "float"),
+    {
+        "name": "erm-threshold",
+        "domain": {"size": 4},
+        "data_dist": {"weights": ["0.4", "0.3", "0.2", "0.1"]},
+        "learner": {
+            "name": "erm_finite",
+            "params": {
+                "hypotheses": ["thr1", "thr3"],
+                "table": [[0, 0], [1, 0], [0, 1], [0, 0]],
+            },
+        },
+        "loss": {"name": "erm_table"},
+        "m": 3,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 17,
+        "audits": [
+            "T1",
+            {"id": "T3", "side": "sign", "threshold": 0.25},
+            "T4",
+            "P3",
+            "ERM",
+        ],
+    },
+    {
+        "name": "prop1-small",
+        "domain": {"size": 16},
+        "data_dist": "uniform",
+        "learner": {"name": "prop1_counterexample"},
+        "loss": {"name": "prop1_paired"},
+        "m": 2,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 19,
+        "audits": ["T1", "T4", "P3"],
+    },
+    {
+        "name": "prop1-flipped-small",
+        "domain": {"size": 16},
+        "data_dist": "uniform",
+        "learner": {"name": "prop1_counterexample"},
+        "loss": {"name": "prop1_flipped"},
+        "m": 2,
+        "numeric": "exact",
+        "mode": "exact",
+        "seed": 21,
+        "audits": ["T1", "T4"],
+    },
+    {
+        "name": "prop1-mc",
+        "domain": {"size": 1000000},
+        "data_dist": "uniform",
+        "learner": {"name": "prop1_counterexample"},
+        "loss": {"name": "prop1_paired"},
+        "m": 50,
+        "numeric": "float",
+        "mode": "mc",
+        "n_runs": 10000,
+        "seed": 23,
+        "audits": ["T1"],
+    },
+    {
+        "name": "subsample-t1",
+        "domain": {"size": 64},
+        "data_dist": "uniform",
+        "learner": {"name": "subsample_release", "params": {"k": 2, "delta": 0.5}},
+        "loss": {"name": "membership"},
+        "m": 4,
+        "numeric": "float",
+        "mode": "exact",
+        "seed": 25,
+        "audits": ["T1", {"id": "T3", "side": "sign", "threshold": 0.25}, "T4", "P3"],
+    },
+    {
+        "name": "const-baseline",
+        "domain": {"size": 4},
+        "data_dist": "uniform",
+        "learner": {"name": "constant"},
+        "loss": {"name": "random_table", "params": {"seed": 5}},
+        "m": 2,
+        "numeric": "float",
+        "mode": "exact",
+        "seed": 27,
+        "audits": ["T1", {"id": "T2", "side": "duplicate"}, "T4"],
+    },
 )
 
 

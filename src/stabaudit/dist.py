@@ -361,7 +361,7 @@ class Joint:
 
     @property
     def is_exact(self) -> bool:
-        return "weights" not in self.__dict__ or self.weights.dtype == object
+        return self.weights.dtype == object
 
     @property
     def mode(self) -> NumericMode:
@@ -477,6 +477,8 @@ class Joint:
 
 class _IntegerJoint(Joint):
     """An exact joint built by Joint.of_integers."""
+
+    is_exact = True
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -328,10 +328,7 @@ class DeviationTable:
 def deviation_table(scenario: Scenario, loss: ParametricLoss) -> DeviationTable:
     """The scenario's one DeviationTable of loss, kept in its cache under the
     loss object (held by the key, so its id is not reused)."""
-    key = ("deviation_table", loss)
-    if key not in scenario._cache:
-        scenario._cache[key] = DeviationTable(scenario, loss)
-    return scenario._cache[key]
+    return scenario.cached(("deviation_table", loss), lambda: DeviationTable(scenario, loss))
 
 
 def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
@@ -510,13 +507,9 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
             for z in set(key):
                 total = total + dist.weight(z) * step
             return total
-        # float mode: 0.5 plus one float term per symbol, in set order; on a
-        # positional alphabet int symbols in range are their own positions
-        members = list(set(key))
-        at = np.array(members) if dist.alphabet.positional else None
-        if at is None or at.dtype.kind != "i" or at.ndim != 1 or min(members) < 0 or max(members) >= dist.weights.size:
-            at = [dist.alphabet.index[z] for z in members]  # raises KeyError as Positions does
-        terms = dist.weights.take(at) * float(step)
+        # float mode: 0.5 plus one float term per symbol, in set order
+        index = dist.alphabet.index
+        terms = dist.weights.take([index[z] for z in set(key)]) * float(step)
         return float(np.add.accumulate(np.concatenate(([0.5], terms)))[-1])
 
     return ParametricLoss(name=name, fn=with_integers(fn, integers), true_risk_fn=true_risk_fn)

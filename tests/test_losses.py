@@ -549,34 +549,6 @@ def test_the_array_forms_give_monte_carlo_floats():
         assert got.tolist() == [[float(loss.fn(a, hyps[i])) for a, i in zip(zr, hr)] for zr, hr in zip(z.tolist(), h)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 40), st.lists(st.lists(st.integers(0, 39), min_size=1, max_size=9), min_size=1, max_size=8),
-       st.integers(0, 2**16))
-def test_memorizer_float_true_risk_gathers_as_the_lookups_do(n, keys, seed):
-    """On a positional domain the float true risk gathers set(key) as one
-    index array; it equals the per-symbol lookup path bit for bit, and a
-    symbol out of range raises KeyError as Positions does."""
-    d = Alphabet.of_size("z", n)
-    raw = np.random.default_rng(seed).random(n)
-    dist = Dist(d, raw / raw.sum())
-    for make_loss, b in [(prop1_paired_loss, 0), (prop1_paired_loss, 1), (prop1_flipped_loss, 0)]:
-        loss = make_loss()
-        for key in keys:
-            key = tuple(sorted(key))
-            if max(key) >= n:
-                with pytest.raises(KeyError) as err:
-                    loss.true_risk_fn((key, b), dist)
-                assert err.value.args[0] == next(z for z in set(key) if z >= n)
-                continue
-            step = float((1 - b if loss.name == "prop1_paired" else 1) - F(1, 2))
-            terms = dist.weights.take([d.index[z] for z in set(key)]) * step
-            want = float(np.add.accumulate(np.concatenate(([0.5], terms)))[-1])
-            assert loss.true_risk_fn((key, b), dist) == want
-    with pytest.raises(KeyError):
-        prop1_paired_loss().true_risk_fn(((0, -1), 0), dist)
-    assert prop1_paired_loss().true_risk_fn(((True, 1), 0), dist) == 0.5 + dist.weights[1] * 0.5
-
-
 def test_the_law_and_the_sign_side_share_one_deviation_table(monkeypatch):
     """One DeviationTable per scenario and loss: the deviation law and the
     sign side channel of one walk compute each true risk once."""
