@@ -50,7 +50,8 @@ exactly as a per-sample loop would.  Exact mode keeps integer numerators
 per denominator, and finish() hands their sum over the lcm to
 Joint.of_integers, which builds no Fraction until the weights are read.
 What two accumulators read alike on a block (the cell masses, the
-deviation table's (h, e) pairs) is computed once and kept on the block.
+deviation table's per-entry deviations) is computed once and kept on the
+block.
 """
 
 from __future__ import annotations
@@ -931,7 +932,7 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
     else 0, with G read from the scenario's losses.DeviationTable of the
     loss (the one its deviation law reads), one flag per distinct g.  The
     side is keyed by the threshold and the table.  fn has a batch form that
-    reads the block's (h, e) pairs.
+    reads the block's per-entry deviations.
     """
     from .losses import deviation_table  # local to avoid a cycle
 
@@ -948,12 +949,11 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
         return {flag(gs[0]): 1}
 
     def batch(block: Block, out: Sparse) -> Sparse:
-        h, e, inv = dev.entry_pairs(block, out)
-        gs, at = dev.deviations(h, e)
+        gs, at = dev.entry_deviations(block, out)
         # flags -1, 0, 1 sit at k indices 0, 1, 2
         ks = np.array([flag(g) + 1 for g in gs], dtype=np.intp)
-        ones = np.ones(len(inv), dtype=object if block.exact else np.float64)
-        return Sparse(np.arange(len(inv)), ks.take(at).take(inv), ones)
+        ones = np.ones(len(at), dtype=object if block.exact else np.float64)
+        return Sparse(np.arange(len(at)), ks.take(at), ones)
 
     name = f"deviation_sign@{threshold}"
     return SideInfoKernel(

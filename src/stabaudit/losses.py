@@ -26,18 +26,18 @@ over the joint's cell table d / scale (dist.Joint.cells), divided once,
 and the deviation-law cache is keyed by the loss's table.
 
 The deviation law and the deviation-sign side channel read G through one
-DeviationTable per scenario and loss (deviation_table), so each true risk
-is computed once.  The deviation of h on a sample is identified by e, the
-sum of the exact integer table entries of h over the sample, and is
-g = e / (m * scale) - R_true(h), computed for all distinct (h, e) pairs
-of a block at once: in float mode e / (m * scale) correctly rounded, less
-the float risk, in float64; in exact mode as an integer code over one
-denominator, with one Fraction per distinct code.  The deviation law adds
-the masses into one Sums slot per distinct g, in both modes.  The true
-risk of h is computed once, when h first appears, from its table column:
-in exact mode one integer dot product with the distribution's weights
-over their common denominator, in float mode the sum of
-w * (column / scale) in symbol order.
+DeviationTable per scenario and loss (deviation_table).  The deviation of
+h on a sample is identified by e, the sum of the exact integer table
+entries of h over the sample, and is g = e / (m * scale) - R_true(h).  A
+block's kernel entries get their g in one pass, kept on the block for both
+readers: in float mode e / (m * scale) correctly rounded, less the float
+risk, in float64; in exact mode as an integer code over one denominator,
+with one Fraction per distinct code.  The deviation law adds the masses
+into one Sums slot per distinct g, in both modes.  Every true risk is
+computed once, when the table is first read, from its table column: in
+exact mode one integer dot product with the distribution's weights over
+their common denominator, in float mode the sum of w * (column / scale)
+in symbol order.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -151,13 +151,10 @@ def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exa
 
 def int_loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, m: int) -> np.ndarray:
     """The exact table of loss_table as int64 when sums of m entries stay
-    small, else as it is (Python ints); built once per loss, alphabets and m."""
-    key = (domain, hypotheses, "sums of", m)
-    if key not in loss._tables:
-        table, _ = loss_table(loss, domain, hypotheses, True)
-        top = max((abs(x) for x in table.ravel().tolist()), default=0)
-        loss._tables[key] = table.astype(np.int64) if top * m < 2**31 else table
-    return loss._tables[key]
+    small, else as it is (Python ints)."""
+    table, _ = loss_table(loss, domain, hypotheses, True)
+    top = max((abs(x) for x in table.ravel().tolist()), default=0)
+    return table.astype(np.int64) if top * m < 2**31 else table
 
 
 def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
@@ -254,75 +251,69 @@ def _merged_points(acc: dict, is_exact: bool) -> tuple:
 
 
 class DeviationTable:
-    """The deviation G = R_emp(h) - R_true(h) of a loss on a scenario, keyed
-    by (h index, e) with e the sum of the loss's exact integer table entries
-    of h over the sample.
+    """The deviation G = R_emp(h) - R_true(h) of a loss on a scenario, read
+    from e, the sum of the loss's exact integer table entries of h over the
+    sample.
 
     key is (loss name, scale, the exact table): it identifies every law
-    read from the table.  Each true risk is computed once from its table
-    column, when its hypothesis first appears.
+    read from the table.  Every true risk is computed once, from its table
+    column, when the table is first read.
     """
 
     def __init__(self, scenario: Scenario, loss: ParametricLoss):
         dist, m = scenario.data_dist, scenario.m
         self.loss, self.dist, self.exact = loss, dist, dist.is_exact
         self.hypotheses = hyp = scenario.learner.hypotheses(m)
-        table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
-        self.key = (loss.name, self.scale, tuple(table.ravel().tolist()))
+        self._table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
+        self.key = (loss.name, self.scale, tuple(self._table.ravel().tolist()))
         self.sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
-        self._columns = table.T.tolist()
         self._ms = m * self.scale
-        self._risks: dict = {}  # h index -> true risk, a float in float mode
-        self._r, self._den = np.zeros(len(hyp)), 1  # risks by h index; exact: numerators over _den
+
+    @cached_property
+    def _risks(self) -> tuple[np.ndarray, int, int]:
+        """The true risks by h index: float64 in float mode; exact, their
+        numerators over one denominator den (int64 while they fit), with
+        top, the largest numerator."""
+        symbols, scale = self.hypotheses.symbols, self.scale
+        risks = [true_risk(self.loss, h, self.dist, c, scale) for h, c in zip(symbols, self._table.T.tolist())]
+        if not self.exact:
+            return np.array([float(r) for r in risks]), 1, 0
+        nums, den = common_denominator(risks)
+        top = max(map(abs, nums), default=0)
+        return np.array(nums, dtype=np.int64 if top < 2**63 else object), den, top
 
     def deviations(self, h: np.ndarray, e: np.ndarray) -> tuple[list, np.ndarray]:
-        """The distinct deviations g of the pairs (h[i], e[i]), sorted, and
-        each pair's position among them.
+        """The distinct deviations g of the entries (h[i], e[i]), sorted, and
+        each entry's position among them.
 
         Float mode: g = e / (m * scale) - r[h] in float64; below 2^53 the
         quotient rounds once, as float(Fraction) does, and past that it is
         taken in Python ints.  Exact mode: with the risks R_num / D over one
         denominator, e * D - m * scale * R_num[h] is the integer code of
         g * (m * scale * D), in int64 while it fits."""
-        # a set, not np.unique: without return_* it loads numpy.ma (about 1 MB) on first use
-        new = sorted(set(h.tolist()).difference(self._risks))
-        for hi in new:
-            r = true_risk(self.loss, self.hypotheses.symbols[hi], self.dist, self._columns[hi], self.scale)
-            self._risks[hi] = r if self.exact else float(r)
-        ms = self._ms
+        ms, (nums, den, top) = self._ms, self._risks
+        r = nums.take(h)
         if not self.exact:
-            self._r[new] = [self._risks[hi] for hi in new]
             q = e / ms if e.dtype != object and ms < 2**53 else np.array([x / ms for x in e.tolist()])
-            g, at = np.unique(q - self._r.take(h), return_inverse=True)
+            g, at = np.unique(q - r, return_inverse=True)
             return g.tolist(), at
-        if new:
-            nums, self._den = common_denominator(self._risks.values())
-            self._r = np.zeros(len(self._columns), dtype=object)
-            self._r[list(self._risks)] = nums
-        den, r = self._den, self._r.take(h)
-        small = e.dtype != object and max(int(abs(e).max()) * den + ms * int(abs(r).max()), ms, den) < 2**63
-        codes = e * den - ms * r.astype(np.int64) if small else e.astype(object) * den - ms * r
+        small = e.dtype != object and max(int(abs(e).max()) * den + ms * top, ms, den) < 2**63
+        codes = e * den - ms * r if small else e.astype(object) * den - ms * r.astype(object)
         codes, at = np.unique(codes, return_inverse=True)
         return [Fraction(c, ms * den) for c in codes.tolist()], at
 
-    def entry_pairs(self, block: Block, out: Sparse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct pairs (h index, e) of the kernel entries, sorted, as
-        arrays h and e, and each entry's position among them.  Kept on the
-        block for its kernel output, so every reader of one table shares
-        them."""
-        table = self.sums_table
+    def entry_deviations(self, block: Block, out: Sparse) -> tuple[list, np.ndarray]:
+        """The deviations of the kernel entries, each with its e summed
+        over its sample.  Kept on the block for its kernel output, so every
+        reader of the table shares one pass."""
 
         def build():
+            table = self.sums_table
             at = block.idx.take(out.row, axis=0) * table.shape[1]
             at += out.col[:, None]
-            e = table.ravel().take(at).sum(axis=1)
-            lo = int(e.min())
-            span = int(e.max()) - lo + 1
-            # the code h * span + e - lo (Python ints when e is) orders entries as the pairs (h, e) do
-            codes, slot = np.unique(out.col.astype(e.dtype, copy=False) * span + (e - lo), return_inverse=True)
-            return (codes // span).astype(np.intp), codes % span + lo, slot
+            return self.deviations(out.col, table.ravel().take(at).sum(axis=1))
 
-        return block.memo(("pairs", id(table)), out, build)
+        return block.memo(self, out, build)
 
 
 def deviation_table(scenario: Scenario, loss: ParametricLoss) -> DeviationTable:
@@ -335,7 +326,7 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
     """The deviation law as a walk request, cached under its table's key.
 
     Each distinct deviation gets a slot when a block first has it, and the
-    masses P(S) K(h|S) of its (h, e) pairs add into it in visit order."""
+    masses P(S) K(h|S) of its kernel entries add into it in visit order."""
     dev = deviation_table(scenario, loss)
     exact = scenario.data_dist.is_exact
 
@@ -344,12 +335,11 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
         sums = Sums(0, exact)
 
         def add(block: Block, out: Sparse):
-            h, e, inv = dev.entry_pairs(block, out)
-            gs, at = dev.deviations(h, e)
+            gs, at = dev.entry_deviations(block, out)
             slot = np.array([slots.setdefault(g, len(slots)) for g in gs], dtype=np.intp)
             sums.grow(len(slots))
             mass = block.weights.take(out.row) * out.prob
-            sums.add(slot.take(at).take(inv), mass, block.den * out.den)
+            sums.add(slot.take(at), mass, block.den * out.den)
 
         def finish() -> DeviationLaw:
             total, den = sums.total()
@@ -475,11 +465,6 @@ def random_table_loss(domain: Alphabet, hypotheses: Alphabet, seed: int, levels:
     return _integer_table_loss(f"random_table[{seed}]", domain, hypotheses, raw, levels, params, None)
 
 
-@lru_cache(maxsize=65536)
-def _as_set(key: tuple) -> frozenset:
-    return frozenset(key)
-
-
 def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
     """Shared shape of the memorizer losses: off-sample points cost 1/2.
 
@@ -490,7 +475,7 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
 
     def fn(z, h):
         key, b = h
-        if z in _as_set(key):
+        if z in key:
             return in_sample_value(b)
         return half
 

@@ -31,7 +31,15 @@ from stabaudit.learners import (
     trn_hyp_request,
     walk,
 )
-from stabaudit.losses import deviation_request, int_loss_table, loss_table, membership_loss, table_loss
+from stabaudit.losses import (
+    DeviationTable,
+    deviation_request,
+    deviation_table,
+    int_loss_table,
+    loss_table,
+    membership_loss,
+    table_loss,
+)
 from stabaudit.numeric import EXACT, FLOAT64
 from strategies import BLOCK_SIZES, block_size, losses, per_sample_twin, releases, scenarios
 
@@ -279,6 +287,67 @@ def test_array_deviations_past_int64_match_the_oracles(size, threshold, per_samp
     assert 3 * loss_table(loss, domain, hyp, True)[1] >= 2**53
     with block_size(size):
         _assert_deviations_match(s, s_float, loss, threshold, per_sample)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_a_walk_computes_the_deviations_once_per_block(size, mode, monkeypatch):
+    """The deviation law and the sign side channel of one walk share one
+    pass of deviations per block: DeviationTable.deviations runs once per
+    block, on one element per kernel entry."""
+    domain = Alphabet.of_size("z", 4)
+    s = Scenario(
+        name="once",
+        learner=subsample_release(domain, 2, F(1, 2), mode=mode),
+        data_dist=Dist.uniform(domain, mode),
+        m=3,
+    )
+    calls, blocks = [], []
+    deviations, own_blocks = DeviationTable.deviations, learners._blocks
+
+    def counted(self, h, e):
+        calls.append(len(h))
+        return deviations(self, h, e)
+
+    def counted_blocks(*args):
+        for block in own_blocks(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(DeviationTable, "deviations", counted)
+    monkeypatch.setattr(learners, "_blocks", counted_blocks)
+    loss = membership_loss()
+    with block_size(size):
+        walk(s, [deviation_request(s, loss), threeway_request(s, deviation_sign_side_info(s, loss, F(1, 4)))])
+    samples = itertools.combinations_with_replacement(domain.symbols, 3)
+    entries = sum(1 for sample in samples for p in s.learner.kernel(sample).values() if p)
+    assert len(blocks) > 1 and len(calls) == len(blocks) and sum(calls) == entries
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_exact_risks_past_int64_match_the_oracles(size):
+    """Data weights whose common denominator passes 2^63: the true risks'
+    numerators are Python ints (an object array) while the sums e of the
+    0/1 membership table stay int64.  The deviation law and the sign side's
+    three-way joint match the oracles, and the per-sample sign fn equals
+    its batch form."""
+    domain = Alphabet("z", tuple("bac"))
+    tiny = F(1, 2**64 + 13)
+    dist = Dist(domain, np.array([F(1, 3) + tiny, F(1, 3), F(1, 3) - tiny], dtype=object))
+    assert dist.integer_weights[1] >= 2**63
+    loss = membership_loss()
+    walked = []
+    for per_sample in (False, True):
+        s = Scenario(name="big", learner=subsample_release(domain, 2, F(1, 2), mode=EXACT), data_dist=dist, m=3)
+        assert int_loss_table(loss, domain, s.learner.hypotheses(3), 3).dtype == np.int64
+        side = deviation_sign_side_info(s, loss, F(1, 4))
+        if per_sample:
+            side = _per_sample_side(side)
+        with block_size(size):
+            walked.append(_walk_all(s, loss, side))
+        assert deviation_table(s, loss)._risks[0].dtype == object
+    _assert_matches_oracles(s, loss, F(1, 4), walked[0])
+    _assert_same(*walked)
 
 
 @settings(max_examples=80, deadline=None)
