@@ -4,9 +4,12 @@
 
 The two must hold the same files.  JSON files must be equal once every
 "timings" key, at any depth, is dropped; every other file must be equal
-byte for byte.  --exit-codes also requires the two corpus runs to have
-exited alike.  Prints each difference and exits 1 if there is any, else
-prints the number of files compared and exits 0.
+byte for byte.  Every JSON file of HEAD must also keep the report layout:
+its text must be json.dumps(json.loads(text), indent=2, sort_keys=True,
+allow_nan=False) plus a newline, byte for byte.  --exit-codes also
+requires the two corpus runs to have exited alike.  Prints each
+difference and exits 1 if there is any, else prints the number of files
+compared and exits 0.
 """
 
 from __future__ import annotations
@@ -29,6 +32,15 @@ def files(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
+def layout_differs(text: bytes) -> bool:
+    """Whether text is not the indented, key-sorted strict JSON of its value."""
+    try:
+        value = json.loads(text)
+        return text.decode() != json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # not JSON, not UTF-8, or nan/inf
+        return True
+
+
 def differences(base: Path, head: Path) -> list[str]:
     base_files, head_files = files(base), files(head)
     problems = [f"only in base: {name}" for name in sorted(base_files - head_files)]
@@ -40,6 +52,9 @@ def differences(base: Path, head: Path) -> list[str]:
                 problems.append(f"differs without timings: {name}")
         elif a != b:
             problems.append(f"differs: {name}")
+    for name in sorted(head_files):
+        if name.endswith(".json") and layout_differs((head / name).read_bytes()):
+            problems.append(f"layout differs from json.dumps(indent=2, sort_keys=True): {name}")
     return problems
 
 

@@ -232,17 +232,17 @@ def _tail_series(law, t_grid, tol, stmt_fn, proof_fn=None):
     ok = True
     worst = None
     for t in t_grid:
-        tail = law.tail_abs_ge(t, tol=tol)
+        tail = float(law.tail_abs_ge(t, tol=tol))
         stmt = stmt_fn(t)
-        row = {"t": float(t), "tail": float(tail), "bound": stmt}
+        row = {"t": float(t), "tail": tail, "bound": stmt}
         if proof_fn is not None:
             pv = proof_fn(t)
             row["proof_variant_bound"] = pv
-            row["proof_variant_ok"] = float(tail) <= pv + tol
-        good = float(tail) <= stmt + tol
+            row["proof_variant_ok"] = tail <= pv + tol
+        good = tail <= stmt + tol
         row["ok"] = good
         ok = ok and good
-        slack = stmt - float(tail)
+        slack = stmt - tail
         if worst is None or slack < worst[0]:
             worst = (slack, stmt)
         series.append(row)

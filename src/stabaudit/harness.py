@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import locale
 import math
 import os
 import re
@@ -649,15 +650,108 @@ def _null_non_finite(value, path: str, nulled: list):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """obj as json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    writes it, plus a newline, byte for byte.
+
+    Not json.dumps itself: CPython uses its C encoder only when indent is
+    None, so an indented dump goes through json's generator-based Python
+    encoder, one yield per piece.  This is one recursive pass that appends
+    the pieces to a list and joins them once.  It keeps json's rules: the
+    same isinstance order, encode_basestring_ascii for str,
+    int.__repr__ and float.__repr__ (subclasses included), items sorted
+    as json sorts them, tuples as lists, ValueError for nan and inf and
+    TypeError for any other object.  Reports are trees, so there is no
+    check for cycles."""
+    out: list[str] = []
+    _json_parts(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x or x == _INF or x == -_INF:
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_parts(value, out: list, newline: str) -> None:
+    """Append the text of value to out; newline is a line break plus the
+    indentation of value's own level.  A container's first separator is
+    replaced by its opening bracket once its items are in."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, start = "," + inner, len(out)
+        for item in value:
+            out.append(sep)
+            _json_parts(item, out, inner)
+        out[start] = "[" + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, start = "," + inner, len(out)
+        for key, item in sorted(value.items()):
+            out.append(sep)
+            out.append(_json_str(_json_key(key)))
+            out.append(": ")
+            _json_parts(item, out, inner)
+        out[start] = "{" + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a temp file in its directory and a
+    replace, so a reader sees the old file or the new one.  The bytes are
+    those a text-mode file writes on POSIX: the locale's preferred encoding,
+    no newline translation."""
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.chmod(tmp, 0o644)  # mkstemp creates 0600; reports stay world-readable
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+            os.fchmod(fd, 0o644)  # mkstemp creates 0600; reports stay world-readable
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -690,16 +784,19 @@ def _summary_rows(bundles: Sequence[Mapping]) -> list[dict]:
 
 
 def _csv_text(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
+    """The rows under a header of columns; a missing key is written as ""
+    and a key outside columns is left out."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in columns})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row.get(k, "") for k in columns] for row in rows)
     return buf.getvalue()
 
 
 def write_bundle(bundle: Mapping, out_dir: str | os.PathLike) -> None:
-    """Write report.json, summary.csv, and one series CSV per gridded audit."""
+    """Write report.json, summary.csv, and one series CSV per gridded audit:
+    <name>__<theorem>.csv, and <name>__<theorem>-2.csv, -3, ... for later
+    audits of the same theorem."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = _safe_name(bundle["config"]["name"]) if "config" in bundle else "report"
@@ -709,12 +806,15 @@ def write_bundle(bundle: Mapping, out_dir: str | os.PathLike) -> None:
         out / f"{name}_summary.csv",
         _csv_text(rows, SUMMARY_COLUMNS),
     )
+    seen: dict[str, int] = {}
     for r in bundle.get("audits", ()):
         if r.get("series"):
             cols = list(r["series"][0].keys())
             series_rows = [{k: repr(v) if isinstance(v, float) else v for k, v in row.items()} for row in r["series"]]
+            theorem = _safe_name(r["theorem"])
+            seen[theorem] = count = seen.get(theorem, 0) + 1
             _atomic_write(
-                out / f"{name}__{_safe_name(r['theorem'])}.csv",
+                out / f"{name}__{theorem if count == 1 else f'{theorem}-{count}'}.csv",
                 _csv_text(series_rows, cols),
             )
 

@@ -226,15 +226,27 @@ class DeviationLaw:
 
     def tail_abs_ge(self, t, tol=0):
         """P{|G| >= t}, with a symmetric tolerance for float-mode values."""
-        return sum(p for v, p in self.points if abs(v) >= t - tol)
+        at = _threshold(self.points, t - tol)
+        return sum(p for v, p in self.points if abs(v) >= at)
 
     def tail_abs_gt(self, t, tol=0):
         """P{|G| > t} (strict)."""
-        return sum(p for v, p in self.points if abs(v) > t + tol)
+        at = _threshold(self.points, t + tol)
+        return sum(p for v, p in self.points if abs(v) > at)
 
     def mass_abs_near(self, t, window):
         """P{ | |G| - t | <= window }."""
         return sum(p for v, p in self.points if abs(abs(v) - t) <= window)
+
+
+def _threshold(points: tuple, x):
+    """x to compare the values of points with: a finite float becomes its
+    exact Fraction when every value is a Fraction.  Fraction converts a
+    float exactly at every comparison, so each comparison gives the same
+    result with the float converted once."""
+    if isinstance(x, float) and math.isfinite(x) and all(type(v) is Fraction for v, _ in points):
+        return Fraction(x)
+    return x
 
 
 def _merged_points(acc: dict, is_exact: bool) -> tuple:
@@ -601,7 +613,8 @@ def erm_consistency_bound(
     curve = []
     ok = True
     for t in t_grid:
-        tail = sum(p for v, p in points if v >= t - (0 if j.is_exact else VALUE_ATOL))
+        at = _threshold(points, t - (0 if j.is_exact else VALUE_ATOL))
+        tail = sum(p for v, p in points if v >= at)
         bound = erm_markov_bound(info, t)
         good = tail <= bound + tol
         ok = ok and good

@@ -340,12 +340,30 @@ def _wilson(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
 
 def deviations(batch: RunBatch, loss: ParametricLoss) -> np.ndarray:
     """G_i = R_emp(H_i) - R_true(H_i) for every run, as float64."""
-    dist = batch.scenario.data_dist
-    risks = np.array([float(true_risk(loss, h, dist)) for h in batch.hypotheses])
+    risks = _true_risks(batch, loss)
     values = _loss_values(batch, loss, batch.idx, np.broadcast_to(batch.hyp[:, None], batch.idx.shape))
     # each row summed from left to right
     emp = np.add.accumulate(values, axis=1)[:, -1]
     return emp / batch.idx.shape[1] - risks[batch.hyp]
+
+
+def _true_risks(batch: RunBatch, loss: ParametricLoss) -> np.ndarray:
+    """The float true risk of each of the batch's hypotheses.  A loss with
+    an array form and no true_risk_fn gives true_risk its table columns,
+    built for chunks of hypotheses of at most about 2^20 cells, as Python
+    ints (an int64 column times the weights' numerators can overflow)."""
+    dist, hs = batch.scenario.data_dist, batch.hypotheses
+    integers = getattr(batch_form(loss.fn), "integers", None)
+    if loss.true_risk_fn is not None or integers is None:
+        return np.array([float(true_risk(loss, h, dist)) for h in hs])
+    n = len(dist.alphabet)
+    z = _symbols_at(dist.alphabet, np.arange(n))[:, None]
+    step = max(1, 2**20 // n)
+    risks = []
+    for lo in range(0, len(hs), step):
+        nums, scale = integers(z, hs, np.arange(lo, min(lo + step, len(hs))))
+        risks += [float(true_risk(loss, h, dist, c, scale)) for h, c in zip(hs[lo : lo + step], nums.T.tolist())]
+    return np.array(risks)
 
 
 def estimate_tail(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
+from strategies import cases
 import stabaudit.losses as losses_module
 from stabaudit.dist import Alphabet, Dist
 from stabaudit.info import variational_info
@@ -568,3 +569,71 @@ def test_the_law_and_the_sign_side_share_one_deviation_table(monkeypatch):
     assert sorted(calls) == sorted(set(calls)) and len(calls) == len(s.learner.hypotheses(3))
     fresh = uniform_scenario(s.learner, m=3, loss=membership_loss())
     assert law.points == deviation_law(fresh, fresh.loss).points
+
+
+# ---------------------------------------------------------------------------
+# tail reads against the per-point expressions
+
+
+def _same(a, b):
+    assert type(a) is type(b) and a == b
+
+
+@st.composite
+def _hand_laws(draw):
+    """A law of up to 6 points, exact (Fraction values and masses) or
+    float, and thresholds at its |values|, between them, and special."""
+    exact = draw(st.booleans())
+    values = sorted(set(draw(st.lists(st.fractions(-1, 1, max_denominator=12), max_size=6))))
+    masses = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+    total = sum(masses)
+    if exact:
+        points = tuple((v, F(p, total)) for v, p in zip(values, masses))
+    else:
+        points = tuple((float(v), p / total) for v, p in zip(values, masses))
+    near = [abs(v) for v in values] + [F(1, 3), F(1, 2)]
+    t = draw(
+        st.sampled_from(near).flatmap(lambda x: st.sampled_from([x, float(x), float(x) + 1e-12, float(x) - 1e-12]))
+        | st.sampled_from([float("nan"), float("inf"), -float("inf"), 0, 1, 0.0, -0.25])
+        | st.integers(-1, 2)
+        | st.fractions(-2, 2, max_denominator=30)
+        | st.floats(-2, 2)
+    )
+    return DeviationLaw(points, "hand", "hand"), t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hand_laws(), st.sampled_from([0, 1e-12]))
+def test_tail_reads_equal_the_per_point_sums(case, tol):
+    law, t = case
+    _same(law.tail_abs_ge(t, tol=tol), sum(p for v, p in law.points if abs(v) >= t - tol))
+    _same(law.tail_abs_gt(t, tol=tol), sum(p for v, p in law.points if abs(v) > t + tol))
+
+
+def test_a_float_threshold_is_converted_once_per_exact_read(monkeypatch):
+    law = DeviationLaw(tuple((F(i, 7), F(1, 10)) for i in range(-4, 6)), "hand", "hand")
+    calls = []
+    from_float = F.from_float.__func__
+    monkeypatch.setattr(F, "from_float", classmethod(lambda cls, x: calls.append(x) or from_float(cls, x)))
+    assert law.tail_abs_ge(0.3) == F(5, 10)
+    assert law.tail_abs_gt(0.25, tol=0.01) == F(7, 10)
+    assert calls == []  # Fraction's float comparisons call from_float
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cases(),
+    st.lists(
+        st.sampled_from([0.05, 0.25, 0.5, 1, F(1, 3), F(1, 4), float("nan"), float("inf")]) | st.floats(0.01, 1),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([0, 1e-12]),
+)
+def test_erm_curve_tails_equal_the_per_point_sums(case, t_grid, tol):
+    *scenarios, loss = case
+    for s in scenarios:
+        report = erm_consistency_bound(s, loss, t_grid=t_grid, tol=tol)
+        shift = 0 if s.data_dist.is_exact else losses_module.VALUE_ATOL
+        for t, tail, _, _ in report.curve:
+            _same(tail, sum(p for v, p in report.excess_points if v >= t - shift))

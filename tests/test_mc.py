@@ -21,9 +21,11 @@ from stabaudit.losses import (
     prop1_flipped_loss,
     prop1_paired_loss,
     random_table_loss,
+    true_risk,
     zero_one_loss,
 )
 from stabaudit.mc import (
+    _true_risks,
     _wilson,
     deviations,
     draw_runs,
@@ -385,3 +387,34 @@ def test_a_prop1_mc_run_never_reads_the_positional_symbols(monkeypatch):
     assert guard.reads == 0
     # the guard does count reads
     assert Alphabet.of_size("z", 3).symbols == (0, 1, 2) and guard.reads == 1
+
+
+# ---------------------------------------------------------------------------
+# true risks from the loss's array form
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64])
+@pytest.mark.parametrize("make_loss", [membership_loss, zero_one_loss])
+def test_true_risks_from_table_columns_equal_the_per_hypothesis_risks(mode, make_loss):
+    d = Alphabet.of_size("z", 6)
+    raw = [3, 0, 1, 5, 2, 0]
+    weights = [F(r, sum(raw)) for r in raw]
+    dist = Dist(d, np.array(weights if mode.exact else [float(w) for w in weights], dtype=mode.dtype))
+    scenario = Scenario(name="s", learner=subsample_release(d, k=2, delta=F(1, 2), mode=mode), data_dist=dist, m=3)
+    batch = draw_runs(scenario, 300, seed=4)
+    loss = make_loss()
+    want = np.array([float(true_risk(loss, h, dist)) for h in batch.hypotheses])
+    got = _true_risks(batch, loss)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(batch.hypotheses) > 1
+
+
+def test_true_risks_of_a_large_domain_go_in_chunks():
+    # 2^17 symbols: 8 hypotheses per chunk of at most 2^20 cells
+    n = 2**17
+    d = Alphabet.of_size("z", n)
+    scenario = Scenario(name="s", learner=subsample_release(d, k=1, mode=EXACT), data_dist=Dist.uniform(d, EXACT), m=2)
+    batch = draw_runs(scenario, 40, seed=2)
+    assert len(batch.hypotheses) > 8
+    risks = _true_risks(batch, membership_loss())
+    assert risks.tolist() == [len(set(h)) / n for h in batch.hypotheses]
