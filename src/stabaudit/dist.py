@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -152,6 +152,24 @@ class Alphabet:
             return Positions(self._size)
         return {s: i for i, s in enumerate(self.symbols)}
 
+    def indices(self, symbols: Iterable) -> np.ndarray:
+        """index[s] for each of symbols, as an intp array, with the KeyError
+        index raises.  On a positional alphabet, ints in range map to
+        themselves in array steps."""
+        from array import array  # array("q") takes ints alone, so equality is by value
+
+        symbols = list(symbols)
+        if self.positional:
+            try:
+                at = np.frombuffer(array("q", symbols), np.int64).astype(np.intp)
+            except (TypeError, OverflowError):
+                pass
+            else:
+                if not len(at) or (at.min() >= 0 and at.max() < self._size):
+                    return at
+        index = self.index
+        return np.array([index[s] for s in symbols], dtype=np.intp)
+
     def __len__(self) -> int:
         return self._size
 
@@ -181,9 +199,12 @@ class Alphabet:
         return cls(name, range(n))
 
 
-def _validated_weights(weights, shape, where: str) -> np.ndarray:
+def _validated_weights(weights, shape, where: str, owned: bool = False) -> np.ndarray:
+    """weights as a read-only array, checked: a copy, unless owned says
+    that weights is a float64 or object array that nothing else holds."""
     w = np.asarray(weights)
-    w = w.copy() if w.dtype == object else w.astype(np.float64)  # astype copies
+    if not owned:
+        w = w.copy() if w.dtype == object else w.astype(np.float64)  # astype copies
     if w.shape != shape:
         raise DomainMismatchError(f"{where}: weights shape {w.shape} != {shape}")
     exact = w.dtype == object
@@ -251,6 +272,16 @@ class Dist:
         w = _validated_weights(self.weights, (len(self.alphabet),), f"dist[{self.alphabet.name}]")
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _of_owned(cls, alphabet: Alphabet, weights: np.ndarray) -> "Dist":
+        """Dist(alphabet, weights), checked the same way, without the copy:
+        for a float64 or object array built for it alone."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "alphabet", alphabet)
+        w = _validated_weights(weights, (len(alphabet),), f"dist[{alphabet.name}]", owned=True)
+        object.__setattr__(dist, "weights", w)
+        return dist
+
     @property
     def is_exact(self) -> bool:
         return self.weights.dtype == object
@@ -292,7 +323,7 @@ class Dist:
         else:
             w = np.full(n, 1.0 / n)
             w[-1] = 1.0 - w[:-1].sum()  # close the float gap exactly
-        return cls(alphabet, w)
+        return cls._of_owned(alphabet, w)
 
     @classmethod
     def point_mass(cls, alphabet: Alphabet, symbol, mode: NumericMode = FLOAT64) -> "Dist":

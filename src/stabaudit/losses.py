@@ -166,7 +166,9 @@ def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
     return total / Fraction(len(sample))
 
 
-def true_risk(loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None = None, scale: int = 1):
+def true_risk(
+    loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None = None, scale: int = 1, *, many: bool = False
+):
     """Expected loss of h under the data distribution.
 
     Exact for an exact distribution, also when the loss returns floats
@@ -176,7 +178,23 @@ def true_risk(loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None 
     exact table column of h over the distribution's alphabet with its
     scale (loss_table), gives the loss values without calling loss.fn;
     in float mode each is column[i] / scale, the float of the same
-    rational that float(loss.fn(z, h)) rounds."""
+    rational that float(loss.fn(z, h)) rounds.
+
+    many: h is a sequence of hypotheses, and their float risks come back
+    as one float64 array, from the batch form of loss.true_risk_fn
+    (true_risk_fn.batch(hypotheses, dist)) when it has one and dist is a
+    float distribution, else one risk at a time."""
+    if many:
+        batch = getattr(loss.true_risk_fn, "batch", None)
+        if batch is not None and not dist.is_exact:
+            return batch(h, dist)
+        return np.array([float(_true_risk(loss, x, dist, None, 1)) for x in h])
+    return _true_risk(loss, h, dist, column, scale)
+
+
+def _true_risk(loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None, scale: int):
+    """true_risk of one hypothesis, called by name here so that a batch
+    stays one true_risk call."""
     if loss.true_risk_fn is not None:
         return loss.true_risk_fn(h, dist)
     if dist.is_exact:
@@ -378,23 +396,25 @@ def deviation_law(scenario: Scenario, loss: ParametricLoss, budget: int | None =
 # loss builders
 
 
-def _codes(z: np.ndarray, symbols) -> tuple[np.ndarray, np.ndarray]:
-    """z as integer codes >= 0, and symbols as the codes of the z values they
-    equal, or negative codes: by value when z and symbols are ints, else
-    through a dict of z's values, which matches them as == does."""
+def _codes(z: np.ndarray, *parts: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """z as integer codes >= 0, and the symbols of parts, one part after
+    another, as the codes of the z values they equal, or negative codes:
+    by value when z and the symbols are ints, else through a dict of z's
+    values, which matches them as == does."""
     from array import array  # array("q") takes ints alone, so equality is by value
 
-    symbols = list(symbols)
     if z.dtype.kind == "i":
         lo = int(z.min(initial=0))
         try:
-            codes = np.frombuffer(array("q", symbols), np.int64)
+            # one array per part: array("q") reads a list or tuple in one pass
+            codes = np.frombuffer(b"".join(map(array, itertools.repeat("q"), parts)), np.int64)
         except (TypeError, OverflowError):
             pass
         else:
             return (z - lo, codes - lo) if lo else (z, codes)
     seen: dict = {}
     codes = np.array([seen.setdefault(s, len(seen)) for s in z.ravel().tolist()], dtype=np.intp)
+    symbols = itertools.chain.from_iterable(parts)
     return codes.reshape(z.shape), np.array([seen.get(s, -1) for s in symbols], dtype=np.int64)
 
 
@@ -402,7 +422,7 @@ def _in_keys(z: np.ndarray, keys: Sequence, h: np.ndarray) -> np.ndarray:
     """Whether z is in keys[h], for z and h broadcast together, in one array
     step: each (key, member) and (h, z) pair as one integer code, the wanted
     ones looked up among the sorted member pairs."""
-    zc, members = _codes(z, itertools.chain.from_iterable(keys))
+    zc, members = _codes(z, *keys)
     owner = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
     span = int(zc.max(initial=0)) + 1
     keep = (members >= 0) & (members < span)  # the others equal no z
@@ -482,6 +502,10 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
 
     fn's array form tests each z for membership in its hypothesis's key
     (_in_keys), with the in-sample values over a common denominator with 1/2.
+    In float mode the true risk of (key, b) is 0.5 plus one float term
+    w(z) * step(b) per z in set(key), added in set order, with step(b) the
+    float of in_sample_value(b) - 1/2; true_risk_fn.batch gives it for
+    many hypotheses at once.
     """
     half = Fraction(1, 2)
 
@@ -492,23 +516,38 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
         return half
 
     def integers(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> tuple[np.ndarray, int]:
-        nums, scale = common_denominator([half] + [in_sample_value(b) for _, b in hypotheses])
+        values = {b: in_sample_value(b) for b in {b for _, b in hypotheses}}
+        nums, scale = common_denominator([half, *values.values()])
+        num_of = dict(zip(values, nums[1:]))
         inside = _in_keys(z, [key for key, _ in hypotheses], h)
-        return np.where(inside, np.array(nums[1:], dtype=np.int64).take(h), nums[0]), scale
+        return np.where(inside, np.array([num_of[b] for _, b in hypotheses], dtype=np.int64).take(h), nums[0]), scale
+
+    def float_risks(hypotheses: Sequence, dist: Dist) -> np.ndarray:
+        """The float true risks of hypotheses: each key's members, in set
+        order, in a zero-padded row after a 0.5 column, times its step,
+        added along the row.  A padding term is 0.0 or -0.0, which leaves
+        a sum as it is."""
+        steps = {b: float(in_sample_value(b) - half) for b in {b for _, b in hypotheses}}
+        members = [set(key) for key, _ in hypotheses]
+        sizes = np.array([len(key) for key in members], dtype=np.intp)
+        terms = np.zeros((len(members), 1 + int(sizes.max(initial=0))))
+        at = dist.alphabet.indices(itertools.chain.from_iterable(members))
+        terms[:, 1:][np.arange(terms.shape[1] - 1) < sizes[:, None]] = dist.weights.take(at)
+        terms[:, 1:] *= np.array([steps[b] for _, b in hypotheses])[:, None]
+        terms[:, 0] = 0.5
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
     def true_risk_fn(h, dist: Dist):
+        if not dist.is_exact:
+            return float(float_risks([h], dist)[0])
         key, b = h
         step = in_sample_value(b) - half
-        if dist.is_exact:
-            total = half
-            for z in set(key):
-                total = total + dist.weight(z) * step
-            return total
-        # float mode: 0.5 plus one float term per symbol, in set order
-        index = dist.alphabet.index
-        terms = dist.weights.take([index[z] for z in set(key)]) * float(step)
-        return float(np.add.accumulate(np.concatenate(([0.5], terms)))[-1])
+        total = half
+        for z in set(key):
+            total = total + dist.weight(z) * step
+        return total
 
+    true_risk_fn.batch = float_risks
     return ParametricLoss(name=name, fn=with_integers(fn, integers), true_risk_fn=true_risk_fn)
 
 

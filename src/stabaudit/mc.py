@@ -6,16 +6,33 @@ independently of draw order.  Each run takes, in order, m uniforms for its
 sample, one integer for the position of Z_trn, and one uniform that picks
 its hypothesis from the kernel's output.
 
+The streams are numpy's np.random.Philox(key=(seed << 64) | i) with a
+Generator on top, and the draws are reproduced bit for bit in array steps
+(philox_words): run i's words are the Philox4x64-10 blocks under key words
+[i, seed] for counters 1, 2, ..., four words a block, computed for chunks
+of runs of about _CHUNK blocks at a time.  A uniform is (word >> 11) *
+2^-53.  integers(m) reads nothing when m = 1; else it takes Lemire's
+bounded integer (ACM TOMACS 2019) of the low 32-bit half of word m, so the
+pick is word m + 1 (word m when m = 1).  Where Lemire's method rejects
+that half, numpy draws again, and the run is drawn through run_streams
+instead, as is every run of a seed outside [0, 2^64); that one loop is
+the fallback.
+
 A RunBatch holds the runs as columns: the samples' domain indices
 (runs, m), the domain index of each run's Z_trn, and each run's hypothesis
 as an index into the batch's distinct hypotheses, in first-seen order.
 draw_runs maps every sample uniform through the cdf in one call and calls
-the kernel once per distinct ordered sample.  On a positional domain
+the kernel once per distinct ordered sample.  Each run's pick counts the
+running float sums of its sample's kernel output that are <= its uniform
+(pick_hypotheses), which is what bisect_right finds.  On a positional domain
 symbol i is i, so neither drawing nor estimating reads the domain's
 symbols.  The estimators are array ops over the columns.  They read loss
 values through one helper, which calls the loss's batch form (attached
 with learners.with_batch; a wrapped fn loses it, as a wrapped kernel
-does) or else loss.fn once per distinct (z, h) pair.  Every float sum
+does) or else loss.fn once per distinct (z, h) pair, and read the true
+risks of all the batch's hypotheses from one true_risk call where the
+loss has no array form or has a true_risk_fn (the memorizer losses give
+theirs in one array step in float mode).  Every float sum
 keeps the order of a loop over the runs, so estimates do not depend on
 how the columns are computed.
 
@@ -34,7 +51,6 @@ number of runs; estimates carry a warning note when that happens.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
@@ -46,6 +62,13 @@ from .learners import Scenario, batch_form
 from .losses import ParametricLoss, true_risk
 
 Z95 = 1.959963984540054
+#: Philox4x64 round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 2**64 - 1
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+#: Philox blocks per array step of _run_draws
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -167,7 +190,16 @@ def _symbols_at(alphabet: Alphabet, idx: np.ndarray) -> np.ndarray:
 def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, rank) over the entries of a 1-D array or the rows of a 2-D
     one: where each distinct value first appears, in order of appearance,
-    and each entry's rank in that order."""
+    and each entry's rank in that order.  Rows of indices below n with
+    n^columns < 2^63 are read as one base-n integer each."""
+    if a.ndim > 1 and a.size and a.min() >= 0:
+        n = int(a.max()) + 1
+        if n ** a.shape[1] < 2**63:
+            codes = np.zeros(len(a), dtype=np.int64)
+            for column in a.T:
+                codes *= n
+                codes += column
+            a = codes
     _, first, inv = np.unique(a, axis=0 if a.ndim > 1 else None, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -194,43 +226,148 @@ def symbol_indices(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape)
 
 
+def philox_words(seed: int, runs: np.ndarray, n_words: int) -> np.ndarray:
+    """The first n_words 64-bit words of stream i for each i in runs, as a
+    (len(runs), n_words) uint64 array: what
+    np.random.Philox(key=(seed << 64) | i).random_raw(n_words) gives, for
+    0 <= seed, i < 2^64.
+
+    Philox4x64-10 (Salmon et al., SC 2011) as numpy lays it out: key
+    words [i, seed], and block b (b = 1, 2, ...; numpy bumps the counter
+    before each block) is the 10-round cipher of the counter (b, 0, 0, 0),
+    whose four words come out in order.  The 64-bit products are built
+    from 32-bit halves.
+    """
+    blocks = -(-n_words // 4)
+    k0 = np.repeat(np.asarray(runs, dtype=np.uint64), blocks)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(runs))
+    c1, c2, c3 = (np.zeros_like(c0) for _ in range(3))
+    hi0, hi1 = np.empty_like(c0), np.empty_like(c0)
+    for r in range(10):
+        lo0 = _mulhilo(_PHILOX_M[0], c0, hi0)
+        lo1 = _mulhilo(_PHILOX_M[1], c2, hi1)
+        hi1 ^= c1
+        hi1 ^= k0 + np.uint64(r * _PHILOX_W[0] & _MASK64) if r else k0
+        hi0 ^= c3
+        hi0 ^= np.uint64((seed + r * _PHILOX_W[1]) & _MASK64)
+        c0, c1, c2, c3, hi0, hi1 = hi1, lo1, hi0, lo0, c0, c2
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(len(runs), -1)[:, :n_words]
+
+
+def _mulhilo(a: int, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """a * x for a 64-bit constant a: the high words go to hi, the low
+    words are returned."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _32
+    t = x_lo * a_lo
+    t >>= _32
+    t += x_hi * a_lo  # below 2^64
+    mid = x_lo * a_hi
+    mid += t & _LOW32
+    t >>= _32
+    mid >>= _32
+    np.multiply(x_hi, a_hi, out=hi)
+    hi += t
+    hi += mid
+    return x * np.uint64(a)
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Generator.random() of each word: its top 53 bits times 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def bounded(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(bound) for 1 < bound < 2^32, by Lemire's method
+    on the low 32-bit half of each word, and whether the word was kept.
+    Where it was not, numpy draws again (from the high half), so the value
+    given there is not the draw."""
+    prod = (words & _LOW32) * np.uint64(bound)
+    return (prod >> _32).astype(np.intp), (prod & _LOW32) >= np.uint64(2**32 % bound)
+
+
+def _run_draws(seed: int, n_runs: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each run's m uniforms, position of Z_trn and picking uniform, from
+    its Philox words for chunks of about _CHUNK blocks at a time; the
+    fallback runs (see the module docstring) go through run_streams."""
+    u = np.empty((n_runs, m))
+    at = np.zeros(n_runs, dtype=np.intp)
+    pick = np.empty(n_runs)
+    redo: Sequence[int] = range(n_runs)
+    if 0 <= seed < 2**64 and m < 2**32:
+        n_words = m + 2 if m > 1 else 2
+        step = max(1, _CHUNK // -(-n_words // 4))
+        redo = []
+        for lo in range(0, n_runs, step):
+            hi = min(lo + step, n_runs)
+            words = philox_words(seed, np.arange(lo, hi), n_words)
+            u[lo:hi] = uniforms(words[:, :m])
+            pick[lo:hi] = uniforms(words[:, -1])
+            if m > 1:
+                at[lo:hi], kept = bounded(words[:, m], m)
+                redo += (lo + np.flatnonzero(~kept)).tolist()
+    stream = run_streams(seed)
+    for i in redo:
+        rng = stream(i)
+        rng.random(out=u[i])
+        at[i] = rng.integers(m)
+        pick[i] = rng.random()
+    return u, at, pick
+
+
+def pick_hypotheses(
+    kernel: Callable, samples: Sequence, sample_of: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """Each run's hypothesis as an index into the distinct hypotheses, in
+    first-seen order, and those hypotheses.
+
+    kernel runs once per sample, in order.  Run i picks from the output
+    of samples[sample_of[i]] the first entry whose running sum of float
+    probabilities exceeds u[i]: the count of running sums <= u[i], past
+    the last entry the last one, and None from an empty output.  The
+    running sums are one cumsum over the outputs in zero-padded rows,
+    which adds in sequence, as total += float(p) does; runs are counted
+    in chunks of about 2^20 running sums."""
+    hs: list = []
+    probs: list = []
+    sizes = []
+    for sample in samples:
+        out = kernel(tuple(sample))
+        hs += out or [None]
+        probs += map(float, out.values())
+        sizes.append(len(out))
+    sizes = np.array(sizes, dtype=np.intp)
+    width = np.maximum(sizes, 1)  # each output's entries in hs
+    acc = np.zeros((len(sizes), int(width.max())))
+    acc[np.arange(acc.shape[1]) < sizes[:, None]] = probs
+    np.cumsum(acc, axis=1, out=acc)
+    entry = np.empty(len(u), dtype=np.intp)
+    step = max(1, 2**20 // acc.shape[1])
+    for lo in range(0, len(u), step):
+        entry[lo : lo + step] = (acc[sample_of[lo : lo + step]] <= u[lo : lo + step, None]).sum(axis=1)
+    np.minimum(entry, (width - 1)[sample_of], out=entry)
+    # each run's entry as a position in hs; ids in first-seen order of those
+    codes = (np.cumsum(width) - width)[sample_of] + entry
+    first, rank = _first_seen(codes)
+    ids: dict = {}
+    of_code = np.array([ids.setdefault(hs[c], len(ids)) for c in codes[first].tolist()], dtype=np.intp)
+    return of_code[rank], tuple(ids)
+
+
 def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBatch:
     """Draw (sample, Z_trn, H) triples; stream i is keyed by (seed, i)."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     seed = scenario.seed if seed is None else seed
-    m = scenario.m
-    u = np.empty((n_runs, m))
-    at = np.empty(n_runs, dtype=np.intp)
-    pick = np.empty(n_runs)
-    stream = run_streams(seed)
-    for i in range(n_runs):
-        rng = stream(i)
-        rng.random(out=u[i])
-        at[i] = rng.integers(m)
-        pick[i] = rng.random()
+    u, at, pick = _run_draws(seed, n_runs, scenario.m)
     dist = scenario.data_dist
     idx = symbol_indices(dist.weights, u)
     trn = idx[np.arange(n_runs), at]
-    # one kernel call per distinct ordered sample; its entries' running
-    # sums, so that bisect_right finds the first entry with u < acc
+    # one kernel call per distinct ordered sample
     first, sample_of = _first_seen(idx)
-    kernel, outputs = scenario.learner.kernel, []
-    for sample in _symbols_at(dist.alphabet, idx[first]).tolist():
-        acc, hs, total = [], [], 0.0
-        for h, ph in kernel(tuple(sample)).items():
-            total += float(ph)
-            acc.append(total)
-            hs.append(h)
-        outputs.append((acc, hs))
-    ids: dict = {}
-    hyp = np.empty(n_runs, dtype=np.intp)
-    for i, (g, x) in enumerate(zip(sample_of.tolist(), pick.tolist())):
-        acc, hs = outputs[g]
-        # past the last running sum, the last entry; no entries, None
-        h = hs[min(bisect_right(acc, x), len(hs) - 1)] if hs else None
-        hyp[i] = ids.setdefault(h, len(ids))
-    return RunBatch(scenario, idx, trn, hyp, tuple(ids), seed)
+    samples = _symbols_at(dist.alphabet, idx[first]).tolist()
+    hyp, hypotheses = pick_hypotheses(scenario.learner.kernel, samples, sample_of, pick)
+    return RunBatch(scenario, idx, trn, hyp, hypotheses, seed)
 
 
 def _loss_values(batch: RunBatch, loss: ParametricLoss, z: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -355,7 +492,7 @@ def _true_risks(batch: RunBatch, loss: ParametricLoss) -> np.ndarray:
     dist, hs = batch.scenario.data_dist, batch.hypotheses
     integers = getattr(batch_form(loss.fn), "integers", None)
     if loss.true_risk_fn is not None or integers is None:
-        return np.array([float(true_risk(loss, h, dist)) for h in hs])
+        return true_risk(loss, hs, dist, many=True)
     n = len(dist.alphabet)
     z = _symbols_at(dist.alphabet, np.arange(n))[:, None]
     step = max(1, 2**20 // n)

@@ -396,3 +396,38 @@ def float_true_risk(loss_fn, h, dist):
         if w != 0:
             total = total + w * loss_fn(z, h)
     return total
+
+
+def prop1_float_true_risk(in_sample_value, h, dist):
+    """The memorizer's float true risk of h = (key, b): 0.5 plus
+    w(z) * float(in_sample_value(b) - 1/2) for each z in set(key), added one
+    at a time in set order."""
+    key, b = h
+    step = float(Fraction(in_sample_value(b)) - Fraction(1, 2))
+    symbols = list(dist.alphabet.symbols)
+    total = 0.5
+    for z in set(key):
+        total += float(dist.weights[symbols.index(z)]) * step
+    return total
+
+
+def bisect_picks(kernel, samples, sample_of, u):
+    """Each run's hypothesis from the running float sums of its sample's
+    kernel output, found with bisect_right; ids in first-seen order."""
+    from bisect import bisect_right
+
+    outputs = []
+    for sample in samples:
+        acc, hs, total = [], [], 0.0
+        for h, ph in kernel(tuple(sample)).items():
+            total += float(ph)
+            acc.append(total)
+            hs.append(h)
+        outputs.append((acc, hs))
+    ids: dict = {}
+    hyp = []
+    for g, x in zip(sample_of, u):
+        acc, hs = outputs[g]
+        h = hs[min(bisect_right(acc, x), len(hs) - 1)] if hs else None
+        hyp.append(ids.setdefault(h, len(ids)))
+    return hyp, tuple(ids)

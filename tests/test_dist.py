@@ -70,6 +70,22 @@ def test_of_size_is_positional_and_matches_explicit_symbols():
                 alpha.index[key]
 
 
+def test_indices_look_up_as_the_index_does():
+    pos, explicit = Alphabet.of_size("z", 5), Alphabet("z", tuple(range(5)))
+    for alpha in (pos, explicit, ABC):
+        keys = list(alpha.index)
+        assert alpha.indices(reversed(keys)).tolist() == [alpha.index[k] for k in reversed(keys)]
+        assert alpha.indices([]).dtype == np.intp and alpha.indices(iter(())).tolist() == []
+    for alpha in (pos, explicit):
+        got = alpha.indices(iter(GOOD_KEYS))
+        assert got.dtype == np.intp and got.tolist() == [alpha.index[k] for k in GOOD_KEYS]
+        for key in BAD_KEYS:
+            with pytest.raises(KeyError):
+                alpha.indices([0, key, 1])
+    with pytest.raises(KeyError):
+        ABC.indices(["a", "z"])
+
+
 def test_of_size_dists_match_explicit_symbols():
     pos, explicit = Alphabet.of_size("z", 5), Alphabet("z", tuple(range(5)))
     mapping = {0: Fraction(1, 2), np.int64(3): Fraction(1, 3), 4.0: Fraction(1, 6)}
@@ -174,6 +190,19 @@ def test_uniform_exact_and_float():
     uf = Dist.uniform(ABC, FLOAT64)
     assert not uf.is_exact
     assert uf.weights.sum() == 1.0  # float gap closed on the last symbol
+    for u in (u, uf):
+        assert not u.weights.flags.writeable
+        assert u.weights.tolist() == Dist(ABC, u.weights.tolist()).weights.tolist()
+
+
+def test_an_owned_weights_array_is_kept_and_checked():
+    w = np.array([0.25, 0.75])
+    assert Dist._of_owned(AB, w).weights is w and not w.flags.writeable
+    for bad in ([0.5, 0.51], [1.5, -0.5], [np.nan, 1.0], [1.0]):
+        with pytest.raises((ValueError, DomainMismatchError)):
+            Dist._of_owned(AB, np.array(bad))
+    with pytest.raises(ValueError):
+        Dist._of_owned(AB, np.array([Fraction(1, 2), Fraction(1, 3)], dtype=object))
 
 
 def test_point_mass_and_from_mapping():

@@ -1,10 +1,14 @@
+import csv
 import dataclasses
 import functools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from stabaudit.dist import Alphabet, Dist
@@ -24,16 +28,22 @@ from stabaudit.losses import (
     true_risk,
     zero_one_loss,
 )
+from stabaudit import mc
 from stabaudit.mc import (
+    _run_draws,
     _true_risks,
     _wilson,
+    bounded,
     deviations,
     draw_runs,
     estimate_gen_risk,
     estimate_tail,
     estimate_variational_info,
+    philox_words,
+    pick_hypotheses,
     run_streams,
     symbol_indices,
+    uniforms,
 )
 from stabaudit.numeric import EXACT, FLOAT64
 
@@ -213,6 +223,189 @@ def test_reset_streams_draw_as_fresh_generators(seed):
         m = 1 + i % 5
         fresh = _outcome(lambda: np.random.Generator(np.random.Philox(key=(seed << 64) | i)), m)
         assert _outcome(lambda: stream(i), m) == fresh, (seed, i)
+
+
+# ---------------------------------------------------------------------------
+# Philox words in arrays against numpy's generators
+
+SEEDS = [0, 1, 7, 23, 2**31 + 5, 2**63 + 5, 2**64 - 1]
+RUNS = [0, 1, 2, 3, 17, 255, 4096, 2**32 + 1, 2**63 + 5, 2**64 - 1]
+
+
+def _philox(seed, i):
+    return np.random.Philox(key=(seed << 64) | i)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_words_are_numpys_raw_words(seed):
+    for n_words in (1, 2, 3, 4, 5, 9, 52):
+        words = philox_words(seed, np.array(RUNS, dtype=np.uint64), n_words)
+        assert words.dtype == np.uint64 and words.shape == (len(RUNS), n_words)
+        assert words.tolist() == [_philox(seed, i).random_raw(n_words).tolist() for i in RUNS], n_words
+
+
+@pytest.mark.parametrize("name", ["philox-testset-1.csv", "philox-testset-2.csv"])
+def test_philox_words_match_numpys_known_answers(name):
+    path = os.path.join(os.path.dirname(np.random.__file__), "tests", "data", name)
+    with open(path) as f:
+        rows = list(csv.reader(f))
+    seed = int(rows[0][1], 0)
+    want = [int(x, 0) for _, x in rows[1:]]
+    k0, k1 = np.random.Philox(seed).state["state"]["key"].tolist()
+    assert philox_words(k1, np.array([k0], dtype=np.uint64), len(want))[0].tolist() == want
+
+
+def _per_run(seed, n_runs, m):
+    u, at, pick = [], [], []
+    for i in range(n_runs):
+        rng = np.random.Generator(_philox(seed, i))
+        u.append(rng.random(m).tolist())
+        at.append(int(rng.integers(m)))
+        pick.append(rng.random())
+    return u, at, pick
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 50])
+@pytest.mark.parametrize("seed", [0, 23, 2**63 + 5, 2**64 - 1])
+def test_run_draws_equal_fresh_generators(seed, m):
+    u, at, pick = _run_draws(seed, 70, m)
+    assert (u.tolist(), at.tolist(), pick.tolist()) == _per_run(seed, 70, m)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 3 << 70])
+def test_keys_past_64_bits_go_through_the_per_run_streams(seed, monkeypatch):
+    monkeypatch.setattr(mc, "philox_words", None)  # not reached
+    with pytest.raises(ValueError) as got:
+        _run_draws(seed, 3, 2)
+    with pytest.raises(ValueError) as want:
+        _per_run(seed, 3, 2)
+    assert str(got.value) == str(want.value)
+
+
+def test_runs_that_lemire_rejects_are_drawn_again(monkeypatch):
+    def reject_odd(words, bound):
+        value, kept = bounded(words, bound)
+        return value, kept & (np.arange(len(words)) % 2 == 0)
+
+    monkeypatch.setattr(mc, "bounded", reject_odd)
+    u, at, pick = _run_draws(5, 40, 7)
+    assert (u.tolist(), at.tolist(), pick.tolist()) == _per_run(5, 40, 7)
+
+
+def test_run_draws_chunk_their_runs(monkeypatch):
+    monkeypatch.setattr(mc, "_CHUNK", 8)  # 2 blocks per run of m = 5: 4 runs per chunk
+    u, at, pick = _run_draws(9, 11, 5)
+    assert (u.tolist(), at.tolist(), pick.tolist()) == _per_run(9, 11, 5)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 50, 2**31 + 1, 3 * 10**9 + 1, 2**32 - 1])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_the_integer_step_is_numpys_lemire_draw(seed, bound):
+    runs = list(range(150)) + [2**63 + 5, 2**64 - 1]
+    words = philox_words(seed, np.array(runs, dtype=np.uint64), 2)
+    value, kept = bounded(words[:, 0], bound)
+    # numpy draws again from the high half of the word where Lemire rejects
+    again, kept_again = bounded(words[:, 0] >> np.uint64(32), bound)
+    if bound in (2**31 + 1, 3 * 10**9 + 1):
+        assert 0 < kept.sum() < len(runs)  # rejections occur at these bounds
+    for i, v, k, v2, k2, w in zip(runs, value.tolist(), kept.tolist(), again.tolist(), kept_again.tolist(), words):
+        rng = np.random.Generator(_philox(seed, i))
+        got = int(rng.integers(bound))
+        if k:
+            assert got == v < bound
+        elif k2:
+            assert got == v2 < bound
+        if k or k2:  # one word read, as far as the next uniform goes
+            assert rng.random() == uniforms(w[1])
+
+
+# ---------------------------------------------------------------------------
+# picks from padded running sums against the bisect loop
+
+
+def test_picks_from_running_sums_equal_the_bisect_loop():
+    outputs = [
+        {"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)},
+        {},
+        {"b": 0.1, "d": 0.0, "a": 0.2, "e": 0.7},
+        {"f": 1},
+        {"c": 0.5, "a": 0.25},  # sums to less than one
+    ]
+    samples = [(i,) for i in range(len(outputs))]
+
+    def kernel(sample):
+        return outputs[sample[0]]
+
+    sample_of, u = [], []
+    for g, out in enumerate(outputs):
+        total, sums = 0.0, [0.0]
+        for p in out.values():
+            total += float(p)
+            sums.append(total)
+        for x in sums + [1.0 - 2.0**-53]:
+            for y in (x, np.nextafter(x, 2.0), np.nextafter(x, -1.0)):
+                if 0.0 <= y < 1.0:
+                    sample_of.append(g)
+                    u.append(float(y))
+    order = np.random.default_rng(1).permutation(len(u))
+    sample_of, u = np.array(sample_of)[order], np.array(u)[order]
+    hyp, hs = pick_hypotheses(kernel, samples, sample_of, u)
+    want_hyp, want_hs = brute.bisect_picks(kernel, samples, sample_of.tolist(), u.tolist())
+    assert hyp.tolist() == want_hyp and hs == want_hs
+    assert set(hs) == {None, "a", "b", "c", "e", "f"}  # "d" has probability 0
+
+
+def test_picks_over_a_wide_output_are_counted_in_chunks():
+    # 2^17 + 3 entries: the runs are counted 7 at a time
+    wide = {i: 1.0 / (2**17 + 3) for i in range(2**17 + 3)}
+    kernel = {(0,): wide, (1,): {"x": 1.0}}.__getitem__
+    u = np.random.default_rng(4).random(40)
+    sample_of = np.arange(40) % 3 // 2
+    hyp, hs = pick_hypotheses(kernel, [(0,), (1,)], sample_of, u)
+    assert (hyp.tolist(), hs) == brute.bisect_picks(kernel, [(0,), (1,)], sample_of.tolist(), u.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the memorizer's float true risks in one batch
+
+
+@st.composite
+def _memorizer_cases(draw):
+    n = draw(st.integers(2, 24))  # sets of ints past 8 iterate out of sorted order
+    raw = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n).filter(any))
+    weights = np.array(raw, dtype=np.float64) / sum(raw)
+    positional = draw(st.booleans())
+    domain = Alphabet.of_size("z", n) if positional else Alphabet("z", tuple(range(n)))
+    keys = st.lists(st.integers(0, n - 1), min_size=1, max_size=12).map(lambda k: tuple(sorted(k)))
+    hyps = draw(st.lists(st.tuples(keys, st.integers(0, 1)), min_size=1, max_size=12))
+    return Dist(domain, weights), hyps
+
+
+@settings(max_examples=80, deadline=None)
+@given(_memorizer_cases(), st.sampled_from([(prop1_paired_loss, lambda b: 1 - b), (prop1_flipped_loss, lambda b: 1)]))
+def test_batch_memorizer_risks_equal_the_per_hypothesis_risks(case, losses):
+    dist, hyps = case
+    make_loss, in_sample_value = losses
+    loss = make_loss()
+    got = true_risk(loss, hyps, dist, many=True)
+    assert got.dtype == np.float64 and got.shape == (len(hyps),)
+    assert got.tolist() == [loss.true_risk_fn(h, dist) for h in hyps]
+    assert got.tolist() == [brute.prop1_float_true_risk(in_sample_value, h, dist) for h in hyps]
+
+
+def test_true_risks_of_a_batch_make_one_true_risk_call(monkeypatch):
+    scenario = _prop1(prop1_paired_loss(), FLOAT64)
+    batch = draw_runs(scenario, 200, seed=3)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return true_risk(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "true_risk", counted)
+    got = _true_risks(batch, scenario.loss)
+    assert len(calls) == 1 and len(batch.hypotheses) > 100
+    assert got.tolist() == [true_risk(scenario.loss, h, scenario.data_dist) for h in batch.hypotheses]
 
 
 # ---------------------------------------------------------------------------
