@@ -170,6 +170,13 @@ class Alphabet:
         index = self.index
         return np.array([index[s] for s in symbols], dtype=np.intp)
 
+    def symbols_at(self, idx: np.ndarray) -> np.ndarray:
+        """The symbols at the indices idx, in idx's shape: idx itself on a
+        positional alphabet, where symbol i is i, else an object array."""
+        if self.positional:
+            return idx
+        return np.fromiter(self.symbols, object, self._size)[idx]
+
     def __len__(self) -> int:
         return self._size
 

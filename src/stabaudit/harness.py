@@ -32,6 +32,7 @@ from . import __version__
 from .audits import (
     AuditReport,
     DEFAULT_T_GRID,
+    _mc_c1, _mc_p4, _mc_t1,
     _resolve_side,
     _t5_core,
     audit_c2_forward,
@@ -45,7 +46,6 @@ from .audits import (
     audit_t4,
     declared_epsilon,
 )
-from .bounds import dp_info_bound, dp_tail_bound
 from .corpus import LEARNER_BUILDERS, LOSS_BUILDERS, corpus_configs
 from .dist import Alphabet, Dist
 from .info import variational_info
@@ -321,70 +321,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         loss = _construct(f"loss {cfg.loss['name']}", LOSS_BUILDERS[cfg.loss["name"]][0], ctx)
     return _construct(
         "scenario", Scenario, name=cfg.name, learner=learner, data_dist=dist, m=cfg.m, loss=loss, seed=cfg.seed
-    )
-
-
-def _mc_t1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
-    info_est, gen_est = est["info"], est["gen_risk"]
-    if gen_est is None:
-        raise ConfigError("MC T1 audit needs a loss")
-    margin = 3 * (gen_est.se + info_est.se)
-    ok = abs(gen_est.point) <= info_est.point + margin
-    return AuditReport(
-        scenario=scenario.name,
-        theorem="T1",
-        verdict="pass" if ok else "fail",
-        computed={
-            "abs_gen_risk_estimate": abs(gen_est.point),
-            "info_estimate": info_est.point,
-            "margin_3se": margin,
-        },
-        bound=info_est.point + margin,
-        slack=info_est.point + margin - abs(gen_est.point),
-        notes=("statistical check at 3 standard errors",) + tuple(info_est.notes),
-    )
-
-
-def _mc_p4(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
-    info_est = est["info"]
-    bound = dp_info_bound(declared_epsilon(scenario, p["epsilon"]), p["delta"])
-    ok = info_est.point - 3 * info_est.se <= bound
-    return AuditReport(
-        scenario=scenario.name,
-        theorem="P4",
-        verdict="pass" if ok else "fail",
-        computed={"info_estimate": info_est.point, "se": info_est.se},
-        bound=bound,
-        slack=bound - info_est.point,
-        notes=("statistical check: lower 3-SE edge against the bound",),
-    )
-
-
-def _mc_c1(scenario: Scenario, p: Mapping, est: Mapping) -> AuditReport:
-    tail_rep = est["tails"]
-    if tail_rep is None:
-        raise ConfigError("MC C1 audit needs a loss")
-    epsilon = declared_epsilon(scenario, p["epsilon"])
-    rows = []
-    ok = True
-    worst = None
-    for pt in tail_rep.points:
-        bound = dp_tail_bound(pt.t, epsilon, p["delta"], scenario.m)
-        good = pt.ci_low <= bound
-        ok = ok and good
-        rows.append({"t": pt.t, "tail": pt.estimate, "ci_low": pt.ci_low, "bound": bound, "ok": good})
-        slack = bound - pt.estimate
-        if worst is None or slack < worst[0]:
-            worst = (slack, bound)
-    return AuditReport(
-        scenario=scenario.name,
-        theorem="C1",
-        verdict="pass" if ok else "fail",
-        computed={"worst_slack": worst[0]},
-        bound=worst[1],
-        slack=worst[0],
-        notes=("statistical check: Wilson lower edges against the bound",),
-        series=tuple(rows),
     )
 
 

@@ -10,20 +10,30 @@ losses is attained by the indicator of {D >= 0} and equals vi(Z_trn; H).
 The deviation law is the exact distribution of G = R_emp(H) - R_true(H)
 over the randomness of the sample and the kernel; tail audits read it.
 
-Cell-wise readers see a loss as a table L[z, h] = table / scale over an
-observation alphabet and a hypothesis alphabet (loss_table).  In exact
-mode the table holds Python ints over the lcm of the values'
-denominators; in float mode it holds float64 with scale 1.  Both come
-from integers nums over a scale: exact, nums and scale over their gcd;
-float, nums / scale, rounded once.  Every built-in loss gives those
-integers for a whole (z, h) grid in array steps: its fn carries an array
-form (with_integers), from which its float batch form for Monte Carlo is
-derived too.  A loss given by an integer table (random_table_loss,
-worst_case_loss) comes with both tables seeded on its own alphabets, and
-any other loss calls fn once per cell.  A loss builds each table once
-and keeps it.  gen(L) is then the integer (or float) sum of d * table
-over the joint's cell table d / scale (dist.Joint.cells), divided once,
-and the deviation-law cache is keyed by the loss's table.
+Every evaluation of a loss goes through one reader, loss_values(loss, z,
+hypotheses, h, exact): the values L(z, hypotheses[h]) for an array z of
+observation symbols and an array h of hypothesis indices, broadcast
+together, as (values, scale) with L = values / scale.  Exact mode gives
+Python ints over the lcm of the values' denominators; float mode gives
+float64 with scale 1.  Both come from integers nums over a scale: exact,
+nums and scale over their gcd; float, nums / scale, rounded once.  A
+loss's fn may carry an array form, attached with learners.with_batch,
+that gives (nums, scale) for whole arrays in array steps, as every
+built-in loss does; any other fn is called once per distinct (z, h) cell.
+loss_table is loss_values over a whole domain x hypotheses grid, built
+once per loss and alphabets and kept; a loss given by an integer table
+(random_table_loss, worst_case_loss) comes with both tables seeded.
+gen(L) is then the integer (or float) sum of d * table over the joint's
+cell table d / scale (dist.Joint.cells), divided once, and the
+deviation-law cache is keyed by the loss's table.
+
+true_risk is the one formula for R_true(h) = sum_z P(z) L(z, h): the
+loss's true_risk_fn when it has one, else columns of loss values over the
+symbols of positive weight, from loss_table for a hypothesis Alphabet and
+from loss_values in chunks of about 2^20 cells for a sequence.  Exact mode
+takes one integer dot product of the weights' numerators and each column
+over den * scale; float mode adds w * L(z, h) in symbol order, so a risk
+has the same bits however its values were read.
 
 The deviation law and the deviation-sign side channel read G through one
 DeviationTable per scenario and loss (deviation_table).  The deviation of
@@ -33,18 +43,15 @@ block's kernel entries get their g in one pass, kept on the block for both
 readers: in float mode e / (m * scale) correctly rounded, less the float
 risk, in float64; in exact mode as an integer code over one denominator,
 with one Fraction per distinct code.  The deviation law adds the masses
-into one Sums slot per distinct g, in both modes.  Every true risk is
-computed once, when the table is first read, from its table column: in
-exact mode one integer dot product with the distribution's weights over
-their common denominator, in float mode the sum of w * (column / scale)
-in symbol order.
+into one Sums slot per distinct g, in both modes.  The true risks of all
+the hypotheses come from one true_risk(..., many=True) call, made when the
+table is first read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -94,23 +101,9 @@ class ParametricLoss:
         return self.fn(z, h)
 
 
-def with_integers(fn: Callable, integers: Callable) -> Callable:
-    """Attach integers, the array form of the loss function fn, to fn:
-    integers(z, hypotheses, h) is (nums, scale) with nums / scale equal to
-    fn(z, hypotheses[h]), for arrays z of symbols and h of hypothesis indices
-    broadcast together.  fn's batch form is the float64 nums / scale.  A
-    wrapped or replaced fn loses both (batch_form)."""
-
-    def batch(z: np.ndarray, hypotheses: Sequence, h: np.ndarray) -> np.ndarray:
-        return _integer_table(*integers(z, hypotheses, h), False)[0]
-
-    batch.integers = integers
-    return with_batch(fn, batch)
-
-
 def _integer_table(nums: np.ndarray, scale: int, exact: bool) -> tuple[np.ndarray, int]:
-    """(table, scale) of loss_table for the values nums / scale of an integer
-    array.  Exact: nums and scale over their gcd (what common_denominator
+    """(values, scale) of loss_values for the values nums / scale of an
+    integer array.  Exact: nums and scale over their gcd (what common_denominator
     gives), as Python ints.  Float: nums / scale, which rounds once, as
     float(Fraction) does, while both stay below 2^53; past that, each
     distinct numerator is divided in Python ints."""
@@ -123,29 +116,41 @@ def _integer_table(nums: np.ndarray, scale: int, exact: bool) -> tuple[np.ndarra
     return np.array([x / scale for x in values.tolist()]).take(at).reshape(nums.shape), 1
 
 
-def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exact: bool) -> tuple[np.ndarray, int]:
-    """The loss over domain x hypotheses as (table, scale), L = table / scale.
+def loss_values(
+    loss: ParametricLoss, z: np.ndarray, hypotheses: Sequence, h: np.ndarray, exact: bool
+) -> tuple[np.ndarray, int]:
+    """L(z, hypotheses[h]) for an array z of symbols of one alphabet and an
+    array h of hypothesis indices, broadcast together, as (values, scale)
+    with L = values / scale.
 
     Exact mode: Python ints over the lcm of the values' denominators.
-    Float mode: float64 and scale 1.  Built once per loss and alphabets,
-    from the array form of loss.fn when it has one (with_integers), else
-    with one fn call per cell.
+    Float mode: float64 and scale 1.  From the array form of loss.fn when
+    it has one: integers(z, hypotheses, h) gives (nums, scale) with
+    nums / scale = fn(z, hypotheses[h]); else from one fn call per distinct
+    (z, h) cell.
     """
+    integers = batch_form(loss.fn)
+    if integers is not None:
+        return _integer_table(*integers(z, hypotheses, h), exact)
+    shape, n = np.broadcast(z, h).shape, len(hypotheses)
+    cells, at = np.unique(_codes(z)[0] * n + h, return_inverse=True)
+    first = np.empty(len(cells), dtype=np.intp)
+    first[at.ravel()] = np.arange(at.size)  # a position of each cell
+    fn, zs = loss.fn, np.broadcast_to(z, shape).flat[first].tolist()
+    values = [fn(a, hypotheses[c % n]) for a, c in zip(zs, cells.tolist())]
+    if exact:
+        nums, scale = common_denominator(values)
+        return np.array(nums, dtype=object).take(at).reshape(shape), scale
+    return np.array([float(v) for v in values]).take(at).reshape(shape), 1
+
+
+def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exact: bool) -> tuple[np.ndarray, int]:
+    """The loss over domain x hypotheses as (table, scale), L = table / scale:
+    loss_values over the whole grid, built once per loss and alphabets."""
     key = (domain, hypotheses, exact)
     if key not in loss._tables:
-        integers = getattr(batch_form(loss.fn), "integers", None)
-        shape = (len(domain), len(hypotheses))
-        if integers is not None:
-            z = np.arange(shape[0]) if domain.positional else np.fromiter(domain.symbols, object, shape[0])
-            loss._tables[key] = _integer_table(*integers(z[:, None], hypotheses.symbols, np.arange(shape[1])), exact)
-        else:
-            fn = loss.fn
-            values = [fn(z, h) for z in domain.symbols for h in hypotheses.symbols]
-            if exact:
-                nums, scale = common_denominator(values)
-                loss._tables[key] = (np.array(nums, dtype=object).reshape(shape), scale)
-            else:
-                loss._tables[key] = (np.array([float(v) for v in values]).reshape(shape), 1)
+        z = domain.symbols_at(np.arange(len(domain)))[:, None]
+        loss._tables[key] = loss_values(loss, z, hypotheses.symbols, np.arange(len(hypotheses)), exact)
     return loss._tables[key]
 
 
@@ -166,52 +171,45 @@ def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
     return total / Fraction(len(sample))
 
 
-def true_risk(
-    loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None = None, scale: int = 1, *, many: bool = False
-):
-    """Expected loss of h under the data distribution.
+def true_risk(loss: ParametricLoss, h, dist: Dist, *, many: bool = False):
+    """Expected loss of h under the data distribution: exact (a Fraction,
+    or what true_risk_fn gives) for an exact distribution, a float for a
+    float one.  From true_risk_fn when the loss has one (its batch form for
+    many hypotheses of a float distribution), else from the loss values
+    over the symbols of positive weight, summed as the module docstring says.
 
-    Exact for an exact distribution, also when the loss returns floats
-    (Fraction(float) is lossless): one integer dot product of the weights
-    and the loss values over their common denominators.  Float mode sums
-    w * L(z, h) in symbol order over the positive weights.  column, the
-    exact table column of h over the distribution's alphabet with its
-    scale (loss_table), gives the loss values without calling loss.fn;
-    in float mode each is column[i] / scale, the float of the same
-    rational that float(loss.fn(z, h)) rounds.
-
-    many: h is a sequence of hypotheses, and their float risks come back
-    as one float64 array, from the batch form of loss.true_risk_fn
-    (true_risk_fn.batch(hypotheses, dist)) when it has one and dist is a
-    float distribution, else one risk at a time."""
-    if many:
-        batch = getattr(loss.true_risk_fn, "batch", None)
-        if batch is not None and not dist.is_exact:
-            return batch(h, dist)
-        return np.array([float(_true_risk(loss, x, dist, None, 1)) for x in h])
-    return _true_risk(loss, h, dist, column, scale)
-
-
-def _true_risk(loss: ParametricLoss, h, dist: Dist, column: Sequence[int] | None, scale: int):
-    """true_risk of one hypothesis, called by name here so that a batch
-    stays one true_risk call."""
+    many: h holds hypotheses, and their risks come back as one array,
+    float64 for a float distribution, else of objects.  A hypothesis
+    Alphabet reads its columns from loss_table, any other sequence from
+    loss_values in chunks of about 2^20 cells."""
+    exact = dist.is_exact
+    hs = h if many else (h,)
+    symbols = hs.symbols if isinstance(hs, Alphabet) else hs
     if loss.true_risk_fn is not None:
-        return loss.true_risk_fn(h, dist)
-    if dist.is_exact:
-        nums, den = dist.integer_weights
-        if column is None:
-            at = [i for i, x in enumerate(nums) if x]
-            symbols, fn = dist.alphabet.symbols, loss.fn
-            column, scale = common_denominator([fn(symbols[i], h) for i in at])
-            nums = [nums[i] for i in at]
-        return Fraction(sum(map(operator.mul, nums, column)), den * scale)
-    total, weights = 0.0, dist.weights.tolist()
-    if column is None:  # x / 1 is x
-        column, scale = [float(loss.fn(z, h)) if w else 0 for z, w in zip(dist.alphabet.symbols, weights)], 1
-    for c, w in zip(column, weights):
-        if w:
-            total += w * (c / scale)
-    return total
+        batch = getattr(loss.true_risk_fn, "batch", None)
+        if batch is not None and not exact:
+            return batch(symbols, dist) if many else float(batch(symbols, dist)[0])
+        risks = [loss.true_risk_fn(x, dist) for x in symbols]
+    else:
+        at = np.flatnonzero(dist.weights)
+        if isinstance(hs, Alphabet):
+            table, scale = loss_table(loss, dist.alphabet, hs, exact)
+            columns = [(table.take(at, axis=0), scale)]
+        else:
+            z, step = dist.alphabet.symbols_at(at)[:, None], max(1, 2**20 // len(at))
+            chunks = (np.arange(lo, min(lo + step, len(hs))) for lo in range(0, len(hs), step))
+            columns = (loss_values(loss, z, hs, chunk, exact) for chunk in chunks)
+        nums, den = dist.integer_weights if exact else (dist.weights, 1)
+        w = np.asarray(nums, dtype=object if exact else None).take(at)
+        risks = []
+        for values, scale in columns:
+            if exact:
+                risks += [Fraction(x, den * scale) for x in (w @ values).tolist()]
+            else:  # row by row, as a loop over the symbols adds; + 0.0 turns -0.0 into 0.0
+                risks += (np.add.accumulate(w[:, None] * values, axis=0)[-1] + 0.0).tolist()
+    if not many:
+        return risks[0] if exact else float(risks[0])
+    return np.array(risks, dtype=object) if exact else np.array(risks, dtype=np.float64)
 
 
 def gen_risk_from_joint(tj: TrnHypJoint, loss: ParametricLoss):
@@ -286,16 +284,16 @@ class DeviationTable:
     sample.
 
     key is (loss name, scale, the exact table): it identifies every law
-    read from the table.  Every true risk is computed once, from its table
-    column, when the table is first read.
+    read from the table.  The true risks are computed once, when the table
+    is first read.
     """
 
     def __init__(self, scenario: Scenario, loss: ParametricLoss):
         dist, m = scenario.data_dist, scenario.m
         self.loss, self.dist, self.exact = loss, dist, dist.is_exact
         self.hypotheses = hyp = scenario.learner.hypotheses(m)
-        self._table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
-        self.key = (loss.name, self.scale, tuple(self._table.ravel().tolist()))
+        table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
+        self.key = (loss.name, self.scale, tuple(table.ravel().tolist()))
         self.sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
         self._ms = m * self.scale
 
@@ -304,11 +302,10 @@ class DeviationTable:
         """The true risks by h index: float64 in float mode; exact, their
         numerators over one denominator den (int64 while they fit), with
         top, the largest numerator."""
-        symbols, scale = self.hypotheses.symbols, self.scale
-        risks = [true_risk(self.loss, h, self.dist, c, scale) for h, c in zip(symbols, self._table.T.tolist())]
+        risks = true_risk(self.loss, self.hypotheses, self.dist, many=True)
         if not self.exact:
-            return np.array([float(r) for r in risks]), 1, 0
-        nums, den = common_denominator(risks)
+            return risks, 1, 0
+        nums, den = common_denominator(risks.tolist())
         top = max(map(abs, nums), default=0)
         return np.array(nums, dtype=np.int64 if top < 2**63 else object), den, top
 
@@ -439,7 +436,7 @@ def constant_loss(value=1) -> ParametricLoss:
 
     if isinstance(value, (int, Fraction)) or isinstance(value, float) and math.isfinite(value):
         num, scale = Fraction(value).as_integer_ratio()
-        fn = with_integers(fn, lambda z, hypotheses, h: (np.full(np.broadcast(z, h).shape, num), scale))
+        fn = with_batch(fn, lambda z, hypotheses, h: (np.full(np.broadcast(z, h).shape, num), scale))
     return ParametricLoss(f"constant[{value}]", fn, {"value": value}, lambda h, dist: value)
 
 
@@ -450,7 +447,7 @@ def zero_one_loss() -> ParametricLoss:
         zc, codes = _codes(z, hypotheses)
         return (zc != codes.take(h)).astype(np.int64), 1
 
-    return ParametricLoss(name="zero_one", fn=with_integers(lambda z, h: 0 if z == h else 1, integers))
+    return ParametricLoss(name="zero_one", fn=with_batch(lambda z, h: 0 if z == h else 1, integers))
 
 
 def membership_loss() -> ParametricLoss:
@@ -463,7 +460,7 @@ def membership_loss() -> ParametricLoss:
         inside = [a in hypotheses[i] for a, i in zip(z.ravel().tolist(), h.ravel().tolist())]
         return np.array(inside, dtype=np.int64).reshape(h.shape), 1
 
-    return ParametricLoss(name="membership", fn=with_integers(lambda z, h: 1 if z in h else 0, integers))
+    return ParametricLoss(name="membership", fn=with_batch(lambda z, h: 1 if z in h else 0, integers))
 
 
 def table_loss(name: str, domain: Alphabet, hypotheses: Alphabet, values: np.ndarray) -> ParametricLoss:
@@ -548,7 +545,7 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
         return total
 
     true_risk_fn.batch = float_risks
-    return ParametricLoss(name=name, fn=with_integers(fn, integers), true_risk_fn=true_risk_fn)
+    return ParametricLoss(name=name, fn=with_batch(fn, integers), true_risk_fn=true_risk_fn)
 
 
 def prop1_paired_loss() -> ParametricLoss:
@@ -638,7 +635,7 @@ def erm_consistency_bound(
     j = tj.joint
     hyp = j.axes[1]
     dist = scenario.data_dist
-    risks = {h: true_risk(loss, h, dist) for h in hyp.symbols}
+    risks = dict(zip(hyp.symbols, true_risk(loss, hyp, dist, many=True).tolist()))
     best_h = min(hyp.symbols, key=lambda h: risks[h])
     floor = risks[best_h]
     ph = j.weights.sum(axis=0)

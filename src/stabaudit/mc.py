@@ -26,14 +26,13 @@ the kernel once per distinct ordered sample.  Each run's pick counts the
 running float sums of its sample's kernel output that are <= its uniform
 (pick_hypotheses), which is what bisect_right finds.  On a positional domain
 symbol i is i, so neither drawing nor estimating reads the domain's
-symbols.  The estimators are array ops over the columns.  They read loss
-values through one helper, which calls the loss's batch form (attached
-with learners.with_batch; a wrapped fn loses it, as a wrapped kernel
-does) or else loss.fn once per distinct (z, h) pair, and read the true
-risks of all the batch's hypotheses from one true_risk call where the
-loss has no array form or has a true_risk_fn (the memorizer losses give
-theirs in one array step in float mode).  Every float sum
-keeps the order of a loop over the runs, so estimates do not depend on
+symbols.  The estimators are array ops over the columns.  They read float
+loss values through losses.loss_values, the one reader of a loss: from the
+loss's array form (a wrapped fn loses it, as a wrapped kernel does), else
+from one loss.fn call per distinct (z, h) cell.  The true risks of all the
+batch's hypotheses come from one true_risk(..., many=True) call; the
+memorizer losses give theirs in one array step in float mode.  Every float
+sum keeps the order of a loop over the runs, so estimates do not depend on
 how the columns are computed.
 
 The plug-in estimate of vi from a contingency table of (Z_trn, H) pairs
@@ -57,9 +56,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .dist import Alphabet
-from .learners import Scenario, batch_form
-from .losses import ParametricLoss, true_risk
+from .learners import Scenario
+from .losses import ParametricLoss, loss_values, true_risk
 
 Z95 = 1.959963984540054
 #: Philox4x64 round multipliers and key increments
@@ -99,7 +97,7 @@ class RunBatch:
     @cached_property
     def runs(self) -> tuple[RunSample, ...]:
         alphabet, hs = self.scenario.data_dist.alphabet, self.hypotheses
-        samples, trn = (_symbols_at(alphabet, a).tolist() for a in (self.idx, self.trn))
+        samples, trn = (alphabet.symbols_at(a).tolist() for a in (self.idx, self.trn))
         return tuple(
             RunSample(sample=tuple(sample), trn_example=z, hypothesis=hs[h], seed_path=(self.seed, i))
             for i, (sample, z, h) in enumerate(zip(samples, trn, self.hyp.tolist()))
@@ -177,14 +175,6 @@ def run_streams(seed: int) -> Callable[[int], np.random.Generator]:
         return rng
 
     return stream
-
-
-def _symbols_at(alphabet: Alphabet, idx: np.ndarray) -> np.ndarray:
-    """The symbols at the domain indices idx, in idx's shape: idx itself on
-    a positional domain, where symbol i is i, else an object array."""
-    if alphabet.positional:
-        return idx
-    return np.fromiter(alphabet.symbols, object, len(alphabet))[idx]
 
 
 def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,24 +355,9 @@ def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBa
     trn = idx[np.arange(n_runs), at]
     # one kernel call per distinct ordered sample
     first, sample_of = _first_seen(idx)
-    samples = _symbols_at(dist.alphabet, idx[first]).tolist()
+    samples = dist.alphabet.symbols_at(idx[first]).tolist()
     hyp, hypotheses = pick_hypotheses(scenario.learner.kernel, samples, sample_of, pick)
     return RunBatch(scenario, idx, trn, hyp, hypotheses, seed)
-
-
-def _loss_values(batch: RunBatch, loss: ParametricLoss, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """float(loss.fn(z, h)) for each entry of the domain index array z and
-    the hypothesis index array h, of one shape: from the loss's batch
-    form, or from one fn call per distinct (z, h) pair."""
-    alphabet, hs = batch.scenario.data_dist.alphabet, batch.hypotheses
-    batch_fn = batch_form(loss.fn)
-    if batch_fn is not None:
-        return batch_fn(_symbols_at(alphabet, z), hs, h)
-    pairs, at = np.unique((z * len(hs) + h).ravel(), return_inverse=True)
-    zs = _symbols_at(alphabet, pairs // len(hs)).tolist()
-    fn = loss.fn
-    values = np.array([float(fn(a, hs[b])) for a, b in zip(zs, (pairs % len(hs)).tolist())])
-    return values[at].reshape(z.shape)
 
 
 def _boot_rng(seed: int) -> np.random.Generator:
@@ -447,8 +422,8 @@ def estimate_gen_risk(
     seed = batch.scenario.seed if seed is None else seed
     n = len(batch)
     # each run's loss on its own Z_trn, and on the next run's
-    z = np.stack((batch.trn, np.roll(batch.trn, -1)))
-    a, b = _loss_values(batch, loss, z, np.stack((batch.hyp, batch.hyp)))
+    z = batch.scenario.data_dist.alphabet.symbols_at(np.stack((batch.trn, np.roll(batch.trn, -1))))
+    a, b = loss_values(loss, z, batch.hypotheses, batch.hyp, False)[0]
     point = a.mean() - b.mean()
     rng = _boot_rng(seed)
     idx = rng.integers(0, n, size=(n_boot, n))
@@ -477,30 +452,12 @@ def _wilson(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
 
 def deviations(batch: RunBatch, loss: ParametricLoss) -> np.ndarray:
     """G_i = R_emp(H_i) - R_true(H_i) for every run, as float64."""
-    risks = _true_risks(batch, loss)
-    values = _loss_values(batch, loss, batch.idx, np.broadcast_to(batch.hyp[:, None], batch.idx.shape))
+    dist = batch.scenario.data_dist
+    risks = true_risk(loss, batch.hypotheses, dist, many=True).astype(np.float64)
+    values, _ = loss_values(loss, dist.alphabet.symbols_at(batch.idx), batch.hypotheses, batch.hyp[:, None], False)
     # each row summed from left to right
     emp = np.add.accumulate(values, axis=1)[:, -1]
     return emp / batch.idx.shape[1] - risks[batch.hyp]
-
-
-def _true_risks(batch: RunBatch, loss: ParametricLoss) -> np.ndarray:
-    """The float true risk of each of the batch's hypotheses.  A loss with
-    an array form and no true_risk_fn gives true_risk its table columns,
-    built for chunks of hypotheses of at most about 2^20 cells, as Python
-    ints (an int64 column times the weights' numerators can overflow)."""
-    dist, hs = batch.scenario.data_dist, batch.hypotheses
-    integers = getattr(batch_form(loss.fn), "integers", None)
-    if loss.true_risk_fn is not None or integers is None:
-        return true_risk(loss, hs, dist, many=True)
-    n = len(dist.alphabet)
-    z = _symbols_at(dist.alphabet, np.arange(n))[:, None]
-    step = max(1, 2**20 // n)
-    risks = []
-    for lo in range(0, len(hs), step):
-        nums, scale = integers(z, hs, np.arange(lo, min(lo + step, len(hs))))
-        risks += [float(true_risk(loss, h, dist, c, scale)) for h, c in zip(hs[lo : lo + step], nums.T.tolist())]
-    return np.array(risks)
 
 
 def estimate_tail(

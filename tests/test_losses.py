@@ -13,6 +13,7 @@ from stabaudit.dist import Alphabet, Dist
 from stabaudit.info import variational_info
 from stabaudit.learners import (
     Scenario,
+    batch_form,
     deviation_sign_side_info,
     erm_finite,
     exact_trn_hyp_joint,
@@ -21,6 +22,7 @@ from stabaudit.learners import (
     subsample_release,
     threeway_request,
     walk,
+    with_batch,
 )
 from stabaudit.losses import (
     DeviationLaw,
@@ -35,6 +37,7 @@ from stabaudit.losses import (
     expected_gen_risk,
     gen_risk_from_joint,
     loss_table,
+    loss_values,
     membership_loss,
     prop1_flipped_loss,
     prop1_paired_loss,
@@ -126,14 +129,13 @@ def test_exact_true_risk_from_the_table_column(make_loss):
     dist = Dist.from_mapping(d, {0: F(1, 2), 1: F(1, 6), 2: F(1, 3)}, EXACT)
     hyp = subsample_release(d, k=2, mode=EXACT).hypotheses(2)
     loss = make_loss()
-    table, scale = loss_table(loss, d, hyp, True)
-    for column, h in zip(table.T.tolist(), hyp.symbols):
-        got = true_risk(loss, h, dist, column, scale)
+    fdist = dist.as_float()
+    columns, float_columns = true_risk(loss, hyp, dist, many=True), true_risk(loss, hyp, fdist, many=True)
+    for got, got_float, h in zip(columns.tolist(), float_columns.tolist(), hyp.symbols):
         assert type(got) is F
         assert got == true_risk(loss, h, dist)
-        # float mode ignores the column and keeps its per-symbol sum
-        fdist = dist.as_float()
-        assert true_risk(loss, h, fdist, column, scale) == true_risk(loss, h, fdist)
+        # float mode reads the float table and keeps the per-symbol sum
+        assert got_float == true_risk(loss, h, fdist)
 
 
 def test_true_risk_reads_columns_and_sums_exactly_as_the_per_symbol_loop():
@@ -150,14 +152,14 @@ def test_true_risk_reads_columns_and_sums_exactly_as_the_per_symbol_loop():
         milli = [F(int(x * 1000)) for x in raw]
         edist = Dist(d, np.array([x / sum(milli) for x in milli], dtype=object))
         for loss in losses:
-            table, scale = loss_table(loss, d, hyp, True)
-            for column, h in zip(table.T.tolist(), hyp.symbols):
+            columns, float_columns = true_risk(loss, hyp, edist, many=True), true_risk(loss, hyp, fdist, many=True)
+            for column, float_column, h in zip(columns.tolist(), float_columns.tolist(), hyp.symbols):
                 want = brute.float_true_risk(loss.fn, h, fdist)
-                assert true_risk(loss, h, fdist, column, scale) == want
+                assert float_column == want
                 assert true_risk(loss, h, fdist) == want
                 exact = sum(w * F(loss.fn(z, h)) for z, w in zip(d.symbols, edist.weights) if w)
                 got = true_risk(loss, h, edist)
-                assert type(got) is F and got == exact == true_risk(loss, h, edist, column, scale)
+                assert type(got) is F and got == exact == column
 
 
 def test_constant_loss_generalization_is_zero(tiny_scenario):
@@ -462,8 +464,27 @@ def test_erm_consistency_hand_case():
 
 
 def _per_cell(loss):
-    """The same loss with a plain fn, which loss_table calls once per cell."""
-    return ParametricLoss(loss.name, lambda z, h: loss.fn(z, h))
+    """The same loss with a functools.wraps copy of fn, which keeps the
+    copied batch attribute but has no array form, so loss_values calls it
+    once per distinct cell."""
+
+    @functools.wraps(loss.fn)
+    def fn(z, h):
+        return loss.fn(z, h)
+
+    return ParametricLoss(loss.name, fn, loss.params, loss.true_risk_fn)
+
+
+def _built_in_cases(domain, keyed, singles):
+    """(loss, hypotheses) for every built-in loss."""
+    hyp = Alphabet("h", tuple(f"h{i}" for i in range(len(keyed))))
+    return [
+        (membership_loss(), keyed + [()]),
+        (zero_one_loss(), singles),
+        (prop1_paired_loss(), [(key, b) for key in keyed for b in (0, 1)]),
+        (prop1_flipped_loss(), [(key, 0) for key in keyed]),
+        (random_table_loss(domain, hyp, seed=len(singles), levels=12), list(hyp.symbols)),
+    ] + [(constant_loss(v), singles) for v in (1, F(1, 3), 0.1, 0, F(2**60 + 3, 3**38))]
 
 
 @st.composite
@@ -491,13 +512,7 @@ def test_built_in_tables_equal_the_per_cell_build(domain, k, data):
     tuples = st.lists(st.sampled_from(symbols), min_size=1, max_size=k).map(tuple)
     keyed = data.draw(st.lists(tuples, min_size=1, max_size=6, unique=True))
     singles = data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=6, unique_by=repr))
-    cases = [
-        (membership_loss(), keyed + [()]),
-        (zero_one_loss(), singles),
-        (prop1_paired_loss(), [(key, b) for key in keyed for b in (0, 1)]),
-        (prop1_flipped_loss(), [(key, 0) for key in keyed]),
-    ] + [(constant_loss(v), singles) for v in (1, F(1, 3), 0.1, 0, F(2**60 + 3, 3**38))]
-    for loss, hyps in cases:
+    for loss, hyps in _built_in_cases(domain, keyed, singles):
         hyp = Alphabet("h", tuple(dict.fromkeys(hyps)))
         for exact in (True, False):
             _assert_same_table(loss_table(loss, domain, hyp, exact), loss_table(_per_cell(loss), domain, hyp, exact))
@@ -530,8 +545,8 @@ def test_a_wrapped_loss_fn_gets_the_per_cell_table():
 
 
 def test_the_array_forms_give_monte_carlo_floats():
-    """The float batch form derived from each array form equals float(fn),
-    on symbols of any type and on integer arrays with negative values and
+    """The float values that loss_values reads from each array form equal
+    float(fn), on symbols of any type and on integer arrays with negative values and
     key members past every z (whose pair codes must not meet a wanted one)."""
     objects = np.array([["b", 4], ["a", "a"]], dtype=object)
     ints = np.array([[3, -2], [-2, 0]])
@@ -545,30 +560,176 @@ def test_the_array_forms_give_monte_carlo_floats():
         (constant_loss(F(1, 3)), [0, 1, 2], ints),
         (constant_loss(0.1), [0, 1, 2], objects),
     ]:
-        got = loss.fn.batch(z, hyps, h)
+        got = loss_values(loss, z, hyps, h, False)[0]
         assert got.dtype == np.float64
         assert got.tolist() == [[float(loss.fn(a, hyps[i])) for a, i in zip(zr, hr)] for zr, hr in zip(z.tolist(), h)]
 
 
 def test_the_law_and_the_sign_side_share_one_deviation_table(monkeypatch):
     """One DeviationTable per scenario and loss: the deviation law and the
-    sign side channel of one walk compute each true risk once."""
+    sign side channel of one walk compute every true risk in one true_risk
+    call that covers each hypothesis once."""
     d = Alphabet.of_size("z", 4)
     s = uniform_scenario(subsample_release(d, k=2, delta=F(1, 2), mode=EXACT), m=3, loss=membership_loss())
     calls = []
 
-    def counted(loss, h, dist, *args):
-        calls.append(h)
-        return true_risk(loss, h, dist, *args)
+    def counted(loss, h, dist, **kwargs):
+        calls.append((h, kwargs))
+        return true_risk(loss, h, dist, **kwargs)
 
     monkeypatch.setattr(losses_module, "true_risk", counted)
     side = deviation_sign_side_info(s, s.loss, F(1, 4))
     assert deviation_table(s, s.loss) is deviation_table(s, s.loss)
     assert deviation_table(s, membership_loss()) is not deviation_table(s, s.loss)
     law, j3 = walk(s, [deviation_request(s, s.loss), threeway_request(s, side)])
-    assert sorted(calls) == sorted(set(calls)) and len(calls) == len(s.learner.hypotheses(3))
+    assert calls == [(s.learner.hypotheses(3), {"many": True})]
     fresh = uniform_scenario(s.learner, m=3, loss=membership_loss())
     assert law.points == deviation_law(fresh, fresh.loss).points
+
+
+# ---------------------------------------------------------------------------
+# one reader of loss values, one formula for true risks
+
+
+@settings(max_examples=80, deadline=None)
+@given(_domains(), st.data())
+def test_loss_values_equal_fn_cell_by_cell(domain, data):
+    """loss_values against fn on every (z, h) cell, with and without the
+    array form, in both modes: z drawn with repeats, and z and h in shapes
+    that broadcast.  Without an array form fn runs once per distinct cell."""
+    symbols = list(domain.symbols)
+    tuples = st.lists(st.sampled_from(symbols + FOREIGN), min_size=1, max_size=3).map(tuple)
+    keyed = data.draw(st.lists(tuples, min_size=1, max_size=4, unique=True))
+    singles = data.draw(st.lists(st.sampled_from(symbols + FOREIGN), min_size=1, max_size=4, unique_by=repr))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    grid = st.lists(st.integers(0, len(domain) - 1), min_size=rows * cols, max_size=rows * cols)
+    idx = np.array(data.draw(grid)).reshape(rows, cols)
+    shape = data.draw(st.sampled_from(["full", "outer", "row"]))
+    z = domain.symbols_at(idx[:, :1] if shape == "outer" else idx)
+    for loss, hyps in _built_in_cases(domain, keyed, singles):
+        hyps = list(dict.fromkeys(hyps))
+        picks = st.lists(st.integers(0, len(hyps) - 1), min_size=rows * cols, max_size=rows * cols)
+        hi = np.array(data.draw(picks)).reshape(rows, cols)
+        h = {"full": hi, "outer": hi[0], "row": hi[:1]}[shape]
+        calls = []
+        plain = _per_cell(loss)
+        counted = ParametricLoss(loss.name, lambda a, b: calls.append((a, b)) or plain.fn(a, b))
+        zs, hs = (x.tolist() for x in np.broadcast_arrays(z, h))
+        want = [[loss.fn(a, hyps[b]) for a, b in zip(zr, hr)] for zr, hr in zip(zs, hs)]
+        for exact in (True, False):
+            got = loss_values(loss, z, hyps, h, exact)
+            _assert_same_table(loss_values(plain, z, hyps, h, exact), got)
+            values, scale = got
+            assert values.shape == np.broadcast(z, h).shape
+            if exact:
+                assert all(type(x) is int for x in values.ravel().tolist())
+                assert [[F(x, scale) for x in row] for row in values.tolist()] == [[F(x) for x in r] for r in want]
+            else:
+                assert scale == 1 and values.dtype == np.float64
+                assert values.tolist() == [[float(x) for x in r] for r in want]
+            calls.clear()
+            _assert_same_table(loss_values(counted, z, hyps, h, exact), got)
+            distinct = {(domain.index[a], b) for zr, hr in zip(zs, hs) for a, b in zip(zr, hr)}
+            assert len(calls) == len(distinct)
+
+
+@st.composite
+def _risk_cases(draw):
+    """A domain, positional or not, with weights that may be zero, as an
+    exact and a float distribution of the same law."""
+    n = draw(st.integers(1, 12))  # past 8 terms, numpy's pairwise sum would round differently
+    domain = Alphabet.of_size("z", n) if draw(st.booleans()) else Alphabet("z", tuple(f"s{i}" for i in range(n)))
+    raw = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n).filter(any))
+    edist = Dist(domain, np.array([F(r, sum(raw)) for r in raw], dtype=object))
+    return domain, edist, edist.as_float()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_risk_cases(), st.data())
+def test_true_risks_equal_the_per_symbol_sums(case, data):
+    """true_risk(..., many=True) on a hypothesis Alphabet and on a sequence:
+    the exact risks equal the per-symbol Fraction sums, and the float risks
+    equal brute.float_true_risk bit for bit, or float(true_risk_fn) where the
+    loss has one."""
+    domain, edist, fdist = case
+    symbols = list(domain.symbols)
+    keys = st.lists(st.sampled_from(symbols), min_size=1, max_size=3).map(lambda k: tuple(sorted(set(k), key=str)))
+    keyed = data.draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    singles = data.draw(st.lists(st.sampled_from(symbols + ["zz"]), min_size=1, max_size=4, unique=True))
+    cases = _built_in_cases(domain, keyed, singles)
+    cases += [(_per_cell(loss), hyps) for loss, hyps in cases] + [(_float_valued_loss(), keyed)]
+    for loss, hyps in cases:
+        hyp = Alphabet("h", tuple(dict.fromkeys(hyps)))
+        for hs in (hyp, list(hyp.symbols)):
+            exact, floats = true_risk(loss, hs, edist, many=True), true_risk(loss, hs, fdist, many=True)
+            assert exact.dtype == object and floats.dtype == np.float64
+            for h, r, x in zip(hyp.symbols, exact.tolist(), floats.tolist()):
+                assert r == sum(w * F(loss.fn(z, h)) for z, w in zip(symbols, edist.weights) if w)
+                assert r == true_risk(loss, h, edist) and x == true_risk(loss, h, fdist)
+                if loss.true_risk_fn is None:
+                    assert type(r) is F and x == brute.float_true_risk(loss.fn, h, fdist)
+                else:
+                    assert x == float(loss.true_risk_fn(h, fdist))
+
+
+def test_true_risks_of_a_long_sequence_cross_the_chunk_edge(monkeypatch):
+    """4,096 symbols of positive weight (and 904 of weight zero) give 256
+    hypotheses per chunk of 2^20 cells: 259 hypotheses take two chunks."""
+    n = 5000
+    d = Alphabet.of_size("z", n)
+    raw = np.arange(n) % 11
+    raw[np.flatnonzero(raw)[4096:]] = 0
+    assert np.count_nonzero(raw) == 4096
+    edist = Dist(d, np.array([F(int(r), int(raw.sum())) for r in raw], dtype=object))
+    fdist = edist.as_float()
+    rng = np.random.default_rng(5)
+    hyps = [tuple(sorted(set(rng.integers(0, n, size=3).tolist()))) for _ in range(259)]
+    chunks = []
+    reader = losses_module.loss_values
+    monkeypatch.setattr(losses_module, "loss_values", lambda *args: chunks.append(args[3]) or reader(*args))
+    loss = membership_loss()
+    floats = true_risk(loss, hyps, fdist, many=True)
+    assert [len(c) for c in chunks] == [256, 3]
+    exact = true_risk(loss, hyps, edist, many=True)
+    for i in (0, 255, 256, 258):
+        assert floats[i] == brute.float_true_risk(loss.fn, hyps[i], fdist)
+        assert exact[i] == sum(edist.weights[z] for z in set(hyps[i]))
+    monkeypatch.undo()
+    assert floats.tolist() == [true_risk(loss, h, fdist) for h in hyps]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_the_risks_of_a_cached_table_make_no_second_array_form_call(mode):
+    d = Alphabet.of_size("z", 5)
+    hyp = subsample_release(d, k=2).hypotheses(3)
+    dist = Dist(d, np.array([F(1, 8), 0, F(3, 8), F(1, 4), F(1, 4)], dtype=object))
+    dist = dist if mode.exact else dist.as_float()
+    integers = batch_form(membership_loss().fn)
+    calls = []
+
+    def counted(z, hypotheses, h):
+        calls.append(h.shape)
+        return integers(z, hypotheses, h)
+
+    loss = ParametricLoss("membership", with_batch(lambda z, h: 1 if z in h else 0, counted))
+    loss_table(loss, d, hyp, mode.exact)
+    assert len(calls) == 1
+    risks = true_risk(loss, hyp, dist, many=True)
+    assert len(calls) == 1
+    assert risks.tolist() == [true_risk(membership_loss(), h, dist) for h in hyp.symbols]
+
+
+def test_float_mode_gives_a_float():
+    d = Alphabet.of_size("z", 3)
+    fdist, edist = Dist.uniform(d, FLOAT64), Dist.uniform(d, EXACT)
+    for value in (F(1, 3), 1, 0.25):
+        loss = constant_loss(value)
+        got = true_risk(loss, (0,), fdist)
+        assert type(got) is float and got == float(value)
+        many = true_risk(loss, [(0,), (1, 2)], fdist, many=True)
+        assert many.dtype == np.float64 and many.tolist() == [float(value)] * 2
+        assert all(type(x) is float for x in many.tolist())
+        assert true_risk(loss, (0,), edist) == value
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from stabaudit.learners import (
 from stabaudit.losses import (
     deviation_law,
     expected_gen_risk,
+    loss_values,
     membership_loss,
     prop1_flipped_loss,
     prop1_paired_loss,
@@ -31,7 +32,6 @@ from stabaudit.losses import (
 from stabaudit import mc
 from stabaudit.mc import (
     _run_draws,
-    _true_risks,
     _wilson,
     bounded,
     deviations,
@@ -399,13 +399,13 @@ def test_true_risks_of_a_batch_make_one_true_risk_call(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return true_risk(*args, **kwargs)
+        calls.append(true_risk(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(mc, "true_risk", counted)
-    got = _true_risks(batch, scenario.loss)
+    deviations(batch, scenario.loss)
     assert len(calls) == 1 and len(batch.hypotheses) > 100
-    assert got.tolist() == [true_risk(scenario.loss, h, scenario.data_dist) for h in batch.hypotheses]
+    assert calls[0].tolist() == [true_risk(scenario.loss, h, scenario.data_dist) for h in batch.hypotheses]
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +530,11 @@ def test_prop1_batch_form_matches_fn(make_loss):
     hyps = [(tuple(sorted(rng.integers(0, 20, size=k).tolist())), b) for k, b in zip(sizes, bits)]
     z = rng.integers(0, 20, size=(7, 40))
     h = rng.integers(0, 40, size=(7, 40))
-    got = loss.fn.batch(z, hyps, h)
+    got = loss_values(loss, z, hyps, h, False)[0]
     want = [[float(loss.fn(int(a), hyps[b])) for a, b in zip(zr, hr)] for zr, hr in zip(z, h)]
     assert got.shape == z.shape and got.tolist() == want
     objects = np.array(z.ravel().tolist(), dtype=object).reshape(z.shape)
-    assert loss.fn.batch(objects, hyps, h).tolist() == want
+    assert loss_values(loss, objects, hyps, h, False)[0].tolist() == want
 
 
 def test_a_uniform_below_one_never_draws_a_zero_weight_symbol():
@@ -597,8 +597,9 @@ def test_true_risks_from_table_columns_equal_the_per_hypothesis_risks(mode, make
     batch = draw_runs(scenario, 300, seed=4)
     loss = make_loss()
     want = np.array([float(true_risk(loss, h, dist)) for h in batch.hypotheses])
-    got = _true_risks(batch, loss)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = true_risk(loss, batch.hypotheses, dist, many=True)
+    assert got.dtype == (object if mode.exact else np.float64)
+    assert np.array_equal(got.astype(np.float64), want)
     assert len(batch.hypotheses) > 1
 
 
@@ -609,5 +610,5 @@ def test_true_risks_of_a_large_domain_go_in_chunks():
     scenario = Scenario(name="s", learner=subsample_release(d, k=1, mode=EXACT), data_dist=Dist.uniform(d, EXACT), m=2)
     batch = draw_runs(scenario, 40, seed=2)
     assert len(batch.hypotheses) > 8
-    risks = _true_risks(batch, membership_loss())
-    assert risks.tolist() == [len(set(h)) / n for h in batch.hypotheses]
+    risks = true_risk(membership_loss(), batch.hypotheses, scenario.data_dist, many=True)
+    assert [float(r) for r in risks] == [len(set(h)) / n for h in batch.hypotheses]
