@@ -40,6 +40,7 @@ from .losses import (
     deviation_request,
     erm_consistency_bound,
     gen_risk_from_joint,
+    kept_worst_case_loss,
     membership_loss,
     random_table_loss,
     worst_case_loss,
@@ -89,9 +90,12 @@ def declared_epsilon(scenario: Scenario, epsilon):
     return epsilon
 
 
-def default_battery(tj, seed: int, loss: ParametricLoss | None = None) -> tuple[ParametricLoss, ...]:
+def default_battery(
+    tj, seed: int, loss: ParametricLoss | None = None, worst: ParametricLoss | None = None
+) -> tuple[ParametricLoss, ...]:
     """Losses probed by the gen-risk audit: fixed shapes, seeded tables, the
-    scenario's loss when given, and the exact maximizer."""
+    scenario's loss when given, and the exact maximizer (worst, when the
+    caller keeps it, else built here)."""
     hyp = tj.joint.axes[1]
     domain = tj.joint.axes[0]
     battery = [constant_loss(1)]
@@ -103,7 +107,7 @@ def default_battery(tj, seed: int, loss: ParametricLoss | None = None) -> tuple[
     battery.append(random_table_loss(domain, hyp, seed=seed * 1000 + 12))
     if loss is not None:
         battery.append(loss)
-    battery.append(worst_case_loss(tj))
+    battery.append(worst if worst is not None else worst_case_loss(tj))
     return tuple(battery)
 
 
@@ -118,7 +122,9 @@ def audit_t1(
     tj = exact_trn_hyp_joint(scenario, budget=budget)
     info = variational_info(tj.joint)
     bound = bounds.t1_bound(info)
-    battery = losses if losses is not None else default_battery(tj, scenario.seed, scenario.loss)
+    battery = losses
+    if battery is None:
+        battery = default_battery(tj, scenario.seed, scenario.loss, kept_worst_case_loss(scenario, tj))
     series = []
     worst = None
     ok = True
@@ -588,7 +594,7 @@ def audit_c2_forward(
     tol = _tol(scenario, tol)
     tj = exact_trn_hyp_joint(scenario, budget=budget)
     info = variational_info(tj.joint)
-    worst = worst_case_loss(tj)
+    worst = kept_worst_case_loss(scenario, tj)
     law = deviation_law(scenario, worst, budget=budget)
     premise_tail = law.tail_abs_gt(epsilon, tol=tol)
     premise_ok = premise_tail <= delta + tol

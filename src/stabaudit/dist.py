@@ -24,16 +24,23 @@ symbol i as i instead of reading .symbols.
 Every cell-wise quantity of a two-axis joint P(Z, H) (variational
 information, generalization risk, the worst-case loss) reads the same
 difference D = P(Z, H) - P(Z) P(H).  Joint.cells computes it once and
-keeps it on the joint, which is immutable, as a cell table d / scale.  In
-exact mode it reads integer_weights: the weights as Python ints J over
-their common denominator den, the lcm of their denominators; then
+keeps it on the joint, which is immutable, as a cell table d / scale.
+
+An exact joint keeps one integer form, Joint.numerators: its weights as
+integers J over their common denominator den, the lcm of their
+denominators.  They are nonnegative and sum to den, so each is at most
+den, and J is int64 while den < 2^63, else Python ints (numeric.int_dtype).
+Marginals, merges, reorders and conditioning are integer sums, slices
+and transposes of J; the cell table is
 
     d = J * den - outer(J.sum(1), J.sum(0)),    scale = den**2,
 
-and every sum over cells is an integer sum, divided once at the end.  In
-float mode d = weights - product_weights(weights) and scale = 1.  An exact
-joint given as integers (Joint.of_integers, as the walker builds them) is
-checked in integers and builds its Fraction weights only when they are
+int64 while 2 * scale < 2^63, which bounds every |d| and their sum, and
+every sum over cells is an integer sum, divided once at the end.  In
+float mode d = weights - product_weights(weights) and scale = 1.  An
+exact joint given as integers (Joint.of_integers, as the walker and the
+axis operations build them) is checked in integers and builds its
+Fraction weights, and the Python-int integer_weights, only when they are
 read.
 """
 
@@ -51,7 +58,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .numeric import EXACT, FLOAT64, NumericMode, coerce_number, mode_of, zeros
+from .numeric import EXACT, FLOAT64, NumericMode, as_ints, coerce_number, int_dtype, mode_of, zeros
 
 #: absolute tolerance on total mass for float-mode construction
 MASS_ATOL = 1e-12
@@ -254,8 +261,9 @@ class CellTable:
     """D = joint - product of marginals of a two-axis joint, as d / scale.
 
     row_mass / den is the marginal of the first axis.  Exact mode holds
-    Python ints (object arrays) with scale = den**2; float mode holds
-    float64 with scale = den = 1.
+    integers with scale = den**2, int64 while 2 * scale < 2^63 and Python
+    ints (object arrays) past that; float mode holds float64 with
+    scale = den = 1.
     """
 
     d: np.ndarray
@@ -369,24 +377,28 @@ class Joint:
     @classmethod
     def of_integers(cls, axes, nums: np.ndarray, den: int) -> "Joint":
         """The exact joint nums / den of an integer array, checked in integers
-        with the errors Joint(axes, weights) raises.  integer_weights are
-        nums and den over their gcd; the weights are built on first read."""
+        with the errors Joint(axes, weights) raises.  Its numerators are nums
+        and den over their gcd, copied; the weights are built on first read."""
         joint = object.__new__(_IntegerJoint)
         shape, where = joint._set_axes(axes)
         if nums.shape != shape:
             raise DomainMismatchError(f"{where}: weights shape {nums.shape} != {shape}")
-        values = nums.ravel().tolist()
-        for x in values:
-            if not isinstance(x, int):
-                raise TypeError(f"{where}: exact weights must be int or Fraction, got {type(x).__name__}")
-        if min(values) < 0:
-            raise ValueError(f"{where}: negative weight {Fraction(next(x for x in values if x < 0), den)}")
-        if sum(values) != den:
-            raise ValueError(f"{where}: mass is {Fraction(sum(values), den)}, expected exactly 1")
-        g = gcd(den, *values)
-        nums = (nums // g).astype(object)
+        if nums.dtype.kind not in "iu":
+            for x in nums.ravel().tolist():
+                if not isinstance(x, int):
+                    raise TypeError(f"{where}: exact weights must be int or Fraction, got {type(x).__name__}")
+        elif int(nums.max()) * nums.size >= 2**63:  # a sum that could pass int64
+            nums = nums.astype(object)
+        if nums.min() < 0:
+            flat = nums.ravel()
+            raise ValueError(f"{where}: negative weight {Fraction(int(flat[np.flatnonzero(flat < 0)[0]]), den)}")
+        total = int(nums.sum())
+        if total != den:
+            raise ValueError(f"{where}: mass is {Fraction(total, den)}, expected exactly 1")
+        g = gcd(den, int(np.gcd.reduce(nums, axis=None)))
+        nums = np.array(nums // g, dtype=int_dtype(den // g))
         nums.setflags(write=False)
-        object.__setattr__(joint, "integer_weights", (nums, den // g))
+        object.__setattr__(joint, "numerators", (nums, den // g))
         return joint
 
     @property
@@ -406,10 +418,19 @@ class Joint:
         return EXACT if self.is_exact else FLOAT64
 
     @cached_property
-    def integer_weights(self) -> tuple[np.ndarray, int]:
-        """Exact weights as Python ints in the joint's shape over their lcm den."""
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """Exact weights as integers in the joint's shape over their lcm den:
+        int64 while den < 2^63, else Python ints (see the module docstring)."""
         nums, den = common_denominator(self.weights.ravel().tolist())
-        nums = np.array(nums, dtype=object).reshape(self.weights.shape)
+        nums = as_ints(nums, den).reshape(self.weights.shape)
+        nums.setflags(write=False)
+        return nums, den
+
+    @cached_property
+    def integer_weights(self) -> tuple[np.ndarray, int]:
+        """The numerators as Python ints."""
+        nums, den = self.numerators
+        nums = nums.astype(object)
         nums.setflags(write=False)
         return nums, den
 
@@ -423,6 +444,20 @@ class Joint:
         idx = tuple(a.index[s] for a, s in zip(self.axes, symbols))
         return self.weights[idx]
 
+    def _form(self) -> tuple[np.ndarray, int | None]:
+        """What the axis operations work on: the numerators over den in
+        exact mode, the weights and None in float mode."""
+        return self.numerators if self.is_exact else (self.weights, None)
+
+    @staticmethod
+    def _of_form(axes: tuple, w: np.ndarray, den: int | None):
+        """The joint, or on one axis the Dist, of w over axes as _form gives it."""
+        if den is None:
+            return Dist(axes[0], w) if len(axes) == 1 else Joint(axes, w)
+        if len(axes) == 1:
+            return Dist._of_owned(axes[0], _fractions(w, den))
+        return Joint.of_integers(axes, w, den)
+
     def marginal(self, *names: str):
         """Sum out every axis not listed; axes come back in the listed order.
 
@@ -432,14 +467,12 @@ class Joint:
             raise ArityError("marginal needs at least one axis name")
         keep = [self.axis(n) for n in names]
         drop = tuple(i for i in range(self.arity) if i not in keep)
-        w = self.weights.sum(axis=drop) if drop else self.weights
+        w, den = self._form()
+        w = w.sum(axis=drop) if drop else w
         # realign to the requested order
         current = [i for i in range(self.arity) if i not in drop]
         perm = [current.index(i) for i in keep]
-        w = np.transpose(w, perm)
-        if len(names) == 1:
-            return Dist(self.axes[keep[0]], w)
-        return Joint(tuple(self.axes[i] for i in keep), w)
+        return self._of_form(tuple(self.axes[i] for i in keep), np.transpose(w, perm), den)
 
     def condition(self, name: str, symbol):
         """Condition on one axis taking an observed symbol.
@@ -450,15 +483,15 @@ class Joint:
         ax = self.axis(name)
         sl = [slice(None)] * self.arity
         sl[ax] = self.axes[ax].index[symbol]
-        w = self.weights[tuple(sl)]
+        w, den = self._form()
+        w = w[tuple(sl)]
         mass = w.sum()
         if mass == 0:
             raise ConditioningError(f"P({name}={symbol!r}) = 0")
-        w = w / mass
+        if den is None:
+            w = w / mass
         rest = tuple(a for i, a in enumerate(self.axes) if i != ax)
-        if len(rest) == 1:
-            return Dist(rest[0], w)
-        return Joint(rest, w)
+        return self._of_form(rest, w, None if den is None else int(mass))
 
     def merge(self, names: Sequence[str], new_name: str) -> "Joint":
         """Fuse the listed axes into one axis of symbol tuples.
@@ -471,7 +504,8 @@ class Joint:
         picked = [self.axis(n) for n in names]
         rest = [i for i in range(self.arity) if i not in picked]
         order = picked + rest
-        w = np.transpose(self.weights, order)
+        w, den = self._form()
+        w = np.transpose(w, order)
         merged_size = int(np.prod([len(self.axes[i]) for i in picked]))
         w = w.reshape((merged_size,) + tuple(len(self.axes[i]) for i in rest))
         merged = Alphabet(
@@ -483,13 +517,14 @@ class Joint:
         axes = [self.axes[i] for i in rest]
         axes.insert(slot, merged)
         w = np.moveaxis(w, 0, slot)
-        return Joint(tuple(axes), np.ascontiguousarray(w))
+        return self._of_form(tuple(axes), np.ascontiguousarray(w), den)
 
     def reorder(self, *names: str) -> "Joint":
         if sorted(names) != sorted(self.axis_names):
             raise DomainMismatchError(f"reorder needs all of {self.axis_names}, got {names}")
         perm = [self.axis(n) for n in names]
-        return Joint(tuple(self.axes[i] for i in perm), np.transpose(self.weights, perm))
+        w, den = self._form()
+        return self._of_form(tuple(self.axes[i] for i in perm), np.transpose(w, perm), den)
 
     def to_dist(self) -> Dist:
         if self.arity != 1:
@@ -509,8 +544,15 @@ class Joint:
         if not self.is_exact:
             w = self.weights
             return CellTable(w - product_weights(w), 1, w.sum(axis=1), 1)
-        big, den = self.integer_weights
+        big, den = self.numerators
+        big = as_ints(big, 2 * den * den)
         return CellTable(big * den - product_weights(big), den * den, big.sum(axis=1), den)
+
+
+def _fractions(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums / den as an object array: one Fraction per nonzero value, int 0
+    for the others."""
+    return np.array([Fraction(x, den) if x else 0 for x in nums.ravel().tolist()], dtype=object).reshape(nums.shape)
 
 
 class _IntegerJoint(Joint):
@@ -521,8 +563,7 @@ class _IntegerJoint(Joint):
     @cached_property
     def weights(self) -> np.ndarray:
         """One Fraction per nonzero cell; the others stay int 0."""
-        nums, den = self.integer_weights
-        w = np.array([Fraction(x, den) if x else 0 for x in nums.ravel().tolist()], dtype=object).reshape(nums.shape)
+        w = _fractions(*self.numerators)
         w.setflags(write=False)
         return w
 

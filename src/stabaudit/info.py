@@ -32,6 +32,7 @@ from .dist import (
     TransitionKernel,
     product_weights,
 )
+from .numeric import as_ints
 
 __all__ = [
     "variational_info",
@@ -62,7 +63,7 @@ def variational_info(j: Joint):
     """
     cells = _pair(j).cells
     diff = abs(cells.d).sum()
-    return Fraction(diff, 2 * cells.scale) if j.is_exact else float(diff) / 2.0
+    return Fraction(int(diff), 2 * cells.scale) if j.is_exact else float(diff) / 2.0
 
 
 def mutual_stability(j: Joint):
@@ -73,11 +74,20 @@ def mutual_stability(j: Joint):
 def conditional_variational_info(j: Joint, given: str):
     """Average vi between the two non-conditioning axes of a 3-axis joint.
 
-    Slices of zero mass contribute nothing.  Exact in exact mode.
+    Slices of zero mass contribute nothing.  Exact in exact mode: with the
+    numerators J over den, a slab of mass M (over den) with row and column
+    sums r and c adds sum |M * slab - r (x) c| / (2 * M * den), in int64
+    while 2 * den**2, which bounds each slab's sum, fits.
     """
     if j.arity != 3:
         raise ArityError(f"need exactly three axes, have {j.axis_names}")
     ax = j.axis(given)
+    if j.is_exact:
+        nums, den = j.numerators
+        w = as_ints(np.moveaxis(nums, ax, 0), 2 * den * den)
+        mass, rows, cols = w.sum(axis=(1, 2)), w.sum(axis=2), w.sum(axis=1)
+        diff = abs(mass[:, None, None] * w - rows[:, :, None] * cols[:, None, :]).sum(axis=(1, 2))
+        return sum((Fraction(s, 2 * c * den) for s, c in zip(diff.tolist(), mass.tolist()) if c), 0)
     w = np.moveaxis(j.weights, ax, 0)
     total = 0
     for slab in w:
@@ -89,7 +99,7 @@ def conditional_variational_info(j: Joint, given: str):
         # tv(P(A,B|c), P(A|c)P(B|c)) * P(c), with the 1/mass factors folded in
         inner = abs(slab - np.multiply.outer(rows, cols) / mass).sum()
         total = total + inner / 2
-    return total if j.is_exact else float(total)
+    return float(total)
 
 
 @dataclass(frozen=True)

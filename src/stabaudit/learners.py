@@ -49,6 +49,9 @@ np.add.at, in entry order, so every cell sums its terms in visit order
 exactly as a per-sample loop would.  Exact mode keeps integer numerators
 per denominator, and finish() hands their sum over the lcm to
 Joint.of_integers, which builds no Fraction until the weights are read.
+Exact weights, kernel probabilities, entry masses and sums are int64
+while a bound from their denominators (numeric.int_dtype) shows that no
+value or partial sum passes 2^63, else Python ints.
 What two accumulators read alike on a block (the cell masses, the
 deviation table's per-entry deviations) is computed once and kept on the
 block.
@@ -68,7 +71,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .dist import Alphabet, Dist, DomainMismatchError, Joint, common_denominator
-from .numeric import FLOAT64, NumericMode, coerce_number
+from .numeric import FLOAT64, NumericMode, as_ints, coerce_number, int_dtype, int_quotients
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "STABAUDIT_BUDGET"
@@ -177,7 +180,8 @@ class Block:
     idx (B, m) holds each sample's symbol indices; sym and cnt (B, m) its
     (symbol index, count) groups in index order, with groups of count 0
     between them (see _groups).
-    weights are float64, or exact integer numerators over den.
+    weights are float64, or exact integer numerators over den (int64 or
+    Python ints, see numeric.int_dtype).
     """
 
     idx: np.ndarray
@@ -202,7 +206,7 @@ class Block:
 
     @property
     def exact(self) -> bool:
-        return self.weights.dtype == object
+        return self.weights.dtype != np.float64
 
     @property
     def samples(self) -> list:
@@ -218,7 +222,7 @@ class Sparse:
     """Sparse kernel output over a block: entry j puts prob[j] on output
     col[j] of owner row[j] (a sample of the block, or for a side channel an
     entry of the kernel's output).  prob is float64, or exact integer
-    numerators over den."""
+    numerators over den (int64 or Python ints)."""
 
     row: np.ndarray
     col: np.ndarray
@@ -231,7 +235,7 @@ def _sparse(rows: list, cols: list, probs: list, exact: bool) -> Sparse:
     if not exact:
         return Sparse(row, col, np.fromiter(map(float, probs), np.float64, len(probs)))
     nums, den = common_denominator(probs)
-    return Sparse(row, col, np.array(nums, dtype=object), den)
+    return Sparse(row, col, as_ints(nums, den), den)
 
 
 def per_row(fn: Callable, args: Sequence[tuple], index: Mapping, exact: bool) -> Sparse:
@@ -316,16 +320,17 @@ def _weighted_blocks(data_dist: Dist, m: int, symmetric: bool) -> Iterator[Block
     group (symmetric), or the product of the entries' weights in sample
     order; the powers come from a table taken with Python's **.  Exact
     weights: the same products of the weights' integer numerators, over
-    their common denominator to the m-th power.
+    their common denominator to the m-th power, in int64 while every
+    partial product fits: each is at most den (times m! for a multinomial).
     """
     exact = data_dist.is_exact
     if exact:
         base, d = data_dist.integer_weights
         den = d**m
+        dtype = int_dtype(den * math.factorial(m) if symmetric else den)
     else:
-        base, den = list(data_dist.weights), 1
+        base, den, dtype = list(data_dist.weights), 1, np.float64
     n = len(base)
-    dtype = object if exact else np.float64
     if symmetric:  # powers[i * (m + 1) + c] = w[i] ** c
         powers = np.array([x**c for x in base for c in range(m + 1)], dtype=dtype)
     else:
@@ -354,7 +359,7 @@ def iter_weighted_samples(
     into the weight.
     """
     for block in _weighted_blocks(data_dist, m, symmetric):
-        weights = [Fraction(w, block.den) for w in block.weights] if block.exact else block.weights
+        weights = [Fraction(w, block.den) for w in block.weights.tolist()] if block.exact else block.weights
         for sample, w, sym, cnt in zip(block.samples, weights, block.sym.tolist(), block.cnt.tolist()):
             yield sample, w, tuple((i, c) for i, c in zip(sym, cnt) if c)
 
@@ -375,7 +380,7 @@ def _blocks(data_dist: Dist, m: int, symmetric: bool, *, _own=iter_weighted_samp
         idx = np.array([[index[z] for z in sample] for sample in samples], dtype=np.intp).reshape(len(chunk), m)
         if data_dist.is_exact:
             nums, den = common_denominator([w for _, w, _ in chunk])
-            weights = np.array(nums, dtype=object)
+            weights = as_ints(nums, den)
         else:
             weights, den = np.array([w for _, w, _ in chunk], dtype=np.float64), 1
         yield Block(idx, *_groups(idx, symmetric), weights, den, symbols, samples)
@@ -386,34 +391,36 @@ class Sums:
 
     np.add.at adds in entry order, so in float mode (one denominator, 1)
     each slot sums its terms in visit order.  In exact mode the arrays hold
-    integer numerators, and total() brings them to their lcm.
+    integer numerators, and total() brings them to their lcm.  The terms
+    over each den add up to at most den * bound (m for the cells of a
+    joint, whose terms are over den * m; 1 for masses), so a denominator's
+    array is int64 while den * bound < 2^63.
     """
 
-    def __init__(self, size: int, exact: bool):
-        self.size, self.exact, self.parts = size, exact, {}
-
-    def _zeros(self, size: int) -> np.ndarray:
-        return np.zeros(size, dtype=object if self.exact else np.float64)
+    def __init__(self, size: int, exact: bool, bound: int = 1):
+        self.size, self.exact, self.bound, self.parts = size, exact, bound, {}
 
     def grow(self, size: int) -> None:
         """Widen every array to size slots; the new slots are zero."""
         if size > self.size:
-            extra, self.size = self._zeros(size - self.size), size
             for den, part in self.parts.items():
-                self.parts[den] = np.concatenate((part, extra))
+                self.parts[den] = np.concatenate((part, np.zeros(size - self.size, part.dtype)))
+            self.size = size
 
     def add(self, at: np.ndarray, terms: np.ndarray, den: int = 1) -> None:
         part = self.parts.get(den)
         if part is None:
-            part = self.parts[den] = self._zeros(self.size)
-        np.add.at(part, at, terms)
+            dtype = int_dtype(den * self.bound) if self.exact else np.float64
+            part = self.parts[den] = np.zeros(self.size, dtype)
+        np.add.at(part, at, terms.astype(part.dtype, copy=False))
 
     def total(self) -> tuple[np.ndarray, int]:
         """(sums, den): the summed numerators over den."""
         if not self.parts:
-            return self._zeros(self.size), 1
+            return np.zeros(self.size, dtype=np.int64 if self.exact else np.float64), 1
         top = lcm(*self.parts)
-        return sum(part * (top // den) for den, part in self.parts.items()), top
+        dtype = int_dtype(top * self.bound) if self.exact else np.float64
+        return sum(part.astype(dtype, copy=False) * (top // den) for den, part in self.parts.items()), top
 
 
 @dataclass(frozen=True)
@@ -476,19 +483,22 @@ def _cell_joint(axes: tuple, cells: Sums, extra: int) -> Joint:
 def _cell_terms(block: Block, out: Sparse, m: int, hyps: int):
     """Per kernel entry and group of its sample (E, m): (cell, mass), with
     cell = z * hyps + h the (Z_trn, H) cell and mass the entry's mass on
-    it: (w * c / m) * p in float mode, the integer w * c * p (over den * m)
-    in exact mode.  A group of count 0 has mass 0, which leaves a cell's sum
-    as it is.  Kept on the block for its kernel output, so the joint and
-    the three-way joint share it."""
+    it: (w * c / m) * p in float mode, the integer w * c * p (over den * m,
+    so at most den * m) in exact mode.  A group of count 0 has mass 0, which
+    leaves a cell's sum as it is.  Kept on the block for its kernel output,
+    so the joint and the three-way joint share it."""
 
     def build():
-        per_z = block.weights[:, None] * block.cnt
-        if not block.exact:
-            per_z = per_z / m
+        if block.exact:
+            dtype = int_dtype(block.den * out.den * m)
+            per_z = block.weights.astype(dtype, copy=False)[:, None] * block.cnt
+            prob = out.prob.astype(dtype, copy=False)
+        else:
+            per_z, prob = block.weights[:, None] * block.cnt / m, out.prob
         cell = block.sym.take(out.row, axis=0) * hyps
         cell += out.col[:, None]
         mass = per_z.take(out.row, axis=0)
-        mass *= out.prob[:, None]
+        mass *= prob[:, None]
         return cell, mass
 
     return block.memo("cell_terms", out, build)
@@ -500,7 +510,7 @@ def trn_hyp_request(scenario: Scenario) -> WalkRequest:
     def start():
         hyp = learner.hypotheses(m)
         shape = (len(dist.alphabet), len(hyp))
-        cells = Sums(shape[0] * shape[1], dist.is_exact)
+        cells = Sums(shape[0] * shape[1], dist.is_exact, m)
         evals = 0
 
         def add(block: Block, out: Sparse):
@@ -547,7 +557,7 @@ def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
         hyp = learner.hypotheses(m)
         side_alpha = side.alphabet_for(m)
         shape = (len(dist.alphabet), len(hyp), len(side_alpha))
-        cells = Sums(math.prod(shape), dist.is_exact)
+        cells = Sums(math.prod(shape), dist.is_exact, m)
 
         def add(block: Block, out: Sparse):
             batch = batch_form(side.fn)
@@ -561,6 +571,8 @@ def threeway_request(scenario: Scenario, side: SideInfoKernel) -> WalkRequest:
             if len(ks.row) != len(out.row) or (ks.row != np.arange(len(ks.row))).any():
                 cell, mass = cell.take(ks.row, axis=0), mass.take(ks.row, axis=0)
             if (ks.prob != 1).any():  # x * 1 is x, so a sure side output needs no product
+                if block.exact:  # at most den * m times ks.den
+                    mass = mass.astype(int_dtype(block.den * out.den * m * ks.den))
                 mass = mass * ks.prob[:, None]
             at = cell * shape[2]
             at += ks.col[:, None]
@@ -579,32 +591,37 @@ def exact_threeway_joint(
     return walk(scenario, [threeway_request(scenario, side)], budget)[0]
 
 
+def entry_masses(block: Block, out: Sparse) -> np.ndarray:
+    """P(S) K(h|S) per kernel entry: float64, or exact integers over
+    block.den * out.den (so at most that)."""
+    if block.exact:
+        dtype = int_dtype(block.den * out.den)
+        return block.weights.astype(dtype, copy=False).take(out.row) * out.prob.astype(dtype, copy=False)
+    return block.weights.take(out.row) * out.prob
+
+
 def mi_request(scenario: Scenario) -> WalkRequest:
     """I(S;H) in two walks: the first sums the hypothesis marginal, the
     second the log terms against it."""
     learner, m = scenario.learner, scenario.m
 
-    def masses(block: Block, out: Sparse) -> np.ndarray:
-        """P(S) K(h|S) per entry: float64, or exact integers over den."""
-        return block.weights.take(out.row) * out.prob
-
     def start():
         marginal = Sums(len(learner.hypotheses(m)), scenario.data_dist.is_exact)
 
         def add(block: Block, out: Sparse):
-            marginal.add(out.col, masses(block, out), block.den * out.den)
+            marginal.add(out.col, entry_masses(block, out), block.den * out.den)
 
         def finish() -> float:
             total, den = marginal.total()
-            # int / int rounds once, as float(Fraction) does
-            marg = (total / den).astype(np.float64) if marginal.exact else total
+            # each quotient rounds once, as float(Fraction) does
+            marg = int_quotients(total, den) if marginal.exact else total
             acc = np.zeros(1)
 
             def log_sum(block: Block, out: Sparse):
-                mass = masses(block, out)
+                mass = entry_masses(block, out)
                 if block.exact:
-                    mass = (mass / (block.den * out.den)).astype(np.float64)
-                    ph = (out.prob / out.den).astype(np.float64)
+                    mass = int_quotients(mass, block.den * out.den)
+                    ph = int_quotients(out.prob, out.den)
                 else:
                     ph = out.prob
                 ratios, at = np.unique(ph / marg.take(out.col), return_inverse=True)
@@ -729,8 +746,11 @@ def subsample_release(
             picks = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
             # c picks of one hypothesis give share + share + ... (c terms)
             probs = list(itertools.accumulate([delta / math.comb(m, k)] * len(picks))) + [one - delta]
-            nums, den = common_denominator(probs) if mode.exact else (probs, 1)
-            by_m[m] = picks, np.array(nums, dtype=object if mode.exact else np.float64), den
+            if mode.exact:
+                nums, den = common_denominator(probs)
+                by_m[m] = picks, as_ints(nums, den), den
+            else:
+                by_m[m] = picks, np.array(probs, dtype=np.float64), 1
         return by_m[m]
 
     def batch(block: Block) -> Sparse:
@@ -930,29 +950,31 @@ def deviation_sign_side_info(scenario: Scenario, loss, threshold) -> SideInfoKer
 
     K = +1 when G = R_emp(h) - R_true(h) >= threshold, -1 when <= -threshold,
     else 0, with G read from the scenario's losses.DeviationTable of the
-    loss (the one its deviation law reads), one flag per distinct g.  The
-    side is keyed by the threshold and the table.  fn has a batch form that
-    reads the block's per-entry deviations.
+    loss (the one its deviation law reads), one flag per distinct g; in
+    exact mode g and the threshold are integer codes (DeviationTable.code).
+    The side is keyed by the threshold and the table.  fn has a batch form
+    that reads the block's per-entry deviations.
     """
     from .losses import deviation_table  # local to avoid a cycle
 
     dev = deviation_table(scenario, loss)
     index, z_index = dev.hypotheses.index, dev.dist.alphabet.index
 
-    def flag(g) -> int:
-        return 1 if g >= threshold else -1 if g <= -threshold else 0
+    def flags(gs: list) -> list:
+        k = dev.code(threshold)  # g <= -threshold is -g >= threshold
+        return [1 if g >= k else -1 if -g >= k else 0 for g in gs]
 
     def fn(sample: tuple, h) -> dict:
         hi = index[h]
         e = dev.sums_table[[z_index[z] for z in sample], hi].sum(keepdims=True)
         gs, _ = dev.deviations(np.array([hi]), e)
-        return {flag(gs[0]): 1}
+        return {flags(gs)[0]: 1}
 
     def batch(block: Block, out: Sparse) -> Sparse:
         gs, at = dev.entry_deviations(block, out)
         # flags -1, 0, 1 sit at k indices 0, 1, 2
-        ks = np.array([flag(g) + 1 for g in gs], dtype=np.intp)
-        ones = np.ones(len(at), dtype=object if block.exact else np.float64)
+        ks = np.array(flags(gs), dtype=np.intp) + 1
+        ones = np.ones(len(at), dtype=np.int64 if block.exact else np.float64)
         return Sparse(np.arange(len(at)), ks.take(at), ones)
 
     name = f"deviation_sign@{threshold}"

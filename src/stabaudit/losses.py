@@ -14,8 +14,8 @@ Every evaluation of a loss goes through one reader, loss_values(loss, z,
 hypotheses, h, exact): the values L(z, hypotheses[h]) for an array z of
 observation symbols and an array h of hypothesis indices, broadcast
 together, as (values, scale) with L = values / scale.  Exact mode gives
-Python ints over the lcm of the values' denominators; float mode gives
-float64 with scale 1.  Both come from integers nums over a scale: exact,
+integers over the lcm of the values' denominators, int64 while they fit
+(Python ints past that); float mode gives float64 with scale 1.  Both come from integers nums over a scale: exact,
 nums and scale over their gcd; float, nums / scale, rounded once.  A
 loss's fn may carry an array form, attached with learners.with_batch,
 that gives (nums, scale) for whole arrays in array steps, as every
@@ -24,8 +24,9 @@ loss_table is loss_values over a whole domain x hypotheses grid, built
 once per loss and alphabets and kept; a loss given by an integer table
 (random_table_loss, worst_case_loss) comes with both tables seeded.
 gen(L) is then the integer (or float) sum of d * table over the joint's
-cell table d / scale (dist.Joint.cells), divided once, and the
-deviation-law cache is keyed by the loss's table.
+cell table d / scale (dist.Joint.cells), divided once, in int64 while
+2 * scale * max |L| fits (numeric.int_dtype), and the deviation-law cache
+is keyed by the loss's table.
 
 true_risk is the one formula for R_true(h) = sum_z P(z) L(z, h): the
 loss's true_risk_fn when it has one, else columns of loss values over the
@@ -41,11 +42,13 @@ h on a sample is identified by e, the sum of the exact integer table
 entries of h over the sample, and is g = e / (m * scale) - R_true(h).  A
 block's kernel entries get their g in one pass, kept on the block for both
 readers: in float mode e / (m * scale) correctly rounded, less the float
-risk, in float64; in exact mode as an integer code over one denominator,
-with one Fraction per distinct code.  The deviation law adds the masses
-into one Sums slot per distinct g, in both modes.  The true risks of all
-the hypotheses come from one true_risk(..., many=True) call, made when the
-table is first read.
+risk, in float64; in exact mode as an integer code over one denominator
+m * scale * D.  The deviation law adds the masses into one Sums slot per
+distinct g, in both modes; an exact law keeps the codes and their masses
+and reads its tails with one integer threshold (DeviationLaw), and the
+sign side channel compares codes with the threshold's code.  The true
+risks of all the hypotheses come from one true_risk(..., many=True) call,
+made when the table is first read.
 """
 
 from __future__ import annotations
@@ -70,11 +73,13 @@ from .learners import (
     TrnHypJoint,
     WalkRequest,
     batch_form,
+    entry_masses,
     exact_trn_hyp_joint,
     walk,
     with_batch,
 )
 from .learners import iter_weighted_samples  # noqa: F401  (perfbench looks the walker up here)
+from .numeric import INT64_LIMIT, as_ints, int_dtype
 
 #: grouping width for float-mode deviation values
 VALUE_ATOL = 1e-12
@@ -104,12 +109,12 @@ class ParametricLoss:
 def _integer_table(nums: np.ndarray, scale: int, exact: bool) -> tuple[np.ndarray, int]:
     """(values, scale) of loss_values for the values nums / scale of an
     integer array.  Exact: nums and scale over their gcd (what common_denominator
-    gives), as Python ints.  Float: nums / scale, which rounds once, as
+    gives), in the dtype of nums.  Float: nums / scale, which rounds once, as
     float(Fraction) does, while both stay below 2^53; past that, each
     distinct numerator is divided in Python ints."""
     if exact:
         g = math.gcd(scale, int(np.gcd.reduce(nums, axis=None)))
-        return (nums // g if g > 1 else nums).astype(object), scale // g
+        return (nums // g if g > 1 else nums), scale // g
     if nums.dtype != object and scale < 2**53 and int(abs(nums).max(initial=0)) < 2**53:
         return nums / scale, 1
     values, at = np.unique(nums.ravel(), return_inverse=True)
@@ -123,8 +128,9 @@ def loss_values(
     array h of hypothesis indices, broadcast together, as (values, scale)
     with L = values / scale.
 
-    Exact mode: Python ints over the lcm of the values' denominators.
-    Float mode: float64 and scale 1.  From the array form of loss.fn when
+    Exact mode: integers over the lcm of the values' denominators, int64
+    while they fit (Python ints past that).  Float mode: float64 and
+    scale 1.  From the array form of loss.fn when
     it has one: integers(z, hypotheses, h) gives (nums, scale) with
     nums / scale = fn(z, hypotheses[h]); else from one fn call per distinct
     (z, h) cell.
@@ -140,7 +146,7 @@ def loss_values(
     values = [fn(a, hypotheses[c % n]) for a, c in zip(zs, cells.tolist())]
     if exact:
         nums, scale = common_denominator(values)
-        return np.array(nums, dtype=object).take(at).reshape(shape), scale
+        return as_ints(nums, max(map(abs, nums), default=0)).take(at).reshape(shape), scale
     return np.array([float(v) for v in values]).take(at).reshape(shape), 1
 
 
@@ -154,12 +160,17 @@ def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exa
     return loss._tables[key]
 
 
+def _top(table: np.ndarray) -> int:
+    """The largest |entry| of an exact loss table, in one array step; 2^63
+    for a table of Python ints."""
+    return INT64_LIMIT if table.dtype == object else int(abs(table).max(initial=0))
+
+
 def int_loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, m: int) -> np.ndarray:
     """The exact table of loss_table as int64 when sums of m entries stay
-    small, else as it is (Python ints)."""
+    below 2^31, else as Python ints."""
     table, _ = loss_table(loss, domain, hypotheses, True)
-    top = max((abs(x) for x in table.ravel().tolist()), default=0)
-    return table.astype(np.int64) if top * m < 2**31 else table
+    return table if _top(table) * m < 2**31 else table.astype(object, copy=False)
 
 
 def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
@@ -213,13 +224,17 @@ def true_risk(loss: ParametricLoss, h, dist: Dist, *, many: bool = False):
 
 
 def gen_risk_from_joint(tj: TrnHypJoint, loss: ParametricLoss):
-    """Expected generalization risk of a loss: the sum of D * L over the cells."""
+    """Expected generalization risk of a loss: the sum of D * L over the
+    cells.  Exact: an integer sum, in int64 while its bound
+    sum |d| * max |L| <= 2 * scale * max |L| fits."""
     j = tj.joint
     cells = j.cells
     table, scale = loss_table(loss, j.axes[0], j.axes[1], j.is_exact)
-    terms = cells.d * table
     if j.is_exact:
-        return Fraction(terms.sum(), cells.scale * scale)
+        dtype = int_dtype(2 * cells.scale * max(_top(table), 1))
+        terms = cells.d.astype(dtype, copy=False) * table.astype(dtype, copy=False)
+        return Fraction(int(terms.sum()), cells.scale * scale)
+    terms = cells.d * table
     # cell by cell in row-major order, not pairwise; + 0.0 turns -0.0 into 0.0
     return float(np.add.accumulate(terms.ravel())[-1]) + 0.0
 
@@ -229,40 +244,119 @@ def expected_gen_risk(scenario: Scenario, loss: ParametricLoss, budget: int | No
     return gen_risk_from_joint(exact_trn_hyp_joint(scenario, budget=budget), loss)
 
 
-@dataclass(frozen=True)
-class DeviationLaw:
-    """Exact law of G = R_emp(H) - R_true(H); points are (value, prob) sorted."""
+def _code_at(x, den: int, strict: bool = False):
+    """The least integer k such that c / den >= x (> x when strict) exactly
+    when c >= k, for every integer c: ceil(x * den), or floor(x * den) + 1
+    when strict, with x taken exactly (a float as its binary fraction).  A
+    float nan or infinity is returned as it is: an int compares with it as
+    c / den would."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return x
+    q = Fraction(x)
+    a, b = int(q.numerator), int(q.denominator)
+    return a * den // b + 1 if strict else -(-a * den // b)
 
-    points: tuple
-    scenario_name: str
-    loss_name: str
+
+class DeviationLaw:
+    """Law of G = R_emp(H) - R_true(H); points are (value, prob) sorted by value.
+
+    An exact law, whose values are ints or Fractions and whose probs are
+    Fractions, reads its tails from integer codes: each value c / den over
+    one den, with its mass over one mass den.  The walk builds it from
+    those codes (of_codes), and its points are built on first read.  A
+    tail read turns its threshold into one integer code (_code_at, a
+    ceiling for >= and a floor for >) and takes the mass at or past it
+    from a running sum over the sorted |codes|, with one np.searchsorted;
+    the result is a Fraction, or the int 0 when no point qualifies, as
+    summing the points' probs gives.  Any other law, a float one among
+    them, sums its points one by one, as does mass_abs_near with a float t
+    or window, which compares in floats.
+    """
+
+    def __init__(self, points: tuple, scenario_name: str, loss_name: str):
+        self.points, self.scenario_name, self.loss_name = tuple(points), scenario_name, loss_name
+
+    @classmethod
+    def of_codes(
+        cls, codes: np.ndarray, masses: np.ndarray, den: int, mass_den: int, scenario_name: str, loss_name: str
+    ) -> "DeviationLaw":
+        """The exact law with values codes / den and probs masses / mass_den,
+        for integer arrays of distinct codes and of positive masses."""
+        law = cls.__new__(cls)
+        law.scenario_name, law.loss_name = scenario_name, loss_name
+        order = np.argsort(codes)
+        law._codes = codes.take(order), masses.take(order), den, mass_den
+        return law
+
+    def _fields(self) -> tuple:
+        return self.points, self.scenario_name, self.loss_name
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return "DeviationLaw(points={!r}, scenario_name={!r}, loss_name={!r})".format(*self._fields())
+
+    @cached_property
+    def points(self) -> tuple:
+        codes, masses, den, mass_den = self._codes
+        return tuple((Fraction(c, den), Fraction(p, mass_den)) for c, p in zip(codes.tolist(), masses.tolist()))
+
+    @cached_property
+    def _codes(self) -> tuple | None:
+        """(codes, masses, den, mass_den) of an exact law built from points,
+        else None."""
+        values, probs = [v for v, _ in self.points], [p for _, p in self.points]
+        if not all(isinstance(v, (int, Fraction)) for v in values) or not all(isinstance(p, Fraction) for p in probs):
+            return None
+        (codes, den), (masses, mass_den) = common_denominator(values), common_denominator(probs)
+        return np.array(codes, dtype=object), np.array(masses, dtype=object), den, mass_den
+
+    @cached_property
+    def _tails(self) -> tuple:
+        """(|codes| ascending, the mass at or past each position with a 0
+        after the last, den, mass den)."""
+        codes, masses, den, mass_den = self._codes
+        order = np.argsort(abs(codes), kind="stable")
+        above = np.cumsum(masses.take(order)[::-1])[::-1]
+        return abs(codes).take(order), np.concatenate((above, np.zeros(1, above.dtype))), den, mass_den
+
+    def _at(self, x, strict: bool = False) -> int:
+        """The position of the first |value| >= x (> x when strict) among
+        the sorted |values|."""
+        sizes, _, den, _ = self._tails
+        k = _code_at(x, den, strict)
+        if not len(sizes) or not k <= sizes[-1]:
+            return len(sizes)
+        return 0 if k <= sizes[0] else int(np.searchsorted(sizes, k))
+
+    def _mass(self, lo: int, hi: int | None = None):
+        """The mass of the sorted |values| at positions lo up to hi (the
+        end when None): 0 when there are none, else a Fraction."""
+        sizes, above, _, mass_den = self._tails
+        hi = len(sizes) if hi is None else hi
+        return Fraction(int(above[lo] - above[hi]), mass_den) if lo < hi else 0
 
     def expectation(self):
         return sum(v * p for v, p in self.points)
 
     def tail_abs_ge(self, t, tol=0):
         """P{|G| >= t}, with a symmetric tolerance for float-mode values."""
-        at = _threshold(self.points, t - tol)
-        return sum(p for v, p in self.points if abs(v) >= at)
+        if self._codes is None:
+            return sum(p for v, p in self.points if abs(v) >= t - tol)
+        return self._mass(self._at(t - tol))
 
     def tail_abs_gt(self, t, tol=0):
         """P{|G| > t} (strict)."""
-        at = _threshold(self.points, t + tol)
-        return sum(p for v, p in self.points if abs(v) > at)
+        if self._codes is None:
+            return sum(p for v, p in self.points if abs(v) > t + tol)
+        return self._mass(self._at(t + tol, strict=True))
 
     def mass_abs_near(self, t, window):
         """P{ | |G| - t | <= window }."""
-        return sum(p for v, p in self.points if abs(abs(v) - t) <= window)
-
-
-def _threshold(points: tuple, x):
-    """x to compare the values of points with: a finite float becomes its
-    exact Fraction when every value is a Fraction.  Fraction converts a
-    float exactly at every comparison, so each comparison gives the same
-    result with the float converted once."""
-    if isinstance(x, float) and math.isfinite(x) and all(type(v) is Fraction for v, _ in points):
-        return Fraction(x)
-    return x
+        if self._codes is None or isinstance(t, float) or isinstance(window, float):
+            return sum(p for v, p in self.points if abs(abs(v) - t) <= window)
+        return self._mass(self._at(t - window), self._at(t + window, strict=True))
 
 
 def _merged_points(acc: dict, is_exact: bool) -> tuple:
@@ -300,14 +394,32 @@ class DeviationTable:
     @cached_property
     def _risks(self) -> tuple[np.ndarray, int, int]:
         """The true risks by h index: float64 in float mode; exact, their
-        numerators over one denominator den (int64 while they fit), with
-        top, the largest numerator."""
+        numerators over one denominator den (int64 while they fit), with a
+        bound on the codes of deviations()."""
         risks = true_risk(self.loss, self.hypotheses, self.dist, many=True)
         if not self.exact:
             return risks, 1, 0
         nums, den = common_denominator(risks.tolist())
         top = max(map(abs, nums), default=0)
-        return np.array(nums, dtype=np.int64 if top < 2**63 else object), den, top
+        # |e| < 2^31 while the sums table is int64 (int_loss_table)
+        e_top = 2**31 if self.sums_table.dtype != object else INT64_LIMIT
+        return as_ints(nums, top), den, max(e_top * den + self._ms * top, self._ms, den)
+
+    @property
+    def code_den(self) -> int:
+        """The denominator m * scale * D of the exact codes of deviations()."""
+        return self._ms * self._risks[1]
+
+    @property
+    def code_bound(self) -> int:
+        """A bound on |code| of the exact codes of deviations()."""
+        return self._risks[2]
+
+    def code(self, x):
+        """A threshold x as deviations() gives a deviation g: x itself in
+        float mode; in exact mode the integer k such that g >= x exactly
+        when g's code is >= k (_code_at)."""
+        return _code_at(x, self.code_den) if self.exact else x
 
     def deviations(self, h: np.ndarray, e: np.ndarray) -> tuple[list, np.ndarray]:
         """The distinct deviations g of the entries (h[i], e[i]), sorted, and
@@ -316,18 +428,18 @@ class DeviationTable:
         Float mode: g = e / (m * scale) - r[h] in float64; below 2^53 the
         quotient rounds once, as float(Fraction) does, and past that it is
         taken in Python ints.  Exact mode: with the risks R_num / D over one
-        denominator, e * D - m * scale * R_num[h] is the integer code of
-        g * (m * scale * D), in int64 while it fits."""
-        ms, (nums, den, top) = self._ms, self._risks
+        denominator, g is given by its integer code e * D - m * scale * R_num[h]
+        over code_den, computed in int64 while its bound fits and returned
+        as Python ints."""
+        ms, (nums, den, bound) = self._ms, self._risks
         r = nums.take(h)
         if not self.exact:
             q = e / ms if e.dtype != object and ms < 2**53 else np.array([x / ms for x in e.tolist()])
             g, at = np.unique(q - r, return_inverse=True)
             return g.tolist(), at
-        small = e.dtype != object and max(int(abs(e).max()) * den + ms * top, ms, den) < 2**63
-        codes = e * den - ms * r if small else e.astype(object) * den - ms * r.astype(object)
-        codes, at = np.unique(codes, return_inverse=True)
-        return [Fraction(c, ms * den) for c in codes.tolist()], at
+        dtype = int_dtype(bound)
+        codes, at = np.unique(e.astype(dtype, copy=False) * den - ms * r.astype(dtype, copy=False), return_inverse=True)
+        return codes.tolist(), at
 
     def entry_deviations(self, block: Block, out: Sparse) -> tuple[list, np.ndarray]:
         """The deviations of the kernel entries, each with its e summed
@@ -358,21 +470,21 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
     exact = scenario.data_dist.is_exact
 
     def start():
-        slots: dict = {}  # deviation -> slot
+        slots: dict = {}  # deviation (its integer code in exact mode) -> slot
         sums = Sums(0, exact)
 
         def add(block: Block, out: Sparse):
             gs, at = dev.entry_deviations(block, out)
             slot = np.array([slots.setdefault(g, len(slots)) for g in gs], dtype=np.intp)
             sums.grow(len(slots))
-            mass = block.weights.take(out.row) * out.prob
-            sums.add(slot.take(at), mass, block.den * out.den)
+            sums.add(slot.take(at), entry_masses(block, out), block.den * out.den)
 
         def finish() -> DeviationLaw:
             total, den = sums.total()
-            probs = [Fraction(x, den) for x in total.tolist()] if exact else total
-            points = _merged_points(dict(zip(slots, probs)), exact)
-            return DeviationLaw(points=points, scenario_name=scenario.name, loss_name=loss.name)
+            if exact:
+                codes = as_ints(list(slots), dev.code_bound)
+                return DeviationLaw.of_codes(codes, total, dev.code_den, den, scenario.name, loss.name)
+            return DeviationLaw(_merged_points(dict(zip(slots, total)), False), scenario.name, loss.name)
 
         return add, finish
 
@@ -570,15 +682,21 @@ def worst_case_loss(tj: TrnHypJoint, tol: float = 0.0) -> ParametricLoss:
     boundary = np.count_nonzero(d == 0) if j.is_exact else np.count_nonzero(abs(d) <= tol)
     indicator = np.where(d >= 0, 1, 0)
     zsyms, hsyms = j.axes
-    if j.is_exact:
-        masses = (cells.row_mass[:, None] * indicator.astype(object)).sum(axis=0)
-        risks = [Fraction(mass, cells.den) for mass in masses]
+    if j.is_exact:  # sums of row masses, at most den
+        masses = (cells.row_mass[:, None] * indicator).sum(axis=0)
+        risks = [Fraction(mass, cells.den) for mass in masses.tolist()]
     else:
         # summed over z in order, not pairwise
         risks = np.add.accumulate(cells.row_mass[:, None] * indicator, axis=0)[-1]
     hrisk = dict(zip(hsyms.symbols, risks))
     params = {"boundary_cells": int(boundary)}
     return _integer_table_loss("worst_case", zsyms, hsyms, indicator, 1, params, lambda h, dist: hrisk[h])
+
+
+def kept_worst_case_loss(scenario: Scenario, tj: TrnHypJoint, tol: float = 0.0) -> ParametricLoss:
+    """worst_case_loss(tj, tol), built once and kept in the scenario's cache
+    under the joint and tol, so the audits that read it share its tables."""
+    return scenario.cached(("worst_case_loss", tj.joint, tol), lambda: worst_case_loss(tj, tol))
 
 
 def exhaustive_binary_loss_max(tj: TrnHypJoint):
@@ -598,7 +716,7 @@ def exhaustive_binary_loss_max(tj: TrnHypJoint):
         if best is None or total > best:
             best, best_table = total, bits
     if j.is_exact:
-        best = Fraction(best, j.cells.scale)
+        best = Fraction(int(best), j.cells.scale)
     shape = (len(j.axes[0]), len(j.axes[1]))
     table = np.array(best_table, dtype=object).reshape(shape)
     return best, table
@@ -638,19 +756,19 @@ def erm_consistency_bound(
     risks = dict(zip(hyp.symbols, true_risk(loss, hyp, dist, many=True).tolist()))
     best_h = min(hyp.symbols, key=lambda h: risks[h])
     floor = risks[best_h]
-    ph = j.weights.sum(axis=0)
+    ph = j.marginal(hyp.name).weights
     acc: dict = {}
     for hi, h in enumerate(hyp.symbols):
         if ph[hi] != 0:
             excess = risks[h] - floor
             acc[excess] = acc.get(excess, 0) + ph[hi]
     points = _merged_points(acc, j.is_exact)
+    excess_law = DeviationLaw(points, scenario.name, loss.name)  # excess >= 0: its tails are |.| tails
     info = variational_info(j)
     curve = []
     ok = True
     for t in t_grid:
-        at = _threshold(points, t - (0 if j.is_exact else VALUE_ATOL))
-        tail = sum(p for v, p in points if v >= at)
+        tail = excess_law.tail_abs_ge(t, tol=0 if j.is_exact else VALUE_ATOL)
         bound = erm_markov_bound(info, t)
         good = tail <= bound + tol
         ok = ok and good

@@ -5,6 +5,15 @@ inside object-dtype numpy arrays) or as float64.  The mode travels with the
 array dtype; NumericMode bundles the dtype choice with the tolerance used
 whenever a computed quantity is compared against a bound or an invariant.
 Exact mode compares with tolerance zero.
+
+Exact computations run on integer numerators over a common denominator.
+Such an array is int64 when a bound on every value and partial sum it
+can reach is below 2^63 (int_dtype), else an object array of Python ints;
+the same numpy expressions run on both.  The bounds come from scalars
+(a denominator, a scale, a table's largest entry), never from a scan of
+the values: nonnegative numerators that sum to den are each at most den.
+An object array holds Python ints, never numpy ones, so that a Fraction
+built from one of its values holds Python ints too.
 """
 
 from __future__ import annotations
@@ -65,6 +74,34 @@ def zeros(shape, mode: NumericMode) -> np.ndarray:
     without losing exactness.
     """
     return np.zeros(shape, dtype=mode.dtype)
+
+
+#: integer arrays whose bound is below this are held in int64
+INT64_LIMIT = 2**63
+
+
+def int_dtype(bound: int):
+    """int64 when bound, a bound on the absolute value of every value and
+    partial sum an integer array will hold, is below 2^63; else object."""
+    return np.int64 if bound < INT64_LIMIT else object
+
+
+def as_ints(values, bound: int) -> np.ndarray:
+    """Integer values (an array, or a list of Python ints) as an array of
+    int_dtype(bound); an object array holds Python ints.  An array of that
+    dtype already is returned as it is."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=object)  # np.array would pick uint64 or float64 past int64
+    return values.astype(int_dtype(bound), copy=False)
+
+
+def int_quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums / den in float64 for integers |nums| <= den, each rounded once
+    as int / int rounds: in float64 while den < 2^53, where both are exact,
+    else in Python ints."""
+    if nums.dtype != object and den < 2**53:
+        return nums / den
+    return (nums.astype(object) / den).astype(np.float64)
 
 
 def as_float(x) -> float:

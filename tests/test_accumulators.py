@@ -350,6 +350,33 @@ def test_exact_risks_past_int64_match_the_oracles(size):
     _assert_same(*walked)
 
 
+#: data denominators d that put each int64 bound of a walk with m = 2 and a
+#: release with k = 1 (kernel den 2 or 4) just below 2^63 and then just
+#: above: the cell sums (d^2 * den * 2), the entry masses (d^2 * den), the
+#: block weights (d^2 * 2!) and the weights' den d^2 itself
+EDGE_DATA_DENS = (2**30 - 1, 2**30 + 1, 1518500249, 1518500251, 2**31 - 1, 2**31 + 1, 3037000499, 3037000501, 2**32 + 1)
+
+
+@pytest.mark.parametrize("delta", [F(1), F(1, 2)], ids=["delta=1", "delta=1/2"])
+@pytest.mark.parametrize("d", EDGE_DATA_DENS)
+def test_walks_at_the_int64_edge_match_the_oracles(d, delta):
+    """Data weights (d - 2, 1, 1) / d, with the walk's int64 bounds just
+    below and just above 2^63 and the sure sample's weight and masses near
+    its den: the joint, the sign side's three-way joint, the law and
+    I(S;H) match the oracles, batched and per sample."""
+    domain = Alphabet("z", tuple("bac"))
+    dist = Dist(domain, np.array([F(d - 2, d), F(1, d), F(1, d)], dtype=object))
+    loss = membership_loss()
+    walked = []
+    for per_sample in (False, True):
+        s = Scenario(name="edge", learner=subsample_release(domain, 1, delta, mode=EXACT), data_dist=dist, m=2)
+        if per_sample:
+            s = per_sample_twin(s)
+        walked.append(_walk_all(s, loss, deviation_sign_side_info(s, loss, F(1, 4))))
+    _assert_matches_oracles(s, loss, F(1, 4), walked[0])
+    _assert_same(*walked)
+
+
 @settings(max_examples=80, deadline=None)
 @given(walk_cases(), st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(FAR_THRESHOLD)]))
 def test_walk_accumulators_match_the_oracles(case, threshold):
