@@ -19,7 +19,11 @@ All enumeration goes through one walker, walk(): it takes WalkRequests
 against the budget, visits every sample once with one kernel call, and
 feeds every accumulator that is not cached yet.  The public functions
 below are walks with a single request.  I(S;H) needs the finished
-hypothesis marginal before its log-sum, so it walks a second time.
+hypothesis marginal before its log-sum, so it visits the samples a second
+time.  A walk that makes one block keeps that block and the kernel's
+output on it in the scenario's cache (clear_cache() drops them), and every
+later visit of the scenario replays them: no walk, no kernel call, and the
+block's memos shared.  Longer walks keep nothing and walk again.
 
 The walk runs in blocks of up to BLOCK_SIZE samples, in
 combinations_with_replacement order (itertools.product order for
@@ -442,17 +446,26 @@ class WalkRequest:
 def _visit(scenario: Scenario, adds: Sequence[Callable]) -> None:
     """Feed each block's kernel output to every add: from the kernel's batch
     form, which needs the rows of a symmetric walk (index order), else one
-    call per sample."""
+    call per sample.  A walk of one block is kept in the scenario's cache,
+    and a later visit replays it without a walk or a kernel call."""
+    kept = scenario._cache.get("one_block_walk")
+    if kept is not None:
+        for add in adds:
+            add(*kept)
+        return
     learner, m = scenario.learner, scenario.m
     batch = batch_form(learner.kernel) if learner.symmetric else None
     index = None if batch else learner.hypotheses(m).index
-    for block in _blocks(scenario.data_dist, m, learner.symmetric):
+    count = 0
+    for count, block in enumerate(_blocks(scenario.data_dist, m, learner.symmetric), 1):
         if batch:
             out = batch(block)
         else:
             out = per_row(learner.kernel, [(s,) for s in block.samples], index, block.exact)
         for add in adds:
             add(block, out)
+    if count == 1:
+        scenario._cache["one_block_walk"] = block, out
 
 
 def walk(scenario: Scenario, requests: Sequence[WalkRequest], budget: int | None = None) -> list:
@@ -601,8 +614,9 @@ def entry_masses(block: Block, out: Sparse) -> np.ndarray:
 
 
 def mi_request(scenario: Scenario) -> WalkRequest:
-    """I(S;H) in two walks: the first sums the hypothesis marginal, the
-    second the log terms against it."""
+    """I(S;H) in two visits of the samples: the first sums the hypothesis
+    marginal, the second the log terms against it.  The second replays a
+    one-block walk (_visit); factor stays 2, as a longer walk walks twice."""
     learner, m = scenario.learner, scenario.m
 
     def start():
@@ -639,8 +653,9 @@ def mi_request(scenario: Scenario) -> WalkRequest:
 def sample_hypothesis_mutual_info(scenario: Scenario, budget: int | None = None) -> float:
     """Shannon I(S_m; H) in nats, streamed without materializing P(S, H).
 
-    Two passes: the first accumulates the hypothesis marginal, the second
-    sums P(S) K(h|S) log(K(h|S) / P(h)).  For symmetric kernels, grouping
+    Two passes over the samples: the first accumulates the hypothesis
+    marginal, the second sums P(S) K(h|S) log(K(h|S) / P(h)), replaying the
+    first when its walk made one block.  For symmetric kernels, grouping
     ordered samples into multisets leaves the value unchanged.
     """
     return walk(scenario, [mi_request(scenario)], budget)[0]

@@ -378,8 +378,9 @@ class DeviationTable:
     sample.
 
     key is (loss name, scale, the exact table): it identifies every law
-    read from the table.  The true risks are computed once, when the table
-    is first read.
+    read from the table.  An int64 table enters it as its dtype, shape and
+    bytes, a table of Python ints as a tuple.  The true risks are computed
+    once, when the table is first read.
     """
 
     def __init__(self, scenario: Scenario, loss: ParametricLoss):
@@ -387,7 +388,8 @@ class DeviationTable:
         self.loss, self.dist, self.exact = loss, dist, dist.is_exact
         self.hypotheses = hyp = scenario.learner.hypotheses(m)
         table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
-        self.key = (loss.name, self.scale, tuple(table.ravel().tolist()))
+        data = tuple(table.ravel().tolist()) if table.dtype == object else (table.dtype.str, table.shape, table.tobytes())
+        self.key = (loss.name, self.scale, data)
         self.sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
         self._ms = m * self.scale
 

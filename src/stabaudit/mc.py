@@ -67,6 +67,8 @@ _MASK64 = 2**64 - 1
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 #: Philox blocks per array step of _run_draws
 _CHUNK = 2**14
+#: weights per cumulative-sum step of symbol_indices
+_CDF_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -204,15 +206,24 @@ def symbol_indices(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     cumulative sum of the weights, set to 1.0 from the last positive
     weight on, so no uniform below 1 draws a trailing symbol of weight
     zero.  u is searched in sorted order, which sweeps the cdf once, and
-    the indices come back in u's shape.
+    the indices come back in u's shape.  The cdf is taken _CDF_CHUNK
+    weights at a time, each chunk's sum continuing from the last (the same
+    additions in the same order), so no cdf of the weights' size is made.
     """
     w = np.asarray(weights, dtype=np.float64)
-    cdf = np.cumsum(w)
-    cdf[-1 if w[-1] > 0 else np.flatnonzero(w)[-1] :] = 1.0
+    end = len(w) - 1 if w[-1] > 0 else int(np.flatnonzero(w)[-1])
     flat = u.ravel()
     order = np.argsort(flat)
-    out = np.empty(flat.shape, dtype=np.intp)
-    out[order] = np.searchsorted(cdf, flat[order], side="right")
+    srt, out = flat[order], np.empty(flat.shape, dtype=np.intp)
+    carry, done = np.zeros(1), 0  # done: the sorted uniforms placed so far
+    for lo in range(0, end, _CDF_CHUNK):
+        cdf = np.cumsum(np.concatenate((carry, w[lo : min(lo + _CDF_CHUNK, end)])))[1:]
+        carry = cdf[-1:]
+        below = int(np.searchsorted(srt, carry[0]))  # those below the chunk's last value
+        out[order[done:below]] = lo + np.searchsorted(cdf, srt[done:below], side="right")
+        done = below
+    # the cdf is 1.0 from index end on
+    out[order[done:]] = np.where(srt[done:] < 1.0, end, len(w))
     return out.reshape(u.shape)
 
 

@@ -337,6 +337,36 @@ def test_deviation_law_is_keyed_by_loss_values():
     assert laws[0].points != laws[1].points
 
 
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "python-ints"])
+def test_equal_loss_tables_share_laws_and_sides_and_one_entry_misses(big):
+    d = Alphabet.of_size("z", 3)
+    learner = subsample_release(d, k=1, delta=F(1, 2), mode=EXACT)
+    s = uniform_scenario(learner, m=2)
+    hyp = learner.hypotheses(2)
+    low = F(1, 2**70) if big else 0  # scale 2^70: entries 2^70 and 1, Python ints
+
+    def loss(changed=False):
+        values = [[1 if z in h else low for h in hyp.symbols] for z in d.symbols]
+        if changed:
+            values[0][0] = 1
+        return table_loss("t", d, hyp, values)
+
+    a, b, c = loss(), loss(), loss(changed=True)
+    table, _ = loss_table(a, d, hyp, True)
+    assert (table.dtype == object) == big
+    assert deviation_table(s, a) is not deviation_table(s, b)
+    assert deviation_table(s, a).key == deviation_table(s, b).key
+    assert deviation_law(s, a) is deviation_law(s, b)
+    side_a, side_b = deviation_sign_side_info(s, a, F(1, 4)), deviation_sign_side_info(s, b, F(1, 4))
+    assert side_a.key == side_b.key
+    assert walk(s, [threeway_request(s, side_a)])[0] is walk(s, [threeway_request(s, side_b)])[0]
+    assert deviation_table(s, c).key != deviation_table(s, a).key
+    assert deviation_law(s, c) is not deviation_law(s, a)
+    side_c = deviation_sign_side_info(s, c, F(1, 4))
+    assert side_c.key != side_a.key
+    assert walk(s, [threeway_request(s, side_c)])[0] is not walk(s, [threeway_request(s, side_a)])[0]
+
 def test_exact_deviation_law_is_exact_for_a_float_valued_loss():
     d = Alphabet.of_size("z", 3)
     learner = subsample_release(d, k=1, mode=EXACT)

@@ -612,3 +612,47 @@ def test_true_risks_of_a_large_domain_go_in_chunks():
     assert len(batch.hypotheses) > 8
     risks = true_risk(membership_loss(), batch.hypotheses, scenario.data_dist, many=True)
     assert [float(r) for r in risks] == [len(set(h)) / n for h in batch.hypotheses]
+
+
+def _full_cdf_indices(weights, u):
+    """symbol_indices by one cumulative sum over every weight."""
+    w = np.asarray(weights, dtype=np.float64)
+    cdf = np.cumsum(w)
+    cdf[-1 if w[-1] > 0 else np.flatnonzero(w)[-1] :] = 1.0
+    return np.searchsorted(cdf, u, side="right")
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("zero_tail", [False, True])
+def test_chunked_cdf_draws_what_the_full_cdf_draws(offset, zero_tail):
+    chunk = mc._CDF_CHUNK
+    n = chunk + offset
+    rng = np.random.default_rng(n)
+    w = rng.random(n)
+    w[chunk // 2 : chunk // 2 + 9] = 0.0  # a zero run inside the first chunk
+    if zero_tail:  # from 5 before the chunk edge to the end, across it when n > chunk
+        w[chunk - 5 :] = 0.0
+    w /= w.sum()
+    cdf = np.cumsum(w)
+    edges = cdf[chunk - 1 :: chunk] if n >= chunk else cdf[-1:]
+    top = 1.0 - 2.0**-53
+    u = np.concatenate((rng.random(5_000), edges, cdf[chunk // 2 - 1 : chunk // 2 + 10], cdf[-8:], [0.0, top]))
+    u = rng.permutation(u).reshape(-1, 1)
+    assert symbol_indices(w, u).tolist() == _full_cdf_indices(w, u).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=30).filter(any), st.integers(1, 5), st.data())
+def test_chunked_cdf_on_small_chunks(raw, chunk, data):
+    w = np.array(raw, dtype=np.float64) / sum(raw)
+    cdf = np.cumsum(w)
+    extra = data.draw(st.lists(st.floats(0, 1, exclude_max=True), max_size=10))
+    u = np.array(cdf.tolist() + extra + [1.0 - 2.0**-53])
+    u = u[u < 1.0]
+    saved = mc._CDF_CHUNK
+    mc._CDF_CHUNK = chunk
+    try:
+        got = symbol_indices(w, u)
+    finally:
+        mc._CDF_CHUNK = saved
+    assert got.tolist() == _full_cdf_indices(w, u).tolist()

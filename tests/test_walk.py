@@ -9,6 +9,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 import stabaudit.corpus as corpus
@@ -16,9 +18,11 @@ import stabaudit.learners as learners
 from stabaudit.dist import Alphabet, Dist
 from stabaudit.harness import EXIT_PASS, ScenarioConfig, build_scenario, run_config
 from stabaudit.learners import (
+    EnumerationBudgetError,
     LearnerKernel,
     Scenario,
     batch_form,
+    enumeration_size,
     deviation_sign_side_info,
     exact_threeway_joint,
     exact_trn_hyp_joint,
@@ -29,10 +33,18 @@ from stabaudit.learners import (
     threeway_request,
     trn_hyp_request,
     walk,
+    with_batch,
 )
-from stabaudit.losses import deviation_law, deviation_request, membership_loss, zero_one_loss
+from stabaudit.losses import (
+    deviation_law,
+    deviation_request,
+    kept_worst_case_loss,
+    membership_loss,
+    worst_case_loss,
+    zero_one_loss,
+)
 from stabaudit.numeric import EXACT, FLOAT64
-from strategies import BLOCK_SIZES, block_size
+from strategies import BLOCK_SIZES, block_size, losses, releases, scenarios
 
 F = Fraction
 
@@ -144,7 +156,8 @@ def test_shared_walk_equals_single_calls_and_brute(kind, n, m, mode):
     assert mi == pytest.approx(brute.sample_hyp_mi(exact_map, kernel, m), rel=1e-9, abs=1e-12)
 
 
-def test_exact_run_walks_twice_for_t1_t3_t4_p3(monkeypatch):
+def test_exact_run_walks_once_for_t1_t3_t4_p3(monkeypatch):
+    # the walk fits in one block, so I(S;H)'s log-sum pass replays it
     walks, calls = [], []
     walker = learners.iter_weighted_samples
 
@@ -168,7 +181,7 @@ def test_exact_run_walks_twice_for_t1_t3_t4_p3(monkeypatch):
     n, m = 5, 3
     code, bundle = run_config(
         {
-            "name": "two-walks",
+            "name": "one-walk",
             "domain": {"size": n},
             "learner": {"name": "subsample_release", "params": {"k": 2, "delta": "1/2"}},
             "loss": {"name": "membership"},
@@ -178,8 +191,8 @@ def test_exact_run_walks_twice_for_t1_t3_t4_p3(monkeypatch):
         }
     )
     assert code == EXIT_PASS
-    assert len(walks) == 2
-    assert len(calls) == 2 * math.comb(n + m - 1, m)
+    assert len(walks) == 1
+    assert len(calls) == math.comb(n + m - 1, m)
     assert bundle["quantities"]["kernel_evals"] == math.comb(n + m - 1, m)
     assert "walk" in bundle["timings"]
 
@@ -216,6 +229,8 @@ def test_dropped_scenario_is_freed_without_a_collection():
     try:
         tj = exact_trn_hyp_joint(scn)
         law = deviation_law(scn, loss)
+        mi = sample_hypothesis_mutual_info(scn)  # replays the kept one-block walk
+        assert "one_block_walk" in scn._cache and mi > 0
         del scn
         assert ref() is None  # nothing cached on the scenario refers back to it
         assert tj.kernel_evals == math.comb(4 + 2 - 1, 2) and law.points
@@ -273,3 +288,115 @@ def test_release_on_a_domain_listed_out_of_sorted_order():
     pairs = brute.joint_pairs(dict(zip(s.data_dist.alphabet.symbols, s.data_dist.weights)), s.learner.kernel, s.m)
     for idx, got in zip(itertools.product(*(ax.symbols for ax in tj.joint.axes)), tj.joint.weights.ravel()):
         assert got == pairs.get(idx, 0)
+
+
+# ---------------------------------------------------------------------------
+# replaying a one-block walk
+
+
+@st.composite
+def replay_cases(draw):
+    """(exact scenario, float scenario, loss): a random kernel, symmetric
+    or not, without a batch form, or a subsample release with one."""
+    s_exact, s_float = draw(st.one_of(scenarios(), releases()))
+    loss = draw(losses(s_exact.learner.domain, s_exact.learner.hypotheses(s_exact.m)))
+    return s_exact, s_float, loss
+
+
+def _counted(s):
+    """s with an empty cache and a kernel that counts its evaluations in
+    calls: one per sample, or a block's rows per call of its batch form."""
+    calls, kernel, batch = [], s.learner.kernel, batch_form(s.learner.kernel)
+
+    def kern(sample):
+        calls.append(1)
+        return kernel(sample)
+
+    if batch is not None:
+        with_batch(kern, lambda block: calls.append(len(block)) or batch(block))
+    learner = dataclasses.replace(s.learner, kernel=kern)
+    return Scenario(name=s.name, learner=learner, data_dist=s.data_dist, m=s.m, loss=s.loss), calls
+
+
+def _results(s, loss, threshold):
+    """I(S;H) first, then the joint, the three-way joint and the deviation
+    law in one walk, then C2-forward's worst-case law, all on s."""
+    mi = sample_hypothesis_mutual_info(s)
+    side = deviation_sign_side_info(s, loss, threshold)
+    tj, j3, law = walk(s, [trn_hyp_request(s), threeway_request(s, side), deviation_request(s, loss)])
+    return tj, j3, law, mi, deviation_law(s, kept_worst_case_loss(s, tj))
+
+
+def _fresh_results(s, loss, threshold):
+    """The same results, each from its own fresh scenario, walked in blocks
+    of one sample so that nothing is replayed."""
+    with block_size(1):
+        tj = exact_trn_hyp_joint(_counted(s)[0])
+        fresh = _counted(s)[0]
+        j3 = exact_threeway_joint(fresh, deviation_sign_side_info(fresh, loss, threshold))
+        law = deviation_law(_counted(s)[0], loss)
+        mi = sample_hypothesis_mutual_info(_counted(s)[0])
+        worst = deviation_law(_counted(s)[0], worst_case_loss(tj))
+    return tj, j3, law, mi, worst
+
+
+def _typed(values):
+    return [(type(x), x) for x in values]
+
+
+def _assert_identical(got, want):
+    """Equal in value and type; float arrays equal bit for bit."""
+    (tj, j3, law, mi, worst), (tj2, j32, law2, mi2, worst2) = got, want
+    for x, y in ((tj.joint.weights, tj2.joint.weights), (j3.weights, j32.weights)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        if x.dtype == object:
+            assert _typed(x.ravel().tolist()) == _typed(y.ravel().tolist())
+        else:
+            assert x.tobytes() == y.tobytes()
+    assert (tj.kernel_evals, tj.method) == (tj2.kernel_evals, tj2.method)
+    for a, b in ((law, law2), (worst, worst2)):
+        assert a == b
+        assert [_typed(p) for p in a.points] == [_typed(p) for p in b.points]
+    assert type(mi) is type(mi2) and mi == mi2
+
+
+@settings(max_examples=80, deadline=None)
+@given(replay_cases(), st.sampled_from((learners.BLOCK_SIZE,) + BLOCK_SIZES), st.booleans())
+def test_a_replayed_walk_gives_what_fresh_walks_give(case, size, exact):
+    s_exact, s_float, loss = case
+    s = s_exact if exact else s_float
+    threshold = F(1, 4) if exact else 0.25
+    counted, calls = _counted(s)
+    with block_size(size):
+        blocks = list(learners._blocks(s.data_dist, s.m, s.learner.symmetric))
+        got = _results(counted, loss, threshold)
+    _assert_identical(got, _fresh_results(s, loss, threshold))
+    samples = sum(map(len, blocks))
+    # one walk when it made one block; else two for I(S;H), one shared and one for the last law
+    assert sum(calls) == samples * (1 if len(blocks) == 1 else 4)
+    assert ("one_block_walk" in counted._cache) == (len(blocks) == 1)
+    counted.clear_cache()
+    assert "one_block_walk" not in counted._cache
+    with block_size(size):
+        exact_trn_hyp_joint(counted)
+    assert sum(calls) == samples * (2 if len(blocks) == 1 else 5)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_budget_errors_are_unchanged_by_a_kept_walk(mode):
+    learner, dist, loss = _case("subsample", 4, 3, mode)
+    s = _scenario(learner, dist, loss, 3)
+    size = enumeration_size(4, 3, True)
+    assert sample_hypothesis_mutual_info(s, budget=2 * size) > 0
+    assert "one_block_walk" in s._cache
+    cases = [
+        (lambda b: sample_hypothesis_mutual_info(s, budget=b), 2 * size, "mutual information"),
+        (lambda b: exact_trn_hyp_joint(s, budget=b), size, "joint"),
+        (lambda b: deviation_law(s, loss, budget=b), size, "deviation law"),
+    ]
+    for call, needed, what in cases:
+        with pytest.raises(EnumerationBudgetError) as err:
+            call(needed - 1)
+        assert str(err.value) == f"{what} for 'w' needs {needed} kernel evaluations, budget is {needed - 1}"
+        assert (err.value.needed, err.value.budget) == (needed, needed - 1)
+        call(needed)
