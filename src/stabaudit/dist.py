@@ -260,16 +260,13 @@ def common_denominator(values) -> tuple[list[int], int]:
 class CellTable:
     """D = joint - product of marginals of a two-axis joint, as d / scale.
 
-    row_mass / den is the marginal of the first axis.  Exact mode holds
-    integers with scale = den**2, int64 while 2 * scale < 2^63 and Python
-    ints (object arrays) past that; float mode holds float64 with
-    scale = den = 1.
+    Exact mode holds integers with scale = den**2 for the joint's
+    denominator den, int64 while 2 * scale < 2^63 and Python ints (object
+    arrays) past that; float mode holds float64 with scale = 1.
     """
 
     d: np.ndarray
     scale: int
-    row_mass: np.ndarray
-    den: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,10 +540,10 @@ class Joint:
             raise ArityError(f"cell table needs a two-axis joint, have axes {self.axis_names}")
         if not self.is_exact:
             w = self.weights
-            return CellTable(w - product_weights(w), 1, w.sum(axis=1), 1)
+            return CellTable(w - product_weights(w), 1)
         big, den = self.numerators
         big = as_ints(big, 2 * den * den)
-        return CellTable(big * den - product_weights(big), den * den, big.sum(axis=1), den)
+        return CellTable(big * den - product_weights(big), den * den)
 
 
 def _fractions(nums: np.ndarray, den: int) -> np.ndarray:

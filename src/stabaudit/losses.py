@@ -28,13 +28,15 @@ cell table d / scale (dist.Joint.cells), divided once, in int64 while
 2 * scale * max |L| fits (numeric.int_dtype), and the deviation-law cache
 is keyed by the loss's table.
 
-true_risk is the one formula for R_true(h) = sum_z P(z) L(z, h): the
-loss's true_risk_fn when it has one, else columns of loss values over the
-symbols of positive weight, from loss_table for a hypothesis Alphabet and
-from loss_values in chunks of about 2^20 cells for a sequence.  Exact mode
-takes one integer dot product of the weights' numerators and each column
-over den * scale; float mode adds w * L(z, h) in symbol order, so a risk
-has the same bits however its values were read.
+true_risk is the one formula for R_true(h) = sum_z P(z) L(z, h): columns
+of loss values over the symbols of positive weight, from loss_table for a
+hypothesis Alphabet and from loss_values in chunks of about 2^20 cells for
+a sequence.  Exact mode takes one integer dot product of the weights'
+numerators and each column over den * scale; float mode adds w * L(z, h)
+in symbol order, so a risk has the same bits however its values were
+read.  A loss's true_risk_fn stands in for the columns in float mode and
+for a sequence of hypotheses (a Monte Carlo batch over a huge domain);
+exact risks over a hypothesis Alphabet always come from the table.
 
 The deviation law and the deviation-sign side channel read G through one
 DeviationTable per scenario and loss (deviation_table).  The deviation of
@@ -93,7 +95,9 @@ class ParametricLoss:
 
     fn(z, h) must return a value in [0, 1]; returning ints or Fractions
     keeps exact-mode arithmetic exact.  true_risk_fn(h, dist), when given,
-    replaces the full-domain expectation (needed when the domain is huge).
+    replaces the sum over the domain in float mode and for a sequence of
+    hypotheses (needed when the domain is huge); exact risks over a
+    hypothesis Alphabet are read from the loss table (true_risk).
     """
 
     name: str
@@ -185,9 +189,10 @@ def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
 def true_risk(loss: ParametricLoss, h, dist: Dist, *, many: bool = False):
     """Expected loss of h under the data distribution: exact (a Fraction,
     or what true_risk_fn gives) for an exact distribution, a float for a
-    float one.  From true_risk_fn when the loss has one (its batch form for
-    many hypotheses of a float distribution), else from the loss values
-    over the symbols of positive weight, summed as the module docstring says.
+    float one.  From the loss values over the symbols of positive weight,
+    summed as the module docstring says, or from true_risk_fn (its batch
+    form for many hypotheses of a float distribution) when the loss has
+    one, except for exact risks over a hypothesis Alphabet.
 
     many: h holds hypotheses, and their risks come back as one array,
     float64 for a float distribution, else of objects.  A hypothesis
@@ -196,8 +201,8 @@ def true_risk(loss: ParametricLoss, h, dist: Dist, *, many: bool = False):
     exact = dist.is_exact
     hs = h if many else (h,)
     symbols = hs.symbols if isinstance(hs, Alphabet) else hs
-    if loss.true_risk_fn is not None:
-        batch = getattr(loss.true_risk_fn, "batch", None)
+    if loss.true_risk_fn is not None and not (exact and isinstance(hs, Alphabet)):
+        batch = batch_form(loss.true_risk_fn)
         if batch is not None and not exact:
             return batch(symbols, dist) if many else float(batch(symbols, dist)[0])
         risks = [loss.true_risk_fn(x, dist) for x in symbols]
@@ -586,12 +591,12 @@ def table_loss(name: str, domain: Alphabet, hypotheses: Alphabet, values: np.nda
     return ParametricLoss(name=name, fn=fn, params={"shape": (len(domain), len(hypotheses))})
 
 
-def _integer_table_loss(name, domain, hypotheses, nums: np.ndarray, scale: int, params, true_risk_fn) -> ParametricLoss:
+def _integer_table_loss(name, domain, hypotheses, nums: np.ndarray, scale: int, params) -> ParametricLoss:
     """The loss nums / scale over domain x hypotheses, for an integer array
     nums: fn looks a cell up as a Fraction, and both tables come seeded
     (_integer_table) as loss_table would build them from fn."""
     rows, hi = dict(zip(domain.symbols, nums.tolist())), hypotheses.index
-    loss = ParametricLoss(name, lambda z, h: Fraction(rows[z][hi[h]], scale), params, true_risk_fn)
+    loss = ParametricLoss(name, lambda z, h: Fraction(rows[z][hi[h]], scale), params)
     for exact in (True, False):
         loss._tables[domain, hypotheses, exact] = _integer_table(nums, scale, exact)
     return loss
@@ -605,7 +610,7 @@ def random_table_loss(domain: Alphabet, hypotheses: Alphabet, seed: int, levels:
     rng = np.random.Generator(np.random.Philox(key=seed))
     raw = rng.integers(0, levels + 1, size=(len(domain), len(hypotheses)))
     params = {"seed": seed, "levels": levels}
-    return _integer_table_loss(f"random_table[{seed}]", domain, hypotheses, raw, levels, params, None)
+    return _integer_table_loss(f"random_table[{seed}]", domain, hypotheses, raw, levels, params)
 
 
 def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
@@ -613,10 +618,11 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
 
     fn's array form tests each z for membership in its hypothesis's key
     (_in_keys), with the in-sample values over a common denominator with 1/2.
-    In float mode the true risk of (key, b) is 0.5 plus one float term
-    w(z) * step(b) per z in set(key), added in set order, with step(b) the
-    float of in_sample_value(b) - 1/2; true_risk_fn.batch gives it for
-    many hypotheses at once.
+    true_risk_fn, the closed form true_risk takes for a sequence of
+    hypotheses, is 1/2 plus P(z) * (in_sample_value(b) - 1/2) per z in
+    set(key); in float mode, 0.5 plus one float term w(z) * step(b) per z,
+    added in set order, with step(b) the float of in_sample_value(b) - 1/2.
+    Its batch form (learners.with_batch) gives that for many hypotheses.
     """
     half = Fraction(1, 2)
 
@@ -658,8 +664,7 @@ def _prop1_loss(name: str, in_sample_value) -> ParametricLoss:
             total = total + dist.weight(z) * step
         return total
 
-    true_risk_fn.batch = float_risks
-    return ParametricLoss(name=name, fn=with_batch(fn, integers), true_risk_fn=true_risk_fn)
+    return ParametricLoss(name=name, fn=with_batch(fn, integers), true_risk_fn=with_batch(true_risk_fn, float_risks))
 
 
 def prop1_paired_loss() -> ParametricLoss:
@@ -677,28 +682,19 @@ def worst_case_loss(tj: TrnHypJoint, tol: float = 0.0) -> ParametricLoss:
 
     Cells with D exactly zero (within tol in float mode) are counted and
     reported in params; they sit on the boundary of the maximizing set.
+    Its true risks come from its seeded table, as for any table loss.
     """
     j = tj.joint
-    cells = j.cells
-    d = cells.d
+    d = j.cells.d
     boundary = np.count_nonzero(d == 0) if j.is_exact else np.count_nonzero(abs(d) <= tol)
-    indicator = np.where(d >= 0, 1, 0)
-    zsyms, hsyms = j.axes
-    if j.is_exact:  # sums of row masses, at most den
-        masses = (cells.row_mass[:, None] * indicator).sum(axis=0)
-        risks = [Fraction(mass, cells.den) for mass in masses.tolist()]
-    else:
-        # summed over z in order, not pairwise
-        risks = np.add.accumulate(cells.row_mass[:, None] * indicator, axis=0)[-1]
-    hrisk = dict(zip(hsyms.symbols, risks))
     params = {"boundary_cells": int(boundary)}
-    return _integer_table_loss("worst_case", zsyms, hsyms, indicator, 1, params, lambda h, dist: hrisk[h])
+    return _integer_table_loss("worst_case", *j.axes, np.where(d >= 0, 1, 0), 1, params)
 
 
-def kept_worst_case_loss(scenario: Scenario, tj: TrnHypJoint, tol: float = 0.0) -> ParametricLoss:
-    """worst_case_loss(tj, tol), built once and kept in the scenario's cache
-    under the joint and tol, so the audits that read it share its tables."""
-    return scenario.cached(("worst_case_loss", tj.joint, tol), lambda: worst_case_loss(tj, tol))
+def kept_worst_case_loss(scenario: Scenario, tj: TrnHypJoint) -> ParametricLoss:
+    """worst_case_loss(tj), built once and kept in the scenario's cache under
+    the joint, so the audits that read it share its tables."""
+    return scenario.cached(("worst_case_loss", tj.joint), lambda: worst_case_loss(tj))
 
 
 def exhaustive_binary_loss_max(tj: TrnHypJoint):

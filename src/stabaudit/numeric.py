@@ -102,7 +102,3 @@ def int_quotients(nums: np.ndarray, den: int) -> np.ndarray:
     if nums.dtype != object and den < 2**53:
         return nums / den
     return (nums.astype(object) / den).astype(np.float64)
-
-
-def as_float(x) -> float:
-    return float(x)

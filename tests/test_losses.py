@@ -1,4 +1,5 @@
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -236,7 +237,74 @@ def test_worst_case_true_risk_fast_path(tiny_scenario):
     dist = tiny_scenario.data_dist
     for h in tiny_scenario.learner.hypotheses(2).symbols:
         direct = sum(w * loss.fn(z, h) for z, w in zip(dist.alphabet.symbols, dist.weights))
-        assert loss.true_risk_fn(h, dist) == direct
+        assert true_risk(loss, h, dist) == direct
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_worst_case_true_risk_under_another_distribution_is_the_per_symbol_sum(mode):
+    """The worst-case loss of a uniform scenario read under P' = (1/2, 1/2,
+    0): each risk is sum_z P'(z) L(z, h), one hypothesis at a time and over
+    the hypothesis alphabet, not the scenario's risk."""
+    d = Alphabet.of_size("z", 3)
+    tj = exact_trn_hyp_joint(uniform_scenario(subsample_release(d, k=1, mode=EXACT), m=2))
+    worst, hyp = worst_case_loss(tj), tj.joint.axes[1]
+    other = Dist(d, np.array([F(1, 2), F(1, 2), 0], dtype=object))
+    other = other if mode.exact else other.as_float()
+    for h, r in zip(hyp.symbols, true_risk(worst, hyp, other, many=True).tolist()):
+        if mode.exact:
+            want = sum(w * worst.fn(z, h) for z, w in zip(d.symbols, other.weights))
+        else:
+            want = brute.float_true_risk(worst.fn, h, other)
+        assert r == true_risk(worst, h, other) == want and type(r) is type(want)
+    assert true_risk(worst, (0,), other) == F(1, 2)
+
+
+def _counted_risks(loss, calls):
+    """loss with a true_risk_fn that records each hypothesis it is called on."""
+    def true_risk_fn(h, dist):
+        calls.append(h)
+        return loss.true_risk_fn(h, dist)
+
+    return ParametricLoss(loss.name, loss.fn, loss.params, true_risk_fn)
+
+
+@pytest.mark.parametrize("make_loss", [prop1_paired_loss, prop1_flipped_loss])
+def test_an_exact_memorizer_walk_reads_its_risks_from_the_table(make_loss):
+    """An exact walk over the memorizer (n = 16, m = 2) makes no true_risk_fn
+    call; its deviation law and joint equal the brute oracles, and its risks
+    over the hypothesis alphabet are Fractions equal to the closed form."""
+    s = uniform_scenario(prop1_counterexample(16), m=2)
+    loss, calls = make_loss(), []
+    counted = _counted_risks(loss, calls)
+    law = deviation_law(s, counted)
+    assert law.points == tuple(brute.deviation_points(dist_map(s.data_dist), s.learner.kernel, 2, loss.fn))
+    pairs, j = brute.joint_pairs(dist_map(s.data_dist), s.learner.kernel, 2), exact_trn_hyp_joint(s).joint
+    for (z, h), w in zip(itertools.product(*(ax.symbols for ax in j.axes)), j.weights.ravel().tolist()):
+        assert w == pairs.get((z, h), 0)
+    hyp = s.learner.hypotheses(2)
+    risks = true_risk(counted, hyp, s.data_dist, many=True).tolist()
+    assert calls == []
+    assert all(type(r) is F for r in risks) and risks == [loss.true_risk_fn(h, s.data_dist) for h in hyp.symbols]
+
+
+def test_a_wrapped_true_risk_fn_gives_its_own_risks():
+    """A functools.wraps wrapper of the memorizer's true_risk_fn copies its
+    batch attribute, which true_risk does not take for the wrapper: the
+    wrapper's risks come back, one hypothesis at a time and with many=True."""
+    loss = prop1_paired_loss()
+
+    @functools.wraps(loss.true_risk_fn)
+    def halved(h, dist):
+        return loss.true_risk_fn(h, dist) / 2
+
+    wrapped = ParametricLoss(loss.name, loss.fn, loss.params, halved)
+    assert halved.batch is loss.true_risk_fn.batch  # copied by functools.wraps, and not used
+    hyps = [((0, 1), 0), ((2,), 1)]
+    for mode in (EXACT, FLOAT64):
+        dist = Dist.uniform(Alphabet.of_size("z", 4), mode)
+        want = [F(3, 8), F(3, 16)] if mode.exact else [0.375, 0.1875]
+        assert [true_risk(wrapped, h, dist) for h in hyps] == want
+        assert true_risk(wrapped, hyps, dist, many=True).tolist() == want
 
 
 def test_exhaustive_binary_max_equals_info(tiny_scenario):

@@ -393,6 +393,17 @@ def test_batch_memorizer_risks_equal_the_per_hypothesis_risks(case, losses):
     assert got.tolist() == [brute.prop1_float_true_risk(in_sample_value, h, dist) for h in hyps]
 
 
+def test_exact_monte_carlo_deviations_take_the_memorizer_closed_form():
+    """An exact Monte Carlo batch holds its hypotheses as a sequence, whose
+    risks come from the memorizer's closed form, once per hypothesis."""
+    loss, calls = prop1_paired_loss(), []
+    counted = dataclasses.replace(loss, true_risk_fn=lambda h, dist: calls.append(h) or loss.true_risk_fn(h, dist))
+    batch = draw_runs(_prop1(counted), 50, seed=3)
+    g = deviations(batch, counted)
+    assert calls == list(batch.hypotheses)
+    assert g.tolist() == deviations(batch, loss).tolist()
+
+
 def test_true_risks_of_a_batch_make_one_true_risk_call(monkeypatch):
     scenario = _prop1(prop1_paired_loss(), FLOAT64)
     batch = draw_runs(scenario, 200, seed=3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stabaudit.numeric import EXACT, FLOAT64, as_float, coerce_number, mode_of, zeros
+from stabaudit.numeric import EXACT, FLOAT64, coerce_number, mode_of, zeros
 
 
 def test_modes_carry_dtype_and_tolerance():
@@ -46,7 +46,3 @@ def test_zeros_accumulate_exactly():
     acc[0, 0] += Fraction(2, 3)
     assert acc[0, 0] == 1
     assert isinstance(acc[0, 0], Fraction)
-
-
-def test_as_float():
-    assert as_float(Fraction(1, 4)) == 0.25
