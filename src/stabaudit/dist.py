@@ -384,8 +384,8 @@ class Joint:
             for x in nums.ravel().tolist():
                 if not isinstance(x, int):
                     raise TypeError(f"{where}: exact weights must be int or Fraction, got {type(x).__name__}")
-        elif int(nums.max()) * nums.size >= 2**63:  # a sum that could pass int64
-            nums = nums.astype(object)
+        else:  # int64 while no sum can pass it
+            nums = nums.astype(int_dtype(int(nums.max()) * nums.size), copy=False)
         if nums.min() < 0:
             flat = nums.ravel()
             raise ValueError(f"{where}: negative weight {Fraction(int(flat[np.flatnonzero(flat < 0)[0]]), den)}")

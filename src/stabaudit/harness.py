@@ -330,7 +330,8 @@ class AuditDef:
 
     params maps each parameter to its default (_REQUIRED when the config
     must give it), checked by _AUDIT_PARAM_CHECKS; a t_grid default of None
-    stands for the config's t_grid.  needs names the walk results the audit
+    stands for the config's t_grid, and a tol default of None for the
+    config's tolerance, else 1e-9.  needs names the walk results the audit
     reads (keys of _WALK_RESULTS).  exact(scenario, kwargs) runs the audit
     with the resolved params plus budget and tol as keyword arguments;
     mc(scenario, params, estimates), when given, runs it from Monte Carlo
@@ -360,7 +361,7 @@ AUDITS: dict[str, AuditDef] = {
         _mc_c1,
     ),
     "P4": AuditDef({"epsilon": None, "delta": 0}, ("joint",), lambda s, kw: audit_p4(s, **kw), _mc_p4),
-    "T5": AuditDef({"tol": 1e-9}, ("joint", "deviation_law"), lambda s, kw: _t5_core(s, **kw)),
+    "T5": AuditDef({"tol": None}, ("joint", "deviation_law"), lambda s, kw: _t5_core(s, **kw)),
     "C2-forward": AuditDef(
         {"epsilon": _REQUIRED, "delta": _REQUIRED}, ("joint",), lambda s, kw: audit_c2_forward(s, **kw)
     ),
@@ -382,6 +383,8 @@ def _params(spec: AuditSpec, cfg: ScenarioConfig) -> dict:
     p = {**AUDITS[spec.id].params, **spec.params}
     if "t_grid" in p and p["t_grid"] is None:
         p["t_grid"] = cfg.t_grid or DEFAULT_T_GRID
+    if "tol" in p and p["tol"] is None:
+        p["tol"] = 1e-9 if cfg.tolerance is None else cfg.tolerance
     return p
 
 

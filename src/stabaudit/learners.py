@@ -55,7 +55,8 @@ per denominator, and finish() hands their sum over the lcm to
 Joint.of_integers, which builds no Fraction until the weights are read.
 Exact weights, kernel probabilities, entry masses and sums are int64
 while a bound from their denominators (numeric.int_dtype) shows that no
-value or partial sum passes 2^63, else Python ints.
+value or partial sum passes 2^63, else Python ints; the multinomials come
+from one factorial table, int64 while m! fits.
 What two accumulators read alike on a block (the cell masses, the
 deviation table's per-entry deviations) is computed once and kept on the
 block.
@@ -163,14 +164,6 @@ def collision_budget(scenario: Scenario) -> Fraction:
 
 def enumeration_size(n: int, m: int, symmetric: bool) -> int:
     return math.comb(n + m - 1, m) if symmetric else n**m
-
-
-def _multinomial(m: int, counts) -> int:
-    coeff, rem = 1, m
-    for c in counts:
-        coeff *= math.comb(rem, c)
-        rem -= c
-    return coeff
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +297,11 @@ def _index_rows(n: int, m: int, symmetric: bool) -> Iterator[np.ndarray]:
 def _index_blocks(n: int, m: int, symmetric: bool) -> Iterator[tuple]:
     """(idx, sym, cnt, multinomial) per block of index rows; the
     multinomial is None for ordered samples."""
-    # m! / prod c! is the multinomial; int64 holds 20! exactly
-    fact = np.array([math.factorial(c) for c in range(m + 1)], dtype=np.int64) if m <= 20 else None
+    # m! / prod c! is the multinomial; every product of the c! is at most m!
+    fact = as_ints([math.factorial(c) for c in range(m + 1)], math.factorial(m))
     for idx in _index_rows(n, m, symmetric):
         sym, cnt = _groups(idx, symmetric)
-        if not symmetric:
-            mult = None
-        elif fact is not None:
-            mult = fact[m] // fact.take(cnt).prod(axis=1)
-        else:
-            mult = np.array([_multinomial(m, row) for row in cnt.tolist()], dtype=object)
-        yield idx, sym, cnt, mult
+        yield idx, sym, cnt, fact[m] // fact.take(cnt).prod(axis=1) if symmetric else None
 
 
 def _weighted_blocks(data_dist: Dist, m: int, symmetric: bool) -> Iterator[Block]:

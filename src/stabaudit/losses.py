@@ -41,7 +41,8 @@ exact risks over a hypothesis Alphabet always come from the table.
 The deviation law and the deviation-sign side channel read G through one
 DeviationTable per scenario and loss (deviation_table).  The deviation of
 h on a sample is identified by e, the sum of the exact integer table
-entries of h over the sample, and is g = e / (m * scale) - R_true(h).  A
+entries of h over the sample, and is g = e / (m * scale) - R_true(h); the
+table is kept for these sums in int64 while m * max |entry| fits.  A
 block's kernel entries get their g in one pass, kept on the block for both
 readers: in float mode e / (m * scale) correctly rounded, less the float
 risk, in float64; in exact mode as an integer code over one denominator
@@ -81,7 +82,7 @@ from .learners import (
     with_batch,
 )
 from .learners import iter_weighted_samples  # noqa: F401  (perfbench looks the walker up here)
-from .numeric import INT64_LIMIT, as_ints, int_dtype
+from .numeric import as_ints, int_dtype, int_quotients
 
 #: grouping width for float-mode deviation values
 VALUE_ATOL = 1e-12
@@ -113,16 +114,12 @@ class ParametricLoss:
 def _integer_table(nums: np.ndarray, scale: int, exact: bool) -> tuple[np.ndarray, int]:
     """(values, scale) of loss_values for the values nums / scale of an
     integer array.  Exact: nums and scale over their gcd (what common_denominator
-    gives), in the dtype of nums.  Float: nums / scale, which rounds once, as
-    float(Fraction) does, while both stay below 2^53; past that, each
-    distinct numerator is divided in Python ints."""
+    gives), in the dtype of nums.  Float: nums / scale, each rounded once, as
+    float(Fraction) does (int_quotients)."""
     if exact:
         g = math.gcd(scale, int(np.gcd.reduce(nums, axis=None)))
         return (nums // g if g > 1 else nums), scale // g
-    if nums.dtype != object and scale < 2**53 and int(abs(nums).max(initial=0)) < 2**53:
-        return nums / scale, 1
-    values, at = np.unique(nums.ravel(), return_inverse=True)
-    return np.array([x / scale for x in values.tolist()]).take(at).reshape(nums.shape), 1
+    return int_quotients(nums, scale, _top(nums)), 1
 
 
 def loss_values(
@@ -165,16 +162,8 @@ def loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, exa
 
 
 def _top(table: np.ndarray) -> int:
-    """The largest |entry| of an exact loss table, in one array step; 2^63
-    for a table of Python ints."""
-    return INT64_LIMIT if table.dtype == object else int(abs(table).max(initial=0))
-
-
-def int_loss_table(loss: ParametricLoss, domain: Alphabet, hypotheses: Alphabet, m: int) -> np.ndarray:
-    """The exact table of loss_table as int64 when sums of m entries stay
-    below 2^31, else as Python ints."""
-    table, _ = loss_table(loss, domain, hypotheses, True)
-    return table if _top(table) * m < 2**31 else table.astype(object, copy=False)
+    """The largest |entry| of an integer array, in one array step."""
+    return int(abs(table).max(initial=0))
 
 
 def empirical_risk(loss: ParametricLoss, sample: Sequence, h):
@@ -395,7 +384,9 @@ class DeviationTable:
         table, self.scale = loss_table(loss, dist.alphabet, hyp, True)
         data = tuple(table.ravel().tolist()) if table.dtype == object else (table.dtype.str, table.shape, table.tobytes())
         self.key = (loss.name, self.scale, data)
-        self.sums_table = int_loss_table(loss, dist.alphabet, hyp, m)
+        # |e| <= m * max |entry| for a sum e of m table entries
+        self._e_top = _top(table) * m
+        self.sums_table = table.astype(int_dtype(self._e_top), copy=False)
         self._ms = m * self.scale
 
     @cached_property
@@ -408,9 +399,7 @@ class DeviationTable:
             return risks, 1, 0
         nums, den = common_denominator(risks.tolist())
         top = max(map(abs, nums), default=0)
-        # |e| < 2^31 while the sums table is int64 (int_loss_table)
-        e_top = 2**31 if self.sums_table.dtype != object else INT64_LIMIT
-        return as_ints(nums, top), den, max(e_top * den + self._ms * top, self._ms, den)
+        return as_ints(nums, top), den, max(self._e_top * den + self._ms * top, self._ms, den)
 
     @property
     def code_den(self) -> int:
@@ -432,17 +421,15 @@ class DeviationTable:
         """The distinct deviations g of the entries (h[i], e[i]), sorted, and
         each entry's position among them.
 
-        Float mode: g = e / (m * scale) - r[h] in float64; below 2^53 the
-        quotient rounds once, as float(Fraction) does, and past that it is
-        taken in Python ints.  Exact mode: with the risks R_num / D over one
-        denominator, g is given by its integer code e * D - m * scale * R_num[h]
-        over code_den, computed in int64 while its bound fits and returned
-        as Python ints."""
+        Float mode: g = e / (m * scale) - r[h] in float64, the quotient
+        rounded once, as float(Fraction) does (int_quotients).  Exact mode:
+        with the risks R_num / D over one denominator, g is given by its
+        integer code e * D - m * scale * R_num[h] over code_den, computed in
+        int64 while its bound fits and returned as Python ints."""
         ms, (nums, den, bound) = self._ms, self._risks
         r = nums.take(h)
         if not self.exact:
-            q = e / ms if e.dtype != object and ms < 2**53 else np.array([x / ms for x in e.tolist()])
-            g, at = np.unique(q - r, return_inverse=True)
+            g, at = np.unique(int_quotients(e, ms, self._e_top) - r, return_inverse=True)
             return g.tolist(), at
         dtype = int_dtype(bound)
         codes, at = np.unique(e.astype(dtype, copy=False) * den - ms * r.astype(dtype, copy=False), return_inverse=True)
@@ -768,7 +755,7 @@ def erm_consistency_bound(
     for t in t_grid:
         tail = excess_law.tail_abs_ge(t, tol=0 if j.is_exact else VALUE_ATOL)
         bound = erm_markov_bound(info, t)
-        good = tail <= bound + tol
+        good = bool(tail <= bound + tol)  # a float tail compares as a numpy bool
         ok = ok and good
         curve.append((t, tail, bound, good))
     return ErmConsistency(scenario.name, best_h, info, points, tuple(curve), ok)

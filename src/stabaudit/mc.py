@@ -14,9 +14,9 @@ of runs of about _CHUNK blocks at a time.  A uniform is (word >> 11) *
 2^-53.  integers(m) reads nothing when m = 1; else it takes Lemire's
 bounded integer (ACM TOMACS 2019) of the low 32-bit half of word m, so the
 pick is word m + 1 (word m when m = 1).  Where Lemire's method rejects
-that half, numpy draws again, and the run is drawn through run_streams
-instead, as is every run of a seed outside [0, 2^64); that one loop is
-the fallback.
+that half, numpy draws again, and the run is drawn from its own fresh
+generator instead (_run_rng), as is every run of a seed outside
+[0, 2^64), whose key numpy rejects; that one loop is the fallback.
 
 A RunBatch holds the runs as columns: the samples' domain indices
 (runs, m), the domain index of each run's Z_trn, and each run's hypothesis
@@ -58,6 +58,7 @@ import numpy as np
 
 from .learners import Scenario
 from .losses import ParametricLoss, loss_values, true_risk
+from .numeric import int_dtype
 
 Z95 = 1.959963984540054
 #: Philox4x64 round multipliers and key increments
@@ -145,38 +146,8 @@ class TailReport:
 
 
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
+    """Run run_index's stream: a fresh Philox keyed by (seed, run index)."""
     return np.random.Generator(np.random.Philox(key=(seed << 64) | run_index))
-
-
-def run_streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """stream(i) draws as _run_rng(seed, i) does.
-
-    Building a Philox per run costs several times what the draws of a
-    small run do, so one bit generator is reset per run instead: key words
-    [i, seed], zero counter, empty buffer, no saved 32-bit half.  The
-    generator returned is the same object each time, good until the next
-    call.  Keys that do not fit two 64-bit words get a new generator.
-    """
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    # plain lists: the state setter reads them word by word, which costs
-    # less than indexing numpy arrays
-    zeros = [0, 0, 0, 0]
-
-    def stream(i: int) -> np.random.Generator:
-        if not (0 <= seed < 2**64 and 0 <= i < 2**64):
-            return _run_rng(seed, i)
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": [i, seed]},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return rng
-
-    return stream
 
 
 def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +157,7 @@ def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n^columns < 2^63 are read as one base-n integer each."""
     if a.ndim > 1 and a.size and a.min() >= 0:
         n = int(a.max()) + 1
-        if n ** a.shape[1] < 2**63:
+        if int_dtype(n ** a.shape[1]) is np.int64:
             codes = np.zeros(len(a), dtype=np.int64)
             for column in a.T:
                 codes *= n
@@ -290,7 +261,7 @@ def bounded(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
 def _run_draws(seed: int, n_runs: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each run's m uniforms, position of Z_trn and picking uniform, from
     its Philox words for chunks of about _CHUNK blocks at a time; the
-    fallback runs (see the module docstring) go through run_streams."""
+    fallback runs (see the module docstring) draw from _run_rng."""
     u = np.empty((n_runs, m))
     at = np.zeros(n_runs, dtype=np.intp)
     pick = np.empty(n_runs)
@@ -307,9 +278,8 @@ def _run_draws(seed: int, n_runs: int, m: int) -> tuple[np.ndarray, np.ndarray, 
             if m > 1:
                 at[lo:hi], kept = bounded(words[:, m], m)
                 redo += (lo + np.flatnonzero(~kept)).tolist()
-    stream = run_streams(seed)
     for i in redo:
-        rng = stream(i)
+        rng = _run_rng(seed, i)
         rng.random(out=u[i])
         at[i] = rng.integers(m)
         pick[i] = rng.random()

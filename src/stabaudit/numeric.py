@@ -13,7 +13,9 @@ the same numpy expressions run on both.  The bounds come from scalars
 (a denominator, a scale, a table's largest entry), never from a scan of
 the values: nonnegative numerators that sum to den are each at most den.
 An object array holds Python ints, never numpy ones, so that a Fraction
-built from one of its values holds Python ints too.
+built from one of its values holds Python ints too.  Every division of
+such integers into floats goes through int_quotients, which rounds each
+quotient once.
 """
 
 from __future__ import annotations
@@ -76,14 +78,10 @@ def zeros(shape, mode: NumericMode) -> np.ndarray:
     return np.zeros(shape, dtype=mode.dtype)
 
 
-#: integer arrays whose bound is below this are held in int64
-INT64_LIMIT = 2**63
-
-
 def int_dtype(bound: int):
     """int64 when bound, a bound on the absolute value of every value and
     partial sum an integer array will hold, is below 2^63; else object."""
-    return np.int64 if bound < INT64_LIMIT else object
+    return np.int64 if bound < 2**63 else object
 
 
 def as_ints(values, bound: int) -> np.ndarray:
@@ -95,10 +93,11 @@ def as_ints(values, bound: int) -> np.ndarray:
     return values.astype(int_dtype(bound), copy=False)
 
 
-def int_quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """nums / den in float64 for integers |nums| <= den, each rounded once
-    as int / int rounds: in float64 while den < 2^53, where both are exact,
-    else in Python ints."""
-    if nums.dtype != object and den < 2**53:
+def int_quotients(nums: np.ndarray, den: int, bound: int | None = None) -> np.ndarray:
+    """nums / den in float64 for integers nums, each rounded once as
+    int / int rounds: in float64 while den and bound, a bound on |nums|
+    (den when None), are below 2^53, where both are exact; else in Python
+    ints."""
+    if nums.dtype != object and max(den, den if bound is None else bound) < 2**53:
         return nums / den
-    return (nums.astype(object) / den).astype(np.float64)
+    return np.asarray(nums.astype(object) / den, dtype=np.float64)  # a 0-d array divides into a float

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement, groupby, product
 import numpy as np
 
 from stabaudit.losses import true_risk
-from stabaudit.mc import Estimate, RunSample, _boot_rng, run_streams
+from stabaudit.mc import Estimate, RunSample
 
 
 def joint_pairs(dist_map, kernel, m):
@@ -271,6 +271,11 @@ class RunList:
         return len(self.runs)
 
 
+def _boot_rng(seed):
+    """The bootstrap's stream: numpy's Philox under the key (seed + 1, 0xB007)."""
+    return np.random.Generator(np.random.Philox(key=((seed + 1) << 64) | 0xB007))
+
+
 def mc_draw_runs(scenario, n_runs, seed=None):
     """Draw (sample, Z_trn, H) triples; stream i is keyed by (seed, i).
     The cdf is 1.0 from the last positive weight on."""
@@ -285,9 +290,8 @@ def mc_draw_runs(scenario, n_runs, seed=None):
     m = scenario.m
     kernel = scenario.learner.kernel
     runs = []
-    stream = run_streams(seed)
     for i in range(n_runs):
-        rng = stream(i)
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | i))
         picks = np.searchsorted(cdf, rng.random(m), side="right")
         sample = tuple(symbols[j] for j in picks)
         trn = sample[rng.integers(m)]

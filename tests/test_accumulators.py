@@ -35,7 +35,6 @@ from stabaudit.losses import (
     DeviationTable,
     deviation_request,
     deviation_table,
-    int_loss_table,
     loss_table,
     membership_loss,
     table_loss,
@@ -206,9 +205,10 @@ def test_one_large_block_equals_small_blocks(mode):
 
 @pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_a_loss_table_past_int64_sums_matches_the_oracles(size):
-    """A loss over a denominator past 2^31 keeps its integer table as Python
-    ints (an object array): the (h, e) pairs, the sign side channel and the
-    deviation law still match the oracles."""
+    """A loss over a denominator past 2^40: its sums e are int64, as
+    3 * max |entry| < 2^63, while the exact codes e * D - m * scale * R_num
+    pass 2^63 and are Python ints; the (h, e) pairs, the sign side channel
+    and the deviation law still match the oracles."""
     domain = Alphabet("z", tuple("bac"))
     dist = Dist(domain, np.array([F(1, 2), F(1, 3), F(1, 6)], dtype=object))
     s = Scenario(name="big", learner=subsample_release(domain, 2, F(1, 2), mode=EXACT), data_dist=dist, m=3)
@@ -216,7 +216,7 @@ def test_a_loss_table_past_int64_sums_matches_the_oracles(size):
     tiny = F(1, 2**40 + 1)
     values = [[F((3 * i + j) % 5, 5) + tiny * ((i + j) % 2) for j in range(len(hyp))] for i in range(len(domain))]
     loss = table_loss("big", domain, hyp, values)
-    assert int_loss_table(loss, domain, hyp, 3).dtype == object
+    assert deviation_table(s, loss).sums_table.dtype == np.int64
     with block_size(size):
         results = _walk_all(s, loss, deviation_sign_side_info(s, loss, F(1, 4)))
     _assert_matches_oracles(s, loss, F(1, 4), results)
@@ -283,7 +283,7 @@ def test_array_deviations_past_int64_match_the_oracles(size, threshold, per_samp
     tiny = F(1, 2**60 + 1)
     values = [[F((3 * i + j) % 5, 5) + tiny * ((i + j) % 2) for j in range(len(hyp))] for i in range(len(domain))]
     loss = table_loss("big", domain, hyp, values)
-    assert int_loss_table(loss, domain, hyp, 3).dtype == object
+    assert deviation_table(s, loss).sums_table.dtype == object  # 3 * max |entry| >= 2^63
     assert 3 * loss_table(loss, domain, hyp, True)[1] >= 2**53
     with block_size(size):
         _assert_deviations_match(s, s_float, loss, threshold, per_sample)
@@ -339,7 +339,7 @@ def test_exact_risks_past_int64_match_the_oracles(size):
     walked = []
     for per_sample in (False, True):
         s = Scenario(name="big", learner=subsample_release(domain, 2, F(1, 2), mode=EXACT), data_dist=dist, m=3)
-        assert int_loss_table(loss, domain, s.learner.hypotheses(3), 3).dtype == np.int64
+        assert deviation_table(s, loss).sums_table.dtype == np.int64  # 3 * max |entry| = 3
         side = deviation_sign_side_info(s, loss, F(1, 4))
         if per_sample:
             side = _per_sample_side(side)

@@ -590,3 +590,46 @@ def test_a_declared_epsilon_of_zero_is_the_audit_epsilon(tmp_path, mode):
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, _rr_p4(mode, 0)), "--out", str(out)]) == code
     assert json.loads((out / "cli-rr.json").read_text())["audits"][0]["bound"] == 0.0
+
+
+def _corpus_config(name, **kw):
+    raw = copy.deepcopy(next(c for c in CORPUS if c["name"] == name))
+    raw.update(kw)
+    return raw
+
+
+def test_a_float_erm_run_writes_its_report(tmp_path, capsys):
+    """erm-threshold in float mode, whose ERM curve compares numpy floats:
+    through run_config and `stabaudit run --out` it exits 0 with no
+    traceback, the written report equals the bundle, and every series `ok`
+    is a bool."""
+    raw = _corpus_config("erm-threshold", numeric="float")
+    code, bundle = run_config(raw, out_dir=tmp_path / "lib")
+    assert code == EXIT_PASS
+    assert {type(row["ok"]) for a in bundle["audits"] for row in a["series"] or ()} == {bool}
+    report = json.loads((tmp_path / "lib" / "erm-threshold.json").read_text())
+    assert report == json.loads(json.dumps(bundle))
+    assert main(["run", write_config(tmp_path, raw), "--out", str(tmp_path / "cli")]) == EXIT_PASS
+    assert "Traceback" not in capsys.readouterr().err
+    written = json.loads((tmp_path / "cli" / "erm-threshold.json").read_text())
+    written.pop("timings")
+    report.pop("timings")
+    assert written == report
+
+
+def _t5(bundle):
+    return next(a for a in bundle["audits"] if a["theorem"] == "T5")
+
+
+def test_t5_tol_defaults_to_the_config_tolerance(tmp_path):
+    """T5's tol is the config's tolerance (or --tolerance), else 1e-9; an
+    audit's own tol wins.  subsample-delta's window m^2 / n is 1/4."""
+    base = _corpus_config("subsample-delta")
+    assert _t5(run_config(base)[1])["bound"] == 0.25 + 1e-9
+    assert _t5(run_config(_corpus_config("subsample-delta", tolerance=0.5))[1])["bound"] == 0.75
+    assert _t5(run_config(base, overrides={"tolerance": 0.5})[1])["bound"] == 0.75
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, base), "--tolerance", "0.5", "--out", str(out)]) == EXIT_PASS
+    assert _t5(json.loads((out / "subsample-delta.json").read_text()))["bound"] == 0.75
+    own = [a if a != "T5" else {"id": "T5", "tol": 0.125} for a in base["audits"]]
+    assert _t5(run_config(_corpus_config("subsample-delta", tolerance=0.5, audits=own))[1])["bound"] == 0.375

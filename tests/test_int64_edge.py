@@ -9,6 +9,7 @@ it held int64 (written out here) and against tests/brute.py, in value and
 in type: a Fraction holds Python ints, never numpy ones.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -21,7 +22,15 @@ import brute
 from stabaudit.dist import Alphabet, ConditioningError, Dist, Joint
 from stabaudit.harness import ScenarioConfig, build_scenario
 from stabaudit.info import chain_decompose, conditional_variational_info, prop2_gap_check, variational_info
-from stabaudit.learners import Scenario, TrnHypJoint, exact_trn_hyp_joint, subsample_release
+from stabaudit.learners import (
+    Scenario,
+    TrnHypJoint,
+    exact_trn_hyp_joint,
+    rerun_side_info,
+    subsample_release,
+    threeway_request,
+    walk,
+)
 from stabaudit.losses import (
     DeviationLaw,
     deviation_law,
@@ -33,7 +42,7 @@ from stabaudit.losses import (
     worst_case_loss,
 )
 from stabaudit.corpus import corpus_configs
-from stabaudit.numeric import EXACT
+from stabaudit.numeric import EXACT, FLOAT64, int_quotients
 
 #: denominators at the bounds: the cell table is int64 while 2 * den**2 <
 #: 2^63 (den < 2^31), the numerators while den < 2^63
@@ -379,3 +388,103 @@ def test_which_integer_path_a_scenario_takes(build, cells_dtype):
     _same(variational_info(tj.joint), _ref_vi(w))
     zs, hs = (a.symbols for a in tj.joint.axes)
     _same(gen_risk_from_joint(tj, s.loss), brute.gen_risk_pairs(_pairs(w), lambda z, h: s.loss.fn(zs[z], hs[h])))
+
+
+# ---------------------------------------------------------------------------
+# the bounds that pick int64 or Python ints, each just past its limit
+
+
+@pytest.mark.parametrize("den", [3, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**60 + 3])
+def test_int_quotients_round_once_on_each_side_of_2_53(den):
+    """nums / den against float(Fraction) for a den below, at and past 2^53
+    (|nums| <= den), and for nums past 2^53 over a small den, given as the
+    bound: int64 nums past 2^53 would round twice in float64."""
+    near = [0, 1, 2, den // 3, den - 2, den - 1, den]
+    nums = np.array(near + [-x for x in near], dtype=np.int64)
+    assert int_quotients(nums, den).tolist() == [float(F(n, den)) for n in nums.tolist()]
+    big = np.array([2**53 + 1, 2**53 + 5, -(2**60 + 3), 2**62 + 7, 7, 0], dtype=np.int64)
+    bound = int(abs(big).max())
+    got = int_quotients(big, 3, bound).tolist()
+    assert got == [float(F(n, 3)) for n in big.tolist()]
+    assert got != (big / 3).tolist()  # one rounding in float64 would not do
+    assert int_quotients(big[-2:], 3, 7).tolist() == [7 / 3, 0.0]
+    assert int_quotients(big[0, ...], 3, bound).tolist() == float(F(2**53 + 1, 3))  # 0-d
+
+
+def test_int64_numerators_whose_sum_passes_2_63_make_a_joint():
+    """Joint.of_integers on int64 numerators below 2^63 whose sum, den, is
+    past it: the mass is checked in Python ints, and the weights are the
+    Fractions."""
+    nums = np.array([[2**62, 2**62], [2**62 - 2, 2**62 + 4]], dtype=np.int64)
+    axes = (Alphabet("z", ("x", "y")), Alphabet("h", ("p", "q")))
+    j = Joint.of_integers(axes, nums, 2**64 + 2)
+    assert j.weights.tolist() == [[F(x, 2**64 + 2) for x in row] for row in nums.tolist()]
+    _numerator_dtype_is_right(j)
+
+
+def _rare_symbol_case():
+    """P(b) = 1 / d with d = 2^62 + 1 and a loss that is 1 on b alone: each
+    true risk is 1 / d, so D = d and m * scale * max |R_num| = 3, while the
+    codes e * D of samples with two or three b's pass 2^63."""
+    d = 2**62 + 1
+    assert 3 * d >= 2**63 > d + 3
+    domain = Alphabet("z", tuple("bac"))
+    dist = Dist(domain, np.array([F(1, d), F((d - 1) // 2, d), F((d - 1) // 2, d)], dtype=object))
+    return domain, dist, lambda i, j: F(int(i == 0))
+
+
+def _large_scale_case():
+    """A loss over scale S = 2^62 + 1 with entries near S: each fits int64,
+    but a sum e of three of them passes 2^63."""
+    s = 2**62 + 1
+    domain = Alphabet("z", tuple("bac"))
+    dist = Dist(domain, np.array([F(1, 2), F(1, 3), F(1, 6)], dtype=object))
+    return domain, dist, lambda i, j: F(s - 1 - (2 * i + j) % 5, s)
+
+
+def _past_2_53_case():
+    """Loss values of about 2^54 / 3 (outside [0, 1], which table_loss
+    allows): m * scale = 9, but the sums e pass 2^53, as do the table's
+    numerators over scale 3."""
+    domain = Alphabet("z", tuple("bac"))
+    dist = Dist(domain, np.array([F(1, 2), F(1, 3), F(1, 6)], dtype=object))
+    return domain, dist, lambda i, j: F(2**54 + 3 * i + 5 * j + 1, 3)
+
+
+@pytest.mark.parametrize("case", [_rare_symbol_case, _large_scale_case, _past_2_53_case], ids=lambda c: c.__name__[1:-5])
+def test_deviation_laws_past_each_bound_equal_brute(case):
+    """Exact and float deviation laws whose sums e, codes e * D or float
+    quotients e / (m * scale) sit past a bound that their parts stay below:
+    exact points equal brute's, float values too, and float masses within
+    1e-12."""
+    domain, dist, value = case()
+    for mode, conv in ((EXACT, F), (FLOAT64, float)):
+        d = Dist(domain, np.array([conv(w) for w in dist.weights], dtype=mode.dtype))
+        s = Scenario(name="edge", learner=subsample_release(domain, 2, F(1, 2), mode=mode), data_dist=d, m=3)
+        hyp = s.learner.hypotheses(3)
+        loss = table_loss("edge", domain, hyp, [[value(i, j) for j in range(len(hyp))] for i in range(len(domain))])
+        law = deviation_law(s, loss)
+        dist_map = dict(zip(domain.symbols, dist.weights))
+        if mode.exact:
+            assert list(law.points) == brute.deviation_points(dist_map, s.learner.kernel, 3, loss.fn)
+            continue
+        want = brute.float_deviation_points(dist_map, s.learner.kernel, 3, loss.fn, d)
+        assert [v for v, _ in law.points] == [v for v, _ in want]
+        assert all(abs(p - float(q)) <= 1e-12 for (_, p), (_, q) in zip(law.points, want))
+
+
+@pytest.mark.parametrize("d", [2**30 + 3, 1518500249])
+def test_a_rerun_side_at_the_int64_edge_equals_brute(d):
+    """Data weights (d - 2, 1, 1) / d, m = 2 and a release of one entry
+    (kernel den 2): the rerun side's probabilities have den 2, and the
+    masses times them reach 8 (d - 2)^2 >= 2^63, while the masses alone
+    (at most d^2 * 2 * m) stay below it."""
+    domain = Alphabet("z", tuple("bac"))
+    dist = Dist(domain, np.array([F(d - 2, d), F(1, d), F(1, d)], dtype=object))
+    assert 4 * d**2 < 2**63 <= 8 * (d - 2) ** 2
+    s = Scenario(name="edge", learner=subsample_release(domain, 1, F(1), mode=EXACT), data_dist=dist, m=2)
+    j3 = walk(s, [threeway_request(s, rerun_side_info(s.learner))])[0]
+    kernel = s.learner.kernel
+    triples = brute.threeway_triples(dict(zip(domain.symbols, dist.weights)), kernel, lambda sample, h: kernel(sample), 2)
+    cells = zip(itertools.product(*(ax.symbols for ax in j3.axes)), j3.weights.ravel())
+    assert all(got == triples.get(idx, 0) for idx, got in cells)

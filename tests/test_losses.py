@@ -582,7 +582,7 @@ def _built_in_cases(domain, keyed, singles):
         (prop1_paired_loss(), [(key, b) for key in keyed for b in (0, 1)]),
         (prop1_flipped_loss(), [(key, 0) for key in keyed]),
         (random_table_loss(domain, hyp, seed=len(singles), levels=12), list(hyp.symbols)),
-    ] + [(constant_loss(v), singles) for v in (1, F(1, 3), 0.1, 0, F(2**60 + 3, 3**38))]
+    ] + [(constant_loss(v), singles) for v in (1, F(1, 3), 0.1, 0, F(2**54 + 1, 3), F(2**60 + 3, 3**38))]
 
 
 @st.composite
@@ -604,8 +604,9 @@ FOREIGN = ["zz", 7.5, -9, (3,), True]
 def test_built_in_tables_equal_the_per_cell_build(domain, k, data):
     """Every built-in loss's table, read from its array form, equals the
     per-cell build of the same fn: values, dtype, value types, float bits
-    and scale, in both modes.  The last constant has numerator and scale
-    past 2^53, where a float64 quotient would round twice."""
+    and scale, in both modes.  The last two constants have numerators past
+    2^53, the last a scale past 2^53 too, where a float64 quotient would
+    round twice."""
     symbols = list(domain.symbols) + FOREIGN
     tuples = st.lists(st.sampled_from(symbols), min_size=1, max_size=k).map(tuple)
     keyed = data.draw(st.lists(tuples, min_size=1, max_size=6, unique=True))

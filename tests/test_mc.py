@@ -41,7 +41,6 @@ from stabaudit.mc import (
     estimate_variational_info,
     philox_words,
     pick_hypotheses,
-    run_streams,
     symbol_indices,
     uniforms,
 )
@@ -195,34 +194,6 @@ def test_wilson_hand_values():
     assert _wilson(0, 0) == (0.0, 1.0)
     # interval narrows with more runs
     assert _wilson(50, 100)[1] - _wilson(50, 100)[0] < hi - lo
-
-
-def _draws(rng, m):
-    """A mix of the draws draw_runs makes, plus 32-bit integers, which
-    leave half a word buffered in the bit generator."""
-    return (
-        rng.random(m).tolist(),
-        int(rng.integers(m)),
-        rng.random(),
-        rng.integers(0, 7, size=3, dtype=np.uint32).tolist(),
-        int(rng.integers(2**40)),
-    )
-
-
-def _outcome(make, m):
-    try:
-        return _draws(make(), m)
-    except ValueError as e:  # a key past 2**128
-        return str(e)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5, 2**63 + 11, 2**64 - 1, 2**64, 3 << 70])
-def test_reset_streams_draw_as_fresh_generators(seed):
-    stream = run_streams(seed)
-    for i in [0, 1, 2, 3, 17, 255, 4096, 2**32 + 1, 2**63, 2**64 - 1, 2**64, 2**70 + 3, 5, 1]:
-        m = 1 + i % 5
-        fresh = _outcome(lambda: np.random.Generator(np.random.Philox(key=(seed << 64) | i)), m)
-        assert _outcome(lambda: stream(i), m) == fresh, (seed, i)
 
 
 # ---------------------------------------------------------------------------

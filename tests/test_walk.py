@@ -89,6 +89,46 @@ CASES = [
 ]
 
 
+def _scalar_multinomial(m, combo):
+    """m! / prod c! for a sorted multiset, as a product of binomials, one
+    group at a time."""
+    coeff, rem = 1, m
+    for _, group in itertools.groupby(combo):
+        c = len(list(group))
+        coeff *= math.comb(rem, c)
+        rem -= c
+    return coeff
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+@pytest.mark.parametrize("n,m", [(2, 20), (3, 20), (2, 21), (3, 21), (2, 24), (3, 24)])
+def test_symmetric_walks_past_20_factorial_take_the_scalar_multinomials(n, m, mode):
+    """Symmetric walks with m = 20 (m! fits int64), 21 and 24 (m! does not):
+    each multiset's weight is the scalar multinomial times w[i] ** c per
+    group, in float mode in that order and bit for bit, and the joint is the
+    sum of w * c / m * p over them (the scalar walk's, in float mode)."""
+    learner, dist, _ = _case("subsample", n, m, mode)
+    symbols, w = dist.alphabet.symbols, dist.weights
+    combos = list(itertools.combinations_with_replacement(range(n), m))
+    walked = list(learners.iter_weighted_samples(dist, m))
+    assert [sample for sample, _, _ in walked] == [tuple(symbols[i] for i in c) for c in combos]
+    want_joint = {}
+    for (sample, weight, counts), combo in zip(walked, combos):
+        want = _scalar_multinomial(m, combo)
+        want = want if mode.exact else float(want)
+        for i, group in itertools.groupby(combo):
+            want = want * w[i] ** len(list(group))
+        assert type(weight) is type(want) and weight == want
+        for h, p in learner.kernel(sample).items() if mode.exact else ():
+            for i, c in counts:
+                want_joint[symbols[i], h] = want_joint.get((symbols[i], h), 0) + want * F(c, m) * p
+    joint = exact_trn_hyp_joint(_scenario(learner, dist, None, m)).joint
+    if not mode.exact:
+        want_joint = brute.walk_float_joint(dist, learner.kernel, m)
+    for idx, got in zip(itertools.product(*(ax.symbols for ax in joint.axes)), joint.weights.ravel().tolist()):
+        assert got == want_joint.get(idx, 0)
+
+
 def _scenario(learner, dist, loss, m):
     return Scenario(name="w", learner=learner, data_dist=dist, m=m, loss=loss)
 
