@@ -81,6 +81,18 @@ MUTANTS = [
         "int_dtype(int(nums.max()))",
     ),
     (
+        "walk-weight-bound",
+        "src/stabaudit/learners.py",
+        "dtype = int_dtype(den * math.factorial(m) if symmetric else den)",
+        "dtype = int_dtype(den)",
+    ),
+    (
+        "gen-risk-bound",
+        "src/stabaudit/losses.py",
+        "dtype = int_dtype(2 * cells.scale * max(_top(table), 1))",
+        "dtype = int_dtype(cells.scale * max(_top(table), 1))",
+    ),
+    (
         "rerun-side-ks-den",
         "src/stabaudit/learners.py",
         "mass.astype(int_dtype(block.den * out.den * m * ks.den))",

@@ -47,20 +47,22 @@ block's kernel entries get their g in one pass, kept on the block for both
 readers: in float mode e / (m * scale) correctly rounded, less the float
 risk, in float64; in exact mode as an integer code over one denominator
 m * scale * D.  The deviation law adds the masses into one Sums slot per
-distinct g, in both modes; an exact law keeps the codes and their masses
-and reads its tails with one integer threshold (DeviationLaw), and the
-sign side channel compares codes with the threshold's code.  The true
-risks of all the hypotheses come from one true_risk(..., many=True) call,
-made when the table is first read.
+distinct g, in both modes, and keeps the sorted values (codes in exact
+mode) with their masses; every tail read is one array comparison and one
+sum (DeviationLaw), and the sign side channel compares codes with the
+threshold's code.  The true risks of all the hypotheses come from one
+true_risk(..., many=True) call, made when the table is first read; the
+ERM check reads its excess law's risks from the table too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -242,44 +244,67 @@ def _code_at(x, den: int, strict: bool = False):
     """The least integer k such that c / den >= x (> x when strict) exactly
     when c >= k, for every integer c: ceil(x * den), or floor(x * den) + 1
     when strict, with x taken exactly (a float as its binary fraction).  A
-    float nan or infinity is returned as it is: an int compares with it as
-    c / den would."""
+    float infinity is returned as it is and a nan as +inf, so that c >= k
+    holds as c / den >= x (> x) would: a nan counts no c."""
     if isinstance(x, float) and not math.isfinite(x):
-        return x
+        return math.inf if math.isnan(x) else x
     q = Fraction(x)
     a, b = int(q.numerator), int(q.denominator)
     return a * den // b + 1 if strict else -(-a * den // b)
 
 
 class DeviationLaw:
-    """Law of G = R_emp(H) - R_true(H); points are (value, prob) sorted by value.
+    """Law of G = R_emp(H) - R_true(H): values sorted ascending, each with
+    its mass, in one array form.
 
-    An exact law, whose values are ints or Fractions and whose probs are
-    Fractions, reads its tails from integer codes: each value c / den over
-    one den, with its mass over one mass den.  The walk builds it from
-    those codes (of_codes), and its points are built on first read.  A
-    tail read turns its threshold into one integer code (_code_at, a
-    ceiling for >= and a floor for >) and takes the mass at or past it
-    from a running sum over the sorted |codes|, with one np.searchsorted;
-    the result is a Fraction, or the int 0 when no point qualifies, as
-    summing the points' probs gives.  Any other law, a float one among
-    them, sums its points one by one, as does mass_abs_near with a float t
-    or window, which compares in floats.
+    Exact: values are distinct integer codes over den and masses positive
+    integers over mass_den, int64 or Python ints.  Float: both are float64
+    arrays, and den and mass_den are None.  points, the (value, prob) pairs
+    (Fractions in exact mode), are built on first read.  A tail read makes
+    one comparison of the cached |values| with its threshold, in exact mode
+    one integer code (_code_at, a ceiling for >= and a floor for >; a nan
+    counts no point), and one sum of the masses selected: in exact mode an
+    integer sum, returned as a Fraction, or the int 0 when none is
+    selected; in float mode added one by one in point order from the int 0,
+    as sum() over the points adds up to Python 3.11.  mass_abs_near with a
+    float t or window compares each |value| as Python does, since exact and
+    float compares differ there.
     """
 
     def __init__(self, points: tuple, scenario_name: str, loss_name: str):
-        self.points, self.scenario_name, self.loss_name = tuple(points), scenario_name, loss_name
+        """The law of (value, prob) pairs sorted by value, converted once and
+        not merged: exact when every value and prob is an int or Fraction."""
+        self.points = points = tuple(points)
+        values, probs = [v for v, _ in points], [p for _, p in points]
+        if all(isinstance(x, (int, Fraction)) for x in values + probs):
+            (values, den), (probs, mass_den) = common_denominator(values), common_denominator(probs)
+        else:
+            den = mass_den = None
+        dtype = float if den is None else object
+        self._set(np.array(values, dtype=dtype), np.array(probs, dtype=dtype), den, mass_den, scenario_name, loss_name)
+
+    def _set(self, values, masses, den, mass_den, scenario_name: str, loss_name: str) -> None:
+        self.values, self.masses, self.den, self.mass_den, self._sizes = values, masses, den, mass_den, abs(values)
+        self.scenario_name, self.loss_name = scenario_name, loss_name
 
     @classmethod
-    def of_codes(
-        cls, codes: np.ndarray, masses: np.ndarray, den: int, mass_den: int, scenario_name: str, loss_name: str
-    ) -> "DeviationLaw":
-        """The exact law with values codes / den and probs masses / mass_den,
-        for integer arrays of distinct codes and of positive masses."""
+    def of_arrays(cls, values, masses, den, mass_den, scenario_name: str, loss_name: str) -> "DeviationLaw":
+        """The law with values values / den and probs masses / mass_den, the
+        masses of equal values added in entry order.  Exact: integer arrays
+        over the ints den and mass_den.  Float: float64 arrays with den and
+        mass_den None; each run of values within VALUE_ATOL of its first
+        merges into it, its masses added in value order."""
+        values, at = np.unique(values, return_inverse=True)
+        summed = np.zeros(len(values), masses.dtype)
+        np.add.at(summed, at, masses)
+        if den is None and (np.diff(values) <= VALUE_ATOL).any():
+            starts = itertools.accumulate(values.tolist(), lambda a, v: a if v - a <= VALUE_ATOL else v)
+            first = np.fromiter(starts, np.float64, len(values)) == values  # each run's first value
+            merged = np.zeros(np.count_nonzero(first))
+            np.add.at(merged, np.cumsum(first) - 1, summed)
+            values, summed = values[first], merged
         law = cls.__new__(cls)
-        law.scenario_name, law.loss_name = scenario_name, loss_name
-        order = np.argsort(codes)
-        law._codes = codes.take(order), masses.take(order), den, mass_den
+        law._set(values, summed, den, mass_den, scenario_name, loss_name)
         return law
 
     def _fields(self) -> tuple:
@@ -293,77 +318,42 @@ class DeviationLaw:
 
     @cached_property
     def points(self) -> tuple:
-        codes, masses, den, mass_den = self._codes
-        return tuple((Fraction(c, den), Fraction(p, mass_den)) for c, p in zip(codes.tolist(), masses.tolist()))
+        pairs = zip(self.values.tolist(), self.masses.tolist())
+        if self.den is None:
+            return tuple(pairs)
+        return tuple((Fraction(c, self.den), Fraction(p, self.mass_den)) for c, p in pairs)
 
-    @cached_property
-    def _codes(self) -> tuple | None:
-        """(codes, masses, den, mass_den) of an exact law built from points,
-        else None."""
-        values, probs = [v for v, _ in self.points], [p for _, p in self.points]
-        if not all(isinstance(v, (int, Fraction)) for v in values) or not all(isinstance(p, Fraction) for p in probs):
-            return None
-        (codes, den), (masses, mass_den) = common_denominator(values), common_denominator(probs)
-        return np.array(codes, dtype=object), np.array(masses, dtype=object), den, mass_den
+    def _beyond(self, x, strict: bool = False) -> np.ndarray:
+        """Which |values| are >= x (> x when strict)."""
+        if self.den is not None:
+            x, strict = _code_at(x, self.den, strict), False
+        return self._sizes > x if strict else self._sizes >= x
 
-    @cached_property
-    def _tails(self) -> tuple:
-        """(|codes| ascending, the mass at or past each position with a 0
-        after the last, den, mass den)."""
-        codes, masses, den, mass_den = self._codes
-        order = np.argsort(abs(codes), kind="stable")
-        above = np.cumsum(masses.take(order)[::-1])[::-1]
-        return abs(codes).take(order), np.concatenate((above, np.zeros(1, above.dtype))), den, mass_den
-
-    def _at(self, x, strict: bool = False) -> int:
-        """The position of the first |value| >= x (> x when strict) among
-        the sorted |values|."""
-        sizes, _, den, _ = self._tails
-        k = _code_at(x, den, strict)
-        if not len(sizes) or not k <= sizes[-1]:
-            return len(sizes)
-        return 0 if k <= sizes[0] else int(np.searchsorted(sizes, k))
-
-    def _mass(self, lo: int, hi: int | None = None):
-        """The mass of the sorted |values| at positions lo up to hi (the
-        end when None): 0 when there are none, else a Fraction."""
-        sizes, above, _, mass_den = self._tails
-        hi = len(sizes) if hi is None else hi
-        return Fraction(int(above[lo] - above[hi]), mass_den) if lo < hi else 0
+    def _mass(self, chosen: np.ndarray):
+        """The mass of the chosen points, as the class docstring says."""
+        masses = self.masses[chosen].tolist()
+        if self.den is None:  # not sum(), which compensates float rounding from Python 3.12
+            return reduce(operator.add, masses, 0)
+        return Fraction(sum(masses), self.mass_den) if masses else 0
 
     def expectation(self):
         return sum(v * p for v, p in self.points)
 
     def tail_abs_ge(self, t, tol=0):
         """P{|G| >= t}, with a symmetric tolerance for float-mode values."""
-        if self._codes is None:
-            return sum(p for v, p in self.points if abs(v) >= t - tol)
-        return self._mass(self._at(t - tol))
+        return self._mass(self._beyond(t - tol))
 
     def tail_abs_gt(self, t, tol=0):
         """P{|G| > t} (strict)."""
-        if self._codes is None:
-            return sum(p for v, p in self.points if abs(v) > t + tol)
-        return self._mass(self._at(t + tol, strict=True))
+        return self._mass(self._beyond(t + tol, strict=True))
 
     def mass_abs_near(self, t, window):
         """P{ | |G| - t | <= window }."""
-        if self._codes is None or isinstance(t, float) or isinstance(window, float):
-            return sum(p for v, p in self.points if abs(abs(v) - t) <= window)
-        return self._mass(self._at(t - window), self._at(t + window, strict=True))
-
-
-def _merged_points(acc: dict, is_exact: bool) -> tuple:
-    items = sorted(acc.items())
-    if is_exact:
-        return tuple(items)
-    merged = []
-    for v, p in items:
-        if merged and abs(v - merged[-1][0]) <= VALUE_ATOL:
-            merged[-1][1] += p
-        else:
-            merged.append([v, p])
-    return tuple((v, p) for v, p in merged)
+        if self.den is None:
+            return self._mass(abs(self._sizes - t) <= window)
+        if isinstance(t, float) or isinstance(window, float):
+            return self._mass(np.array([abs(abs(v) - t) <= window for v, _ in self.points], dtype=bool))
+        return self._mass(self._beyond(t - window) & ~self._beyond(t + window, strict=True))
 
 
 class DeviationTable:
@@ -459,7 +449,9 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
     """The deviation law as a walk request, cached under its table's key.
 
     Each distinct deviation gets a slot when a block first has it, and the
-    masses P(S) K(h|S) of its kernel entries add into it in visit order."""
+    masses P(S) K(h|S) of its kernel entries add into it in visit order.
+    The law is built from the slots' values and sums (DeviationLaw.of_arrays,
+    which merges float values within VALUE_ATOL)."""
     dev = deviation_table(scenario, loss)
     exact = scenario.data_dist.is_exact
 
@@ -475,10 +467,9 @@ def deviation_request(scenario: Scenario, loss: ParametricLoss) -> WalkRequest:
 
         def finish() -> DeviationLaw:
             total, den = sums.total()
-            if exact:
-                codes = as_ints(list(slots), dev.code_bound)
-                return DeviationLaw.of_codes(codes, total, dev.code_den, den, scenario.name, loss.name)
-            return DeviationLaw(_merged_points(dict(zip(slots, total)), False), scenario.name, loss.name)
+            values = as_ints(list(slots), dev.code_bound) if exact else np.array(list(slots), dtype=np.float64)
+            dens = (dev.code_den, den) if exact else (None, None)
+            return DeviationLaw.of_arrays(values, total, *dens, scenario.name, loss.name)
 
         return add, finish
 
@@ -733,29 +724,28 @@ def erm_consistency_bound(
     budget: int | None = None,
     tol=0,
 ) -> ErmConsistency:
-    """Check P{R_true(H) - min_h R_true(h) >= t} <= vi / t on a grid."""
-    tj = exact_trn_hyp_joint(scenario, budget=budget)
-    j = tj.joint
-    hyp = j.axes[1]
-    dist = scenario.data_dist
-    risks = dict(zip(hyp.symbols, true_risk(loss, hyp, dist, many=True).tolist()))
-    best_h = min(hyp.symbols, key=lambda h: risks[h])
-    floor = risks[best_h]
-    ph = j.marginal(hyp.name).weights
-    acc: dict = {}
-    for hi, h in enumerate(hyp.symbols):
-        if ph[hi] != 0:
-            excess = risks[h] - floor
-            acc[excess] = acc.get(excess, 0) + ph[hi]
-    points = _merged_points(acc, j.is_exact)
-    excess_law = DeviationLaw(points, scenario.name, loss.name)  # excess >= 0: its tails are |.| tails
+    """Check P{R_true(H) - min_h R_true(h) >= t} <= vi / t on a grid.
+
+    The true risks are the scenario's deviation table's (deviation_table),
+    the best hypothesis is the first of least risk, and the excess law is
+    built from arrays: each hypothesis's excess risk, as a code over the
+    risks' den in exact mode, with its hypothesis-marginal numerator (its
+    float weight in float mode) as its mass."""
+    j = exact_trn_hyp_joint(scenario, budget=budget).joint
+    risks, den, top = deviation_table(scenario, loss)._risks
+    best = int(np.argmin(risks))
+    if j.is_exact:  # an excess is at most 2 * max |risk numerator| <= top
+        (w, mass_den), excess = j.numerators, risks.astype(int_dtype(top), copy=False) - risks[best]
+    else:
+        w, den, mass_den, excess = j.weights, None, None, risks - risks[best]
+    ph = w.sum(axis=0)
+    keep = ph != 0  # excess >= 0: its tails are |.| tails
+    excess_law = DeviationLaw.of_arrays(excess[keep], ph[keep], den, mass_den, scenario.name, loss.name)
     info = variational_info(j)
     curve = []
-    ok = True
     for t in t_grid:
         tail = excess_law.tail_abs_ge(t, tol=0 if j.is_exact else VALUE_ATOL)
         bound = erm_markov_bound(info, t)
-        good = bool(tail <= bound + tol)  # a float tail compares as a numpy bool
-        ok = ok and good
-        curve.append((t, tail, bound, good))
-    return ErmConsistency(scenario.name, best_h, info, points, tuple(curve), ok)
+        curve.append((t, tail, bound, bool(tail <= bound + tol)))
+    holds = all(good for *_, good in curve)
+    return ErmConsistency(scenario.name, j.axes[1].symbols[best], info, excess_law.points, tuple(curve), holds)

@@ -265,6 +265,25 @@ def test_gen_risk_of_a_diagonal_joint_near_its_bound(past):
     _same(gen_risk_from_joint(tj, table_loss("edge", *j.axes, values)), want)
 
 
+def test_gen_risk_of_a_signed_table_needs_twice_the_scale():
+    """A 4 x 4 diagonal joint with den^2 < 2^63 <= 2 * den^2 and a loss of
+    +1 on the diagonal, -1 off it: every term d * L is positive, and their
+    sum is about 3/2 * scale, past 2^63, though scale * max |L| is not.  Only
+    a signed table can pass scale * max |L|: the bound needs its 2."""
+    den = 3037000499
+    assert den**2 < 2**63 <= 2 * den**2
+    quarter = den // 4
+    nums = np.diag([quarter, quarter, quarter, den - 3 * quarter]).astype(object)
+    axes = (Alphabet("z", tuple("wxyz")), Alphabet("h", tuple("pqrs")))
+    j = Joint.of_integers(axes, nums, den)
+    assert j.cells.scale == den**2
+    values = [[1 if z == h else -1 for h in range(4)] for z in range(4)]
+    w = _fractions(j)
+    want = brute.gen_risk_pairs(_pairs(w), lambda z, h: values[z][h])
+    assert want == 2 * (1 - sum(x * x for x in w.sum(axis=1)))
+    _same(gen_risk_from_joint(TrnHypJoint(j, "hand", 0), table_loss("edge", *axes, values)), want)
+
+
 #: the law denominators: a power of two, whose values floats can hold,
 #: and odd ones at and past the int64 bound
 LAW_DENS = (2**10, 2**62, 2**31 - 1, 2**63 + 1, 2**70 + 3)
@@ -286,7 +305,7 @@ def edge_laws(draw):
         int64 = top < 2**63 and draw(st.booleans())  # int64 where it fits, or Python ints
         arrays.append(np.array(values, dtype=np.int64 if int64 else object))
     order = draw(st.permutations(range(len(codes))))
-    law = DeviationLaw.of_codes(arrays[0].take(order), arrays[1].take(order), den, mass_den, "edge", "edge")
+    law = DeviationLaw.of_arrays(arrays[0].take(order), arrays[1].take(order), den, mass_den, "edge", "edge")
     points = tuple((F(c, den), F(p, mass_den)) for c, p in zip(codes, masses))
     return law, DeviationLaw(points, "edge", "edge")
 
@@ -295,7 +314,7 @@ def _thresholds(draw, law):
     """Thresholds on a point, next to one (as Fractions and floats), and
     special floats."""
     v = abs(draw(st.sampled_from([v for v, _ in law.points])))
-    near = F(1, 2 * law._codes[2])  # closer than the next code
+    near = F(1, 2 * law.den)  # closer than the next code
     return draw(
         st.sampled_from(
             [
@@ -382,7 +401,7 @@ def test_which_integer_path_a_scenario_takes(build, cells_dtype):
     tj = exact_trn_hyp_joint(s)
     assert tj.joint.numerators[0].dtype == np.int64 and tj.joint.cells.d.dtype == cells_dtype
     law = deviation_law(s, s.loss)
-    codes, masses, _, _ = law._codes
+    codes, masses = law.values, law.masses
     assert codes.dtype == np.int64 and masses.dtype == np.int64
     w = _fractions(tj.joint)
     _same(variational_info(tj.joint), _ref_vi(w))
@@ -488,3 +507,25 @@ def test_a_rerun_side_at_the_int64_edge_equals_brute(d):
     triples = brute.threeway_triples(dict(zip(domain.symbols, dist.weights)), kernel, lambda sample, h: kernel(sample), 2)
     cells = zip(itertools.product(*(ax.symbols for ax in j3.axes)), j3.weights.ravel())
     assert all(got == triples.get(idx, 0) for idx, got in cells)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_a_walk_whose_multinomials_pass_2_63_while_den_fits(mode):
+    """Weights (1/2, 1/2, 0) and m = 45: den = 2^45 fits int64, but the
+    multinomial 45! / 15!^3 of a sample that holds the weight-0 symbol does
+    not, so the walk's weights need the m! in their bound.  The one-entry
+    release's joint has the closed form
+    P(z, h) = P(z) [h = (z,)] / m + (1 - 1/m) P(z) P(h)."""
+    m, p = 45, [F(1, 2), F(1, 2), F(0)]
+    assert 2**m < 2**63 <= math.factorial(m) // math.factorial(15) ** 3
+    domain = Alphabet("z", tuple("abc"))
+    dist = Dist(domain, np.array([x if mode.exact else float(x) for x in p], dtype=mode.dtype))
+    s = Scenario(name="edge", learner=subsample_release(domain, 1, F(1), mode=mode), data_dist=dist, m=m)
+    j = exact_trn_hyp_joint(s).joint
+    hyp = j.axes[1].symbols
+    p_h = [p[domain.index[h[0]]] if h else 0 for h in hyp]  # () is the empty release, of mass 0
+    want = [[p[z] * (h == (a,)) / m + (1 - F(1, m)) * p[z] * q for h, q in zip(hyp, p_h)] for z, a in enumerate("abc")]
+    if mode.exact:
+        assert j.weights.tolist() == want
+    else:
+        assert np.abs(j.weights - np.array(want, dtype=float)).max() <= 1e-12
