@@ -2,7 +2,8 @@
 
 An int64 array that overflows wraps without a warning, so a bound that is
 too small gives a wrong exact result silently.  Each mutant below makes
-one such bound smaller.  The script applies one mutant at a time to a
+one such bound smaller, or narrows the (h, e) span of the deviation
+table's dense codes, which would merge the codes of distinct pairs.  The script applies one mutant at a time to a
 copy of the tree in a temporary directory (never to the checkout), runs
 the int64, walk and loss test files on the copy with -x, and fails when
 any mutant survives (its tests pass) or when a mutant's source string
@@ -91,6 +92,18 @@ MUTANTS = [
         "src/stabaudit/losses.py",
         "dtype = int_dtype(2 * cells.scale * max(_top(table), 1))",
         "dtype = int_dtype(cells.scale * max(_top(table), 1))",
+    ),
+    (
+        "entry-mass-bound",
+        "src/stabaudit/learners.py",
+        "dtype = int_dtype(block.den * out.den)\n",
+        "dtype = int_dtype(block.den)\n",
+    ),
+    (
+        "dense-span-negative-half",
+        "src/stabaudit/losses.py",
+        "lo, span = -self._e_top, 2 * self._e_top + 1",
+        "lo, span = 0, self._e_top + 1",
     ),
     (
         "rerun-side-ks-den",

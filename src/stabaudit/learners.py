@@ -27,14 +27,16 @@ block's memos shared.  Longer walks keep nothing and walk again.
 
 The walk runs in blocks of up to BLOCK_SIZE samples, in
 combinations_with_replacement order (itertools.product order for
-kernels that are not symmetric).  A Block holds the samples' symbol
-indices, their (symbol, count) groups and their weights: float64, or in
-exact mode integer numerators over a common denominator.  Float weights
-are computed in the scalar order: the multinomial as a float, then
-times w[i] ** c per group, from a table of w[i] ** c taken with Python's
-**.  A kernel's output on a block is a Sparse array of (row, hypothesis
-index, probability) entries, in walk order and, within a sample, in the
-kernel's dict order, zeros dropped.
+kernels that are not symmetric), unranked from int64 ranks in array
+steps; a walk of 2^63 samples or more raises OverflowError.  A Block
+holds the samples' symbol indices, their (symbol, count) groups and their
+weights: float64, or in exact mode integer numerators over a common
+denominator.  Float weights are computed in the scalar order, a column
+at a time: the multinomial as a float, then times w[i] ** c per group,
+from a table of w[i] ** c taken with Python's **.  A kernel's output on
+a block is a Sparse array of (row, hypothesis index, probability)
+entries, in walk order and, within a sample, in the kernel's dict order,
+zeros dropped.
 
 A kernel may carry a batch form, attached with with_batch, that computes
 that array for a whole block; subsample_release has one, and so does the
@@ -64,6 +66,7 @@ block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -279,19 +282,48 @@ def _groups(idx: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     return srt, cnt.reshape(srt.shape)
 
 
+@functools.lru_cache(maxsize=16)
+def _rank_steps(n: int, m: int) -> tuple:
+    """(first, shift) per position of a nondecreasing row over range(n) but
+    the last, with k entries left: first[v] = C(n + k - 1, k) -
+    C(n - v + k - 1, k) ranks the first k-row that starts at v, and shift[v]
+    is first[v] less the rank of the first (k - 1)-row that starts at v."""
+    firsts, tail = [np.arange(n, dtype=np.int64)], np.arange(n, 0, -1, dtype=np.int64)
+    for _ in range(2, m + 1):
+        tail = np.cumsum(tail[::-1])[::-1]  # C(n - v + k - 1, k), the k-rows of entries >= v
+        firsts.append(tail[0] - tail)
+    return tuple((firsts[k - 1], firsts[k - 1] - firsts[k - 2]) for k in range(m, 1, -1))
+
+
 def _index_rows(n: int, m: int, symmetric: bool) -> Iterator[np.ndarray]:
-    """Symbol index rows of every sample, BLOCK_SIZE rows at a time."""
-    combos = (
-        itertools.combinations_with_replacement(range(n), m)
-        if symmetric
-        else itertools.product(range(n), repeat=m)
-    )
-    flat, step = itertools.chain.from_iterable(combos), BLOCK_SIZE * m
-    while True:
-        idx = np.fromiter(itertools.islice(flat, step), dtype=np.intp)
-        if not idx.size:
-            return
-        yield idx.reshape(-1, m)
+    """Symbol index rows of every sample, BLOCK_SIZE rows at a time, in
+    combinations_with_replacement order (product order when not symmetric),
+    unranked from int64 ranks: one np.searchsorted per multiset entry, or
+    the base-n digits of an ordered sample's rank."""
+    total = enumeration_size(n, m, symmetric)
+    if total >= 2**63:
+        raise OverflowError(f"{total} samples have no int64 ranks")
+    steps = _rank_steps(n, m) if symmetric else ()
+    for start in range(0, total, BLOCK_SIZE):
+        rank = np.arange(start, min(start + BLOCK_SIZE, total), dtype=np.int64)
+        idx = np.empty((len(rank), m), dtype=np.intp)
+        if symmetric:
+            # entry j is the last v whose first row ranks at most rank; the
+            # rest of the row is ranked among the (k - 1)-rows of entries >= v
+            for j, (first, shift) in enumerate(steps):
+                idx[:, j] = v = first.searchsorted(rank, "right") - 1
+                rank -= shift.take(v)
+            idx[:, m - 1] = rank
+        else:
+            for j in range(m - 1, -1, -1):  # the base-n digits of the rank
+                rank, idx[:, j] = np.divmod(rank, n)
+        yield idx
+
+
+def _products(table: np.ndarray, at: np.ndarray, first=1) -> np.ndarray:
+    """Per row of at, first times table[a] for each entry a of the row,
+    multiplied from left to right, one column at a time."""
+    return functools.reduce(lambda out, col: out * table.take(col), at.T, first)
 
 
 def _index_blocks(n: int, m: int, symmetric: bool) -> Iterator[tuple]:
@@ -301,7 +333,7 @@ def _index_blocks(n: int, m: int, symmetric: bool) -> Iterator[tuple]:
     fact = as_ints([math.factorial(c) for c in range(m + 1)], math.factorial(m))
     for idx in _index_rows(n, m, symmetric):
         sym, cnt = _groups(idx, symmetric)
-        yield idx, sym, cnt, fact[m] // fact.take(cnt).prod(axis=1) if symmetric else None
+        yield idx, sym, cnt, fact[m] // _products(fact, cnt) if symmetric else None
 
 
 def _weighted_blocks(data_dist: Dist, m: int, symmetric: bool) -> Iterator[Block]:
@@ -327,12 +359,7 @@ def _weighted_blocks(data_dist: Dist, m: int, symmetric: bool) -> Iterator[Block
     else:
         base = np.array(base, dtype=dtype)
     for idx, sym, cnt, mult in _index_blocks(n, m, symmetric):
-        # multiply.reduce multiplies along a row from left to right
-        if symmetric:
-            factors = np.concatenate((mult.astype(dtype)[:, None], powers.take(sym * (m + 1) + cnt)), axis=1)
-        else:
-            factors = base.take(idx)
-        w = np.multiply.reduce(factors, axis=1)
+        w = _products(powers, sym * (m + 1) + cnt, mult.astype(dtype)) if symmetric else _products(base, idx)
         keep = w != 0
         if not keep.all():
             idx, sym, cnt, w = idx[keep], sym[keep], cnt[keep], w[keep]

@@ -415,15 +415,31 @@ class DeviationTable:
         rounded once, as float(Fraction) does (int_quotients).  Exact mode:
         with the risks R_num / D over one denominator, g is given by its
         integer code e * D - m * scale * R_num[h] over code_den, computed in
-        int64 while its bound fits and returned as Python ints."""
+        int64 while its bound fits and returned as Python ints.
+
+        When the (h, e) slots h * span + e - lo, with e in [lo, lo + span),
+        are no more than the entries, g is computed once per pair present
+        (one np.bincount marks them) and only the distinct values are
+        sorted; else np.unique sorts the entries' g."""
         ms, (nums, den, bound) = self._ms, self._risks
+        lo, span = -self._e_top, 2 * self._e_top + 1
+        dense = len(nums) * span <= len(e)
+        if dense:
+            slot = h * span + (e - lo)
+            present = np.bincount(slot)
+            pairs = np.flatnonzero(present)
+            h, e = pairs // span, pairs % span + lo
         r = nums.take(h)
-        if not self.exact:
-            g, at = np.unique(int_quotients(e, ms, self._e_top) - r, return_inverse=True)
-            return g.tolist(), at
-        dtype = int_dtype(bound)
-        codes, at = np.unique(e.astype(dtype, copy=False) * den - ms * r.astype(dtype, copy=False), return_inverse=True)
-        return codes.tolist(), at
+        if self.exact:
+            dtype = int_dtype(bound)
+            g = e.astype(dtype, copy=False) * den - ms * r.astype(dtype, copy=False)
+        else:
+            g = int_quotients(e, ms, self._e_top) - r
+        g, at = np.unique(g, return_inverse=True)
+        if dense:  # each present slot's position, read back by every entry
+            present[pairs] = at
+            at = present.take(slot)
+        return g.tolist(), at
 
     def entry_deviations(self, block: Block, out: Sparse) -> tuple[list, np.ndarray]:
         """The deviations of the kernel entries, each with its e summed
@@ -431,10 +447,10 @@ class DeviationTable:
         reader of the table shares one pass."""
 
         def build():
-            table = self.sums_table
-            at = block.idx.take(out.row, axis=0) * table.shape[1]
-            at += out.col[:, None]
-            return self.deviations(out.col, table.ravel().take(at).sum(axis=1))
+            flat, width = self.sums_table.ravel(), self.sums_table.shape[1]
+            # one gather per sample position: numpy sums (E, m) rows slowly
+            e = sum(flat.take(col.take(out.row) * width + out.col) for col in block.idx.T)
+            return self.deviations(out.col, e)
 
         return block.memo(self, out, build)
 

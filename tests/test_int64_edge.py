@@ -27,6 +27,7 @@ from stabaudit.learners import (
     TrnHypJoint,
     exact_trn_hyp_joint,
     rerun_side_info,
+    sample_hypothesis_mutual_info,
     subsample_release,
     threeway_request,
     walk,
@@ -529,3 +530,20 @@ def test_a_walk_whose_multinomials_pass_2_63_while_den_fits(mode):
         assert j.weights.tolist() == want
     else:
         assert np.abs(j.weights - np.array(want, dtype=float)).max() <= 1e-12
+
+
+def test_entry_masses_past_2_63_while_the_block_den_fits():
+    """Data weights (d - 2, 1, 1) / d with d^2 < 2^63, m = 2 and a release of
+    one entry with delta = 1/2 (kernel probabilities 1/4, 1/2, 1/2): the
+    masses P(S) K(h|S) of the sample (b, b) are 2 (d - 2)^2 over 4 d^2, past
+    2^63 while the block's den d^2 fits, so the entry masses need the
+    kernel's den in their bound.  The deviation law and I(S;H), which add
+    them, equal the oracles."""
+    d = 3037000499
+    assert d**2 < 2**63 <= 2 * (d - 2) ** 2
+    domain = Alphabet("z", tuple("bac"))
+    dist = Dist(domain, np.array([F(d - 2, d), F(1, d), F(1, d)], dtype=object))
+    s = Scenario(name="edge", learner=subsample_release(domain, 1, F(1, 2), mode=EXACT), data_dist=dist, m=2)
+    loss, dist_map, kernel = membership_loss(), dict(zip(domain.symbols, dist.weights)), s.learner.kernel
+    assert list(deviation_law(s, loss).points) == brute.deviation_points(dist_map, kernel, 2, loss.fn)
+    assert sample_hypothesis_mutual_info(s) == pytest.approx(brute.sample_hyp_mi(dist_map, kernel, 2), rel=1e-9)

@@ -13,6 +13,7 @@ import stabaudit.losses as losses_module
 from stabaudit.dist import Alphabet, Dist
 from stabaudit.info import variational_info
 from stabaudit.learners import (
+    LearnerKernel,
     Scenario,
     batch_form,
     deviation_sign_side_info,
@@ -48,7 +49,7 @@ from stabaudit.losses import (
     worst_case_loss,
     zero_one_loss,
 )
-from stabaudit.numeric import EXACT, FLOAT64
+from stabaudit.numeric import EXACT, FLOAT64, int_dtype, int_quotients
 
 F = Fraction
 
@@ -897,3 +898,54 @@ def test_erm_curve_tails_equal_the_per_point_sums(case, t_grid, tol):
         shift = 0 if s.data_dist.is_exact else losses_module.VALUE_ATOL
         for t, tail, _, _ in report.curve:
             _same(tail, sum(p for v, p in report.excess_points if v >= t - shift))
+
+
+def _sorted_path(dev, h, e):
+    """(g, at) as one np.unique over every entry's g gives them, from the
+    expression DeviationTable.deviations uses."""
+    ms, (nums, den, bound) = dev._ms, dev._risks
+    r = nums.take(h)
+    if dev.exact:
+        dtype = int_dtype(bound)
+        g = e.astype(dtype) * den - ms * r.astype(dtype)
+    else:
+        g = int_quotients(e, ms, dev._e_top) - r
+    g, at = np.unique(g, return_inverse=True)
+    return g.tolist(), at
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dense_deviation_codes_equal_the_sorted_path(data):
+    """Random signed integer tables over a scale q, whose entries reach
+    +max and -max, and entries (h, e) whose e reach +-e_top: deviations()
+    gives the (g, at) of one np.unique over the entries' g, floats to the
+    bit, with one entry fewer than the (h, e) slots (the np.unique path),
+    as many, and more (the dense path)."""
+    n, hyps, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    top, q = data.draw(st.integers(1, 5)), data.draw(st.sampled_from([1, 3, 4]))
+    cells = data.draw(st.lists(st.integers(-top, top), min_size=n * hyps, max_size=n * hyps))
+    cells[0], cells[-1] = top, -top
+    domain, hyp = Alphabet.of_size("z", n), Alphabet("h", tuple(range(hyps)))
+    loss = table_loss("signed", domain, hyp, [[F(cells[i * hyps + j], q) for j in range(hyps)] for i in range(n)])
+    raw = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    exact = data.draw(st.booleans())
+    mode, conv = (EXACT, F) if exact else (FLOAT64, float)
+    dist = Dist(domain, np.array([conv(F(r, sum(raw))) for r in raw], dtype=mode.dtype))
+    learner = LearnerKernel("one", domain, lambda sample: {0: 1}, lambda m: hyp)
+    dev = deviation_table(Scenario("s", learner, dist, m), loss)
+    e_top = dev._e_top
+    assert e_top == m * int(np.abs(dev.sums_table).max())
+    slots = hyps * (2 * e_top + 1)
+    size = max(1, slots + data.draw(st.sampled_from([-1, 0, 1, slots])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    h = rng.integers(0, hyps, size)
+    e = rng.integers(-e_top, e_top + 1, size)
+    e[:2] = [e_top, -e_top][:size]
+    g, at = dev.deviations(h, e)
+    want_g, want_at = _sorted_path(dev, h, e)
+    if exact:
+        assert g == want_g and all(type(x) is int for x in g)
+    else:
+        assert np.array(g).view(np.int64).tolist() == np.array(want_g).view(np.int64).tolist()
+    assert at.tolist() == want_at.tolist()

@@ -8,8 +8,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -440,3 +441,58 @@ def test_budget_errors_are_unchanged_by_a_kept_walk(mode):
         assert str(err.value) == f"{what} for 'w' needs {needed} kernel evaluations, budget is {needed - 1}"
         assert (err.value.needed, err.value.budget) == (needed, needed - 1)
         call(needed)
+
+
+# ---------------------------------------------------------------------------
+# unranked index rows
+
+
+def _itertools_rows(n, m, symmetric):
+    rows = itertools.combinations_with_replacement(range(n), m) if symmetric else itertools.product(range(n), repeat=m)
+    return [list(row) for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.sampled_from(BLOCK_SIZES))
+@example(1, 1, True, 1)
+@example(1, 4, True, 2)
+@example(1, 3, False, 7)
+@example(6, 1, True, 7)
+@example(5, 1, False, 2)
+def test_unranked_rows_equal_itertools(n, m, symmetric, size):
+    """The walk's index rows are combinations_with_replacement's rows
+    (product's for an ordered walk), in its order, with the ranks split
+    into blocks of BLOCK_SIZE rows and a shorter last block."""
+    with block_size(size):
+        blocks = list(learners._index_rows(n, m, symmetric))
+    assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= size
+    assert np.concatenate(blocks).tolist() == _itertools_rows(n, m, symmetric)
+
+
+@pytest.mark.parametrize("n,m,symmetric", [(30, 4, True), (7, 6, False), (200, 2, True)])
+def test_unranked_rows_equal_itertools_over_many_blocks(n, m, symmetric):
+    blocks = list(learners._index_rows(n, m, symmetric))
+    assert len(blocks) == -(-enumeration_size(n, m, symmetric) // learners.BLOCK_SIZE) > 1
+    assert np.concatenate(blocks).tolist() == _itertools_rows(n, m, symmetric)
+
+
+@pytest.mark.parametrize("n,m,symmetric", [(2, 63, False), (2**32, 2, False), (2**32 + 1, 2, True), (64, 40, True)])
+def test_a_walk_past_2_63_samples_raises_instead_of_wrapping(n, m, symmetric):
+    assert enumeration_size(n, m, symmetric) >= 2**63
+    with pytest.raises(OverflowError):
+        next(learners._index_rows(n, m, symmetric))
+
+
+def test_the_first_block_below_2_63_samples_is_right():
+    """2^62 ordered samples of 62 bits: the first rows are the binary digits
+    of 0, 1, ...; a symmetric walk of C(83, 20) < 2^63 < C(84, 21) rows
+    (n = 64) starts as itertools does."""
+    rows = next(learners._index_rows(2, 62, False))
+    assert rows.tolist() == [[int(b) for b in format(r, "062b")] for r in range(learners.BLOCK_SIZE)]
+    assert enumeration_size(64, 20, True) < 2**63 <= enumeration_size(64, 21, True)
+    rows = next(learners._index_rows(64, 20, True))
+    want = itertools.islice(itertools.combinations_with_replacement(range(64), 20), learners.BLOCK_SIZE)
+    assert rows.tolist() == [list(row) for row in want]
+    with pytest.raises(OverflowError):
+        next(learners._index_rows(64, 21, True))
