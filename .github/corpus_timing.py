@@ -9,7 +9,9 @@ With several --tree options the processes alternate between the trees
 (run 1 of each tree, then run 2 of each, ...), so that a drift of the
 machine's speed falls on every tree alike.  For each tree the script
 writes one JSON record to its OUT.json: per scenario, the median and the
-per-run values of every key of its bundle's "timings" (seconds), and the
+per-run values of every key of its bundle's "timings" (seconds); the
+median and the per-run values of each process's peak resident set size
+in MB ("peak_rss_mb", from getrusage after the scenarios ran); and the
 tree's commit (with whether src/ differs from it and a SHA-256 of its
 src/*.py files), the Python and numpy versions the runs imported and the
 CPU count.  Standard library only.
@@ -27,7 +29,7 @@ import sys
 from pathlib import Path
 
 CHILD = """
-import json, platform, sys
+import json, platform, resource, sys
 import numpy
 from stabaudit.harness import corpus_run
 code, out = corpus_run(only=sys.argv[1:])
@@ -37,6 +39,8 @@ print(json.dumps({
     "python": platform.python_version(),
     "numpy": numpy.__version__,
     "timings": {b["config"]["name"]: b["timings"] for b in out["scenarios"]},
+    # ru_maxrss is in KiB on Linux
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
 
@@ -73,9 +77,11 @@ def main(argv=None) -> int:
         for tree, _ in trees:
             runs[tree].append(_run(tree, args.scenarios))
             walls = {name: t.get("total") for name, t in runs[tree][-1]["timings"].items()}
-            print(f"run {i + 1}/{args.runs} {tree}: total {walls}", file=sys.stderr, flush=True)
+            rss = runs[tree][-1]["peak_rss_mb"]
+            print(f"run {i + 1}/{args.runs} {tree}: total {walls}, peak RSS {rss:.1f} MB", file=sys.stderr, flush=True)
     for tree, out in trees:
         done = runs[tree]
+        rss = [run["peak_rss_mb"] for run in done]
         per_scenario = {}
         for name in args.scenarios:
             keys = sorted({key for run in done for key in run["timings"][name]})
@@ -95,6 +101,7 @@ def main(argv=None) -> int:
             "runs": args.runs,
             "unit": "s",
             "scenarios": per_scenario,
+            "peak_rss_mb": {"median": statistics.median(rss), "runs": rss},
         }
         out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}", file=sys.stderr)

@@ -66,7 +66,7 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK64 = 2**64 - 1
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-#: Philox blocks per array step of _run_draws
+#: Philox blocks per array step of _run_draws; bootstrap cells per step
 _CHUNK = 2**14
 #: weights per cumulative-sum step of symbol_indices
 _CDF_CHUNK = 2**16
@@ -345,16 +345,32 @@ def _boot_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=((seed + 1) << 64) | 0xB007))
 
 
+def _boot_sizes(n_boot: int, width: int) -> list[int]:
+    """Bootstrap replicates per step: max(1, _CHUNK // width) replicates of
+    width cells, so a step holds about _CHUNK cells (width when wider)."""
+    if n_boot < 1:
+        raise ValueError("n_boot must be >= 1")
+    step = max(1, _CHUNK // width)
+    return [min(step, n_boot - lo) for lo in range(0, n_boot, step)]
+
+
 def estimate_variational_info(
     batch: RunBatch, n_boot: int = 500, level: float = 0.95, seed: int | None = None
 ) -> Estimate:
-    """Plug-in vi(Z_trn; H) from pair counts, with a bootstrap interval."""
+    """Plug-in vi(Z_trn; H) from pair counts, with a bootstrap interval.
+
+    Replicates are drawn and reduced about _CHUNK cells at a time
+    (_boot_sizes), so peak memory follows max(_CHUNK, n_runs) cells, not
+    n_boot x n_runs.  multinomial draws its rows in sequence and stats
+    reduces each row on its own: the result equals one draw of all rows.
+    """
     seed = batch.scenario.seed if seed is None else seed
     n = len(batch)
     # the (Z_trn, H) keys in first-seen order, which fixes the order of
     # every float sum and of the multinomial's pvals; each key's z and h ids
     first, key = _first_seen(batch.trn * len(batch.hypotheses) + batch.hyp)
     c = np.bincount(key).astype(np.float64)
+    sizes = _boot_sizes(n_boot, len(c))
     zi = np.unique(batch.trn[first], return_inverse=True)[1]
     hi = batch.hyp[first]
     nz, nh = int(zi.max()) + 1, len(batch.hypotheses)
@@ -371,15 +387,12 @@ def estimate_variational_info(
         return np.array([0.5 * (d.sum() + (1.0 - p.sum())) for d, p in zip(dev, prod)])
 
     point = stats(c[None])[0]
-    rng = _boot_rng(seed)
-    draws = rng.multinomial(n, c / c.sum(), size=n_boot).astype(np.float64)
-    boots = stats(draws)
+    rng, pvals = _boot_rng(seed), c / c.sum()
+    boots = np.concatenate([stats(rng.multinomial(n, pvals, size).astype(np.float64)) for size in sizes])
     lo, hi_q = np.percentile(boots, [(1 - level) / 2 * 100, (1 + level) / 2 * 100])
     notes = []
     if nh > n / 10:
-        notes.append(
-            f"{nh} distinct hypotheses in {n} runs: plug-in vi is biased upward"
-        )
+        notes.append(f"{nh} distinct hypotheses in {n} runs: plug-in vi is biased upward")
     return Estimate(
         point=float(point),
         se=float(boots.std()),
@@ -398,17 +411,23 @@ def estimate_gen_risk(
     """Expected generalization risk: paired term minus a rotated product term.
 
     The product expectation pairs each hypothesis with the training example
-    of the next run, which is independent of it.
+    of the next run, which is independent of it.  Replicates are drawn and
+    averaged about _CHUNK cells at a time (_boot_sizes), so peak memory
+    follows max(_CHUNK, n_runs) cells, not n_boot x n_runs.  Philox keeps
+    its spare 32-bit half-word in the generator's state, so chunked integers
+    calls continue one stream, and each replicate is its own row's mean:
+    the result equals one draw of all rows.
     """
     seed = batch.scenario.seed if seed is None else seed
     n = len(batch)
+    sizes = _boot_sizes(n_boot, n)
     # each run's loss on its own Z_trn, and on the next run's
     z = batch.scenario.data_dist.alphabet.symbols_at(np.stack((batch.trn, np.roll(batch.trn, -1))))
     a, b = loss_values(loss, z, batch.hypotheses, batch.hyp, False)[0]
     point = a.mean() - b.mean()
     rng = _boot_rng(seed)
-    idx = rng.integers(0, n, size=(n_boot, n))
-    boots = (a[idx] - b[idx]).mean(axis=1)
+    draws = (rng.integers(0, n, (size, n)) for size in sizes)
+    boots = np.concatenate([(a[i] - b[i]).mean(axis=1) for i in draws])
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return Estimate(
         point=float(point),
