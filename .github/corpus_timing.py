@@ -1,10 +1,14 @@
 """Time named corpus scenarios, each run in a fresh process.
 
     python .github/corpus_timing.py SCENARIO [SCENARIO ...] --runs N \\
-        --tree DIR OUT.json [--tree DIR2 OUT2.json ...]
+        [--override KEY=JSON ...] --tree DIR OUT.json [--tree DIR2 OUT2.json ...]
 
 Each run is one new Python process that imports stabaudit from DIR/src and
-calls harness.corpus_run(only=[the scenarios]), without writing reports.
+calls harness.corpus_run(only=[the scenarios], overrides=...), without
+writing reports.  Each --override sets one config key of every named
+scenario to a JSON value, for example --override mode='"mc"' --override
+audits='["T1"]' to time the Monte Carlo path of an exact scenario; the
+overrides are kept in the record.
 With several --tree options the processes alternate between the trees
 (run 1 of each tree, then run 2 of each, ...), so that a drift of the
 machine's speed falls on every tree alike.  For each tree the script
@@ -32,7 +36,7 @@ CHILD = """
 import json, platform, resource, sys
 import numpy
 from stabaudit.harness import corpus_run
-code, out = corpus_run(only=sys.argv[1:])
+code, out = corpus_run(only=sys.argv[2:], overrides=json.loads(sys.argv[1]))
 if "error" in out:
     sys.exit(out["error"])
 print(json.dumps({
@@ -58,11 +62,22 @@ def _src_digest(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def _run(tree: Path, scenarios: list[str]) -> dict:
+def _run(tree: Path, scenarios: list[str], overrides: dict) -> dict:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    cmd = [sys.executable, "-c", CHILD, *scenarios]
+    cmd = [sys.executable, "-c", CHILD, json.dumps(overrides), *scenarios]
     result = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def _override(text: str) -> tuple[str, object]:
+    """KEY=JSON as (KEY, the JSON value)."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected KEY=JSON, got {text!r}")
+    try:
+        return key, json.loads(value)
+    except json.JSONDecodeError as e:
+        raise argparse.ArgumentTypeError(f"{key}: {e}") from None
 
 
 def main(argv=None) -> int:
@@ -70,12 +85,14 @@ def main(argv=None) -> int:
     parser.add_argument("scenarios", nargs="+", help="corpus scenario names")
     parser.add_argument("--runs", type=int, default=5, help="fresh processes per tree")
     parser.add_argument("--tree", nargs=2, action="append", metavar=("DIR", "OUT"), required=True)
+    parser.add_argument("--override", action="append", default=[], type=_override, metavar="KEY=JSON")
     args = parser.parse_args(argv)
+    overrides = dict(args.override)
     trees = [(Path(d).resolve(), Path(out)) for d, out in args.tree]
     runs: dict = {tree: [] for tree, _ in trees}
     for i in range(args.runs):
         for tree, _ in trees:
-            runs[tree].append(_run(tree, args.scenarios))
+            runs[tree].append(_run(tree, args.scenarios, overrides))
             walls = {name: t.get("total") for name, t in runs[tree][-1]["timings"].items()}
             rss = runs[tree][-1]["peak_rss_mb"]
             print(f"run {i + 1}/{args.runs} {tree}: total {walls}, peak RSS {rss:.1f} MB", file=sys.stderr, flush=True)
@@ -99,6 +116,7 @@ def main(argv=None) -> int:
             "numpy": done[0]["numpy"],
             "cpu_count": os.cpu_count(),
             "runs": args.runs,
+            "overrides": overrides,
             "unit": "s",
             "scenarios": per_scenario,
             "peak_rss_mb": {"median": statistics.median(rss), "runs": rss},

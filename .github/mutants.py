@@ -1,15 +1,20 @@
-"""Mutation check of the bounds that choose int64 or Python ints.
+"""Mutation check of the bounds that choose int64 or Python ints, and of
+the layouts that fix a float sum's rounding.
 
 An int64 array that overflows wraps without a warning, so a bound that is
-too small gives a wrong exact result silently.  Each mutant below makes
-one such bound smaller, or narrows the (h, e) span of the deviation
-table's dense codes, which would merge the codes of distinct pairs.  The script applies one mutant at a time to a
-copy of the tree in a temporary directory (never to the checkout), runs
-the int64, walk and loss test files on the copy with -x, and fails when
-any mutant survives (its tests pass) or when a mutant's source string
-does not occur exactly once in its file.  The unmutated copy runs first
-and must pass, so that a test failing for another reason kills nothing.  Standard library only; run it
-from anywhere as
+too small gives a wrong exact result silently.  Most mutants below make
+one such bound smaller, or narrow the (h, e) span of the deviation
+table's dense codes, which would merge the codes of distinct pairs.  A
+float sum along an axis rounds by the array's memory order, so a mutant
+may instead drop an order that keeps a result equal to its per-row
+oracle.  The script applies one mutant at a time to a copy of the tree
+in a temporary directory (never to the checkout), runs the mutant's test
+files on the copy with -x (the int64, walk and loss test files unless the
+mutant names its own), and fails when any mutant survives (its tests
+pass) or when a mutant's source string does not occur exactly once in
+its file.  The unmutated copy runs every test file first and must pass,
+so that a test failing for another reason kills nothing.  Standard
+library only; run it from anywhere as
 
     python .github/mutants.py
 """
@@ -25,7 +30,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = ["tests/test_int64_edge.py", "tests/test_walk.py", "tests/test_losses.py"]
 COPIED = ["src", "tests", "pyproject.toml"]
 
-#: (name, file, source that must occur exactly once, its replacement)
+#: (name, file, source that must occur exactly once, its replacement[,
+#: the test files that must kill it, else TESTS])
 MUTANTS = [
     (
         "factorial-table",
@@ -111,6 +117,14 @@ MUTANTS = [
         "mass.astype(int_dtype(block.den * out.den * m * ks.den))",
         "mass.astype(int_dtype(block.den * out.den * m))",
     ),
+    (
+        # the F-ordered product adds each row in sequence, not pairwise
+        "bootstrap-product-order",
+        "src/stabaudit/mc.py",
+        'np.multiply(rz[:, zi], ch[:, hi], order="C")',
+        "np.multiply(rz[:, zi], ch[:, hi])",
+        ["tests/test_mc.py"],
+    ),
 ]
 
 
@@ -124,10 +138,10 @@ def _copy_tree(dest: str) -> None:
             shutil.copy2(src, os.path.join(dest, name))
 
 
-def _pytest(tree: str) -> tuple[int, str, float]:
+def _pytest(tree: str, tests: list[str]) -> tuple[int, str, float]:
     """(exit code, output, seconds) of the test files on tree."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     result = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     return result.returncode, result.stdout, time.perf_counter() - start
@@ -152,14 +166,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = os.path.join(tmp, "unmutated")
         _copy_tree(tree)
-        code, out, took = _pytest(tree)
+        every = sorted({test for _, _, _, _, *own in MUTANTS for test in (own[0] if own else TESTS)})
+        code, out, took = _pytest(tree, every)
         if code != 0:
             print(out[-3000:])
             print(f"the unmutated tests fail (pytest exit {code}), so no mutant can be judged")
             return 1
         print(f"unmutated: passed in {took:.1f} s", flush=True)
         shutil.rmtree(tree)
-        for name, path, old, new in MUTANTS:
+        for name, path, old, new, *own in MUTANTS:
             tree = os.path.join(tmp, name)
             _copy_tree(tree)
             error = _apply(tree, path, old, new)
@@ -167,7 +182,7 @@ def main() -> int:
                 print(f"{name}: ERROR {error}", flush=True)
                 failures.append(name)
                 continue
-            code, out, took = _pytest(tree)
+            code, out, took = _pytest(tree, own[0] if own else TESTS)
             if code == 1:  # a test failed: the mutant is killed
                 failed = [line for line in out.splitlines() if line.startswith("FAILED")]
                 print(f"{name}: killed in {took:.1f} s", *failed[:1], sep="\n  ", flush=True)

@@ -42,11 +42,13 @@ A kernel may carry a batch form, attached with with_batch, that computes
 that array for a whole block; subsample_release has one, and so does the
 deviation-sign side channel.  A kernel's batch form may assume rows in
 index order and is used only in a symmetric walk; a side channel's runs
-in every walk and must not.  Either is used only while its function is
-the very one it was attached to: a learner whose kernel was replaced (a
-wrapper, dataclasses.replace) loses it.  Every other
-kernel and side function runs through one adapter that calls it once per
-sample, in walk order.  The blocks come from a vectorised enumerator;
+in every walk and must not.  subsample_release and prop1_counterexample
+also carry a draw form (with_batch under "draw"), which makes Monte Carlo
+picks from rows of domain indices in any order (mc.draw_runs).  Each form
+is used only while its function is the very one it was attached to: a
+learner whose kernel was replaced (a wrapper, dataclasses.replace) loses
+it.  Every other kernel and side function runs through one adapter that
+calls it once per sample, in walk order.  The blocks come from a vectorised enumerator;
 when the module-level iter_weighted_samples has been replaced (to count
 or trace a walk), the walk reads its rows from that function instead.
 
@@ -251,21 +253,42 @@ def per_row(fn: Callable, args: Sequence[tuple], index: Mapping, exact: bool) ->
     return _sparse(rows, cols, probs, exact)
 
 
-def with_batch(fn: Callable, batch: Callable) -> Callable:
-    """Attach batch, the batch form of fn (a kernel's or side channel's
-    block form, a loss's array form), to fn.  batch refers back to fn
-    weakly, so the pair is freed without a garbage collection."""
+def with_batch(fn: Callable, batch: Callable, attr: str = "batch") -> Callable:
+    """Attach batch, a batch form of fn (a kernel's or side channel's block
+    form, a kernel's draw form under attr "draw", a loss's array form), to
+    fn.  batch refers back to fn weakly, so the pair is freed without a
+    garbage collection."""
     batch.form_of = weakref.ref(fn)
-    fn.batch = batch
+    setattr(fn, attr, batch)
     return fn
 
 
-def batch_form(fn: Callable) -> Callable | None:
-    """fn's batch form, or None when fn is not the function it was attached
-    to (a wrapper that copied the attribute included)."""
-    batch = getattr(fn, "batch", None)
+def batch_form(fn: Callable, attr: str = "batch") -> Callable | None:
+    """fn's batch form under attr, or None when fn is not the function it
+    was attached to (a wrapper that copied the attribute included)."""
+    batch = getattr(fn, attr, None)
     form_of = getattr(batch, "form_of", None)
     return batch if form_of is not None and form_of() is fn else None
+
+
+def first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, rank) over the entries of a 1-D array or the rows of a 2-D
+    one: where each distinct value first appears, in order of appearance,
+    and each entry's rank in that order.  Rows of indices below n with
+    n^columns < 2^63 are read as one base-n integer each."""
+    if a.ndim > 1 and a.size and a.min() >= 0:
+        n = int(a.max()) + 1
+        if int_dtype(n ** a.shape[1]) is np.int64:
+            codes = np.zeros(len(a), dtype=np.int64)
+            for column in a.T:
+                codes *= n
+                codes += column
+            a = codes
+    _, first, inv = np.unique(a, axis=0 if a.ndim > 1 else None, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inv.reshape(-1)]
 
 
 def _groups(idx: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -738,7 +761,8 @@ def subsample_release(
     has a batch form: with the rows of a block in domain order, the
     hypotheses a row releases appear, in the kernel's dict order, in
     hypothesis-index order, and each pick's index is its rank in the
-    combinatorial number system (Knuth, TAOCP 7.2.1.3).
+    combinatorial number system (Knuth, TAOCP 7.2.1.3).  Its draw form
+    makes Monte Carlo picks from rows in any order without ranking.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -764,29 +788,30 @@ def subsample_release(
     top = len(domain) + k - 1
     # C(x, j) for x < top and j <= k, and per sample size m the picks and
     # the probabilities of a hypothesis picked 1, ..., C(m, k) times (then
-    # of the empty release): built on first use
+    # of the empty release), also as floats: built on first use
     binom: list = []
     by_m: dict = {}
 
     def tables(m: int) -> tuple:
+        if k > m:
+            raise ValueError(f"cannot release {k} of {m} entries")
         if not binom:
             binom.append(np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(top)], dtype=np.int64))
         if m not in by_m:
             picks = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
             # c picks of one hypothesis give share + share + ... (c terms)
             probs = list(itertools.accumulate([delta / math.comb(m, k)] * len(picks))) + [one - delta]
+            floats = np.array([float(p) for p in probs])
             if mode.exact:
                 nums, den = common_denominator(probs)
-                by_m[m] = picks, as_ints(nums, den), den
+                by_m[m] = picks, as_ints(nums, den), den, floats
             else:
-                by_m[m] = picks, np.array(probs, dtype=np.float64), 1
+                by_m[m] = picks, floats, 1, floats
         return by_m[m]
 
     def batch(block: Block) -> Sparse:
         rows, m = block.idx.shape
-        if k > m:
-            raise ValueError(f"cannot release {k} of {m} entries")
-        picks, probs, den = tables(m)
+        picks, probs, den, _ = tables(m)
         # a pick a_1 <= ... <= a_k is the set {a_j + j} of range(top), whose
         # lexicographic rank is C(top, k) - 1 - sum_j C(top - 1 - a_j - j, k - j);
         # its hypothesis index is that rank + 1, after the empty release
@@ -805,6 +830,39 @@ def subsample_release(
             which[col == 0] = len(picks)
         return Sparse(row, col, probs.take(which), den)
 
+    def draw(idx: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The kernel's picks under the uniforms u for the rows idx of any
+        order, as pick_hypotheses makes them: (each row's hypothesis id in
+        first-seen order, those hypotheses).  No hypothesis is ranked, and
+        only the picked ones become tuples."""
+        picks, _, _, floats = tables(idx.shape[1])
+        n = len(domain)
+        keys = np.empty((len(idx), k), dtype=np.intp)  # each row's pick, n for the empty release
+        step = max(1, 2**16 // len(picks))
+        for lo in range(0, len(idx), step):
+            rel = np.sort(idx[lo : lo + step][:, picks], axis=2)  # each pick's entries in domain order
+            rows, p = rel.shape[:2]
+            # (row, release) per pick; the stable sort keeps equal ones in pick order
+            keyed = np.column_stack((np.repeat(np.arange(rows), p), rel.reshape(-1, k)))
+            order = np.lexsort(keyed.T[::-1])
+            srt = keyed[order]
+            start = np.flatnonzero(np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)])
+            # each release's probability at its first pick, after the empty
+            # release's column: the kernel's dict order, and the 0.0 between
+            # them leave every running sum as it is
+            prob = np.zeros((rows, p + 1))
+            r, at = np.divmod(order[start], p)
+            prob[r, at + 1] = floats[np.diff(start, append=len(order)) - 1]
+            if delta != 1:
+                prob[:, 0] = floats[-1]
+            # the first running sum above u is an entry's; past the last, the last entry
+            above = np.cumsum(prob, axis=1) > u[lo : lo + step, None]
+            j = np.where(above.any(axis=1), above.argmax(axis=1), p - (prob[:, ::-1] > 0).argmax(axis=1))
+            keys[lo : lo + rows] = np.where((j == 0)[:, None], n, rel[np.arange(rows), np.maximum(j - 1, 0)])
+        first, rank = first_seen(keys)
+        symbols = domain.symbols_at(np.minimum(keys[first], n - 1)).tolist()
+        return rank, tuple(() if row[0] == n else tuple(s) for row, s in zip(keys[first].tolist(), symbols))
+
     def hyp(m: int) -> Alphabet:
         tuples = tuple(itertools.combinations_with_replacement(domain.symbols, k))
         return Alphabet("h", ((),) + tuples)
@@ -812,7 +870,7 @@ def subsample_release(
     return LearnerKernel(
         name="subsample_release",
         domain=domain,
-        kernel=with_batch(kern, batch),
+        kernel=with_batch(with_batch(kern, batch), draw, "draw"),
         hypotheses=hyp,
         params={"k": k, "delta": delta},
     )
@@ -933,6 +991,15 @@ def prop1_counterexample(domain: int | Alphabet) -> LearnerKernel:
         key = tuple(sorted(sample))
         return {(key, 0): half, (key, 1): half}
 
+    def draw(idx: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The kernel's picks under the uniforms u for the rows idx, as
+        pick_hypotheses makes them (see subsample_release's draw): the
+        running sums are 0.5 and 1.0, so the bit is u >= 0.5."""
+        key, bit = np.sort(idx, axis=1), (u >= 0.5).astype(np.intp)
+        first, rank = first_seen(np.column_stack((key, bit)))
+        keys = domain.symbols_at(key[first]).tolist()
+        return rank, tuple((tuple(s), b) for s, b in zip(keys, bit[first].tolist()))
+
     def hyp(m: int) -> Alphabet:
         keys = itertools.combinations_with_replacement(domain.symbols, m)
         return Alphabet("h", tuple((key, b) for key in keys for b in (0, 1)))
@@ -940,7 +1007,7 @@ def prop1_counterexample(domain: int | Alphabet) -> LearnerKernel:
     return LearnerKernel(
         name="prop1_counterexample",
         domain=domain,
-        kernel=kern,
+        kernel=with_batch(kern, draw, "draw"),
         hypotheses=hyp,
         params={"domain_size": domain_size},
     )

@@ -21,10 +21,13 @@ generator instead (_run_rng), as is every run of a seed outside
 A RunBatch holds the runs as columns: the samples' domain indices
 (runs, m), the domain index of each run's Z_trn, and each run's hypothesis
 as an index into the batch's distinct hypotheses, in first-seen order.
-draw_runs maps every sample uniform through the cdf in one call and calls
-the kernel once per distinct ordered sample.  Each run's pick counts the
-running float sums of its sample's kernel output that are <= its uniform
-(pick_hypotheses), which is what bisect_right finds.  On a positional domain
+draw_runs maps every sample uniform through the cdf in one call.  Each
+run's pick counts the running float sums of its sample's kernel output
+that are <= its uniform, which is what bisect_right finds.  A kernel with
+a draw form (learners.with_batch under "draw": the release's and the
+memorizer's) makes the picks from the index rows in array steps; any
+other kernel, and a wrapped or replaced one, which loses its forms, runs
+once per distinct ordered sample (pick_hypotheses).  On a positional domain
 symbol i is i, so neither drawing nor estimating reads the domain's
 symbols.  The estimators are array ops over the columns.  They read float
 loss values through losses.loss_values, the one reader of a loss: from the
@@ -56,9 +59,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .learners import Scenario
+from .learners import Scenario, batch_form, first_seen
 from .losses import ParametricLoss, loss_values, true_risk
-from .numeric import int_dtype
 
 Z95 = 1.959963984540054
 #: Philox4x64 round multipliers and key increments
@@ -86,8 +88,9 @@ class RunBatch:
 
     idx (runs, m) holds each sample's domain indices, trn the domain index
     of each run's Z_trn, and hyp each run's index into hypotheses, the
-    distinct hypotheses in first-seen order.  runs, the per-run view, is
-    built on first use.
+    distinct hypotheses in first-seen order, from the kernel's draw form
+    or its per-sample loop alike.  runs, the per-run view, is built on
+    first use.
     """
 
     scenario: Scenario
@@ -148,26 +151,6 @@ class TailReport:
 def _run_rng(seed: int, run_index: int) -> np.random.Generator:
     """Run run_index's stream: a fresh Philox keyed by (seed, run index)."""
     return np.random.Generator(np.random.Philox(key=(seed << 64) | run_index))
-
-
-def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, rank) over the entries of a 1-D array or the rows of a 2-D
-    one: where each distinct value first appears, in order of appearance,
-    and each entry's rank in that order.  Rows of indices below n with
-    n^columns < 2^63 are read as one base-n integer each."""
-    if a.ndim > 1 and a.size and a.min() >= 0:
-        n = int(a.max()) + 1
-        if int_dtype(n ** a.shape[1]) is np.int64:
-            codes = np.zeros(len(a), dtype=np.int64)
-            for column in a.T:
-                codes *= n
-                codes += column
-            a = codes
-    _, first, inv = np.unique(a, axis=0 if a.ndim > 1 else None, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inv.reshape(-1)]
 
 
 def symbol_indices(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -319,14 +302,18 @@ def pick_hypotheses(
     np.minimum(entry, (width - 1)[sample_of], out=entry)
     # each run's entry as a position in hs; ids in first-seen order of those
     codes = (np.cumsum(width) - width)[sample_of] + entry
-    first, rank = _first_seen(codes)
+    first, rank = first_seen(codes)
     ids: dict = {}
     of_code = np.array([ids.setdefault(hs[c], len(ids)) for c in codes[first].tolist()], dtype=np.intp)
     return of_code[rank], tuple(ids)
 
 
 def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBatch:
-    """Draw (sample, Z_trn, H) triples; stream i is keyed by (seed, i)."""
+    """Draw (sample, Z_trn, H) triples; stream i is keyed by (seed, i).
+
+    The hypotheses come from the kernel's draw form when it has one (the
+    release and the memorizer), else from one kernel call per distinct
+    ordered sample; both give the same picks and ids."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     seed = scenario.seed if seed is None else seed
@@ -334,10 +321,13 @@ def draw_runs(scenario: Scenario, n_runs: int, seed: int | None = None) -> RunBa
     dist = scenario.data_dist
     idx = symbol_indices(dist.weights, u)
     trn = idx[np.arange(n_runs), at]
-    # one kernel call per distinct ordered sample
-    first, sample_of = _first_seen(idx)
-    samples = dist.alphabet.symbols_at(idx[first]).tolist()
-    hyp, hypotheses = pick_hypotheses(scenario.learner.kernel, samples, sample_of, pick)
+    draw = batch_form(scenario.learner.kernel, "draw")
+    if draw is not None:
+        hyp, hypotheses = draw(idx, pick)
+    else:  # one kernel call per distinct ordered sample
+        first, sample_of = first_seen(idx)
+        samples = dist.alphabet.symbols_at(idx[first]).tolist()
+        hyp, hypotheses = pick_hypotheses(scenario.learner.kernel, samples, sample_of, pick)
     return RunBatch(scenario, idx, trn, hyp, hypotheses, seed)
 
 
@@ -368,7 +358,7 @@ def estimate_variational_info(
     n = len(batch)
     # the (Z_trn, H) keys in first-seen order, which fixes the order of
     # every float sum and of the multinomial's pvals; each key's z and h ids
-    first, key = _first_seen(batch.trn * len(batch.hypotheses) + batch.hyp)
+    first, key = first_seen(batch.trn * len(batch.hypotheses) + batch.hyp)
     c = np.bincount(key).astype(np.float64)
     sizes = _boot_sizes(n_boot, len(c))
     zi = np.unique(batch.trn[first], return_inverse=True)[1]
@@ -381,10 +371,13 @@ def estimate_variational_info(
         # one bincount over all rows adds each row's counts in key order
         rz = np.bincount((rows * nz + zi).ravel(), counts.ravel(), len(counts) * nz).reshape(-1, nz)
         ch = np.bincount((rows * nh + hi).ravel(), counts.ravel(), len(counts) * nh).reshape(-1, nh)
-        prod = rz[:, zi] * ch[:, hi] / (n * n)
+        # C order, so each row sum runs along the fast axis with the
+        # pairwise summation of a 1-D sum; on the F-ordered product that
+        # fancy indexing gives, sum(axis=1) adds in sequence and rounds
+        # differently
+        prod = np.multiply(rz[:, zi], ch[:, hi], order="C") / (n * n)
         dev = np.abs(counts / n - prod)
-        # per-row 1-D sums: a 2-D sum along rows may round differently
-        return np.array([0.5 * (d.sum() + (1.0 - p.sum())) for d, p in zip(dev, prod)])
+        return 0.5 * (dev.sum(axis=1) + (1.0 - prod.sum(axis=1)))
 
     point = stats(c[None])[0]
     rng, pvals = _boot_rng(seed), c / c.sum()

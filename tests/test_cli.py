@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -671,14 +672,49 @@ def _differences(a, b, path=()):
     return [path]
 
 
+#: the int fields of a float-mode bundle outside its config: counts and labels
+INT_FIELDS = {"schema_version", "exit_code", "kernel_evals", "hypothesis_count", "n_runs"}
+
+
+def _not_plain(x, float_mode, path=()):
+    """The paths of a returned bundle at which a value is not a plain JSON
+    type (dict, list, str, bool, None, int, float: no Fraction, tuple or
+    numpy scalar), or, in float mode, is an int outside the config and
+    INT_FIELDS."""
+    if type(x) is dict:
+        return [p for k, v in x.items() for p in _not_plain(v, float_mode and k != "config", (*path, k))]
+    if type(x) is list:
+        return [p for i, v in enumerate(x) for p in _not_plain(v, float_mode, (*path, i))]
+    if type(x) is int:
+        field = [p for p in path if type(p) is str][-1]
+        return [path] if float_mode and field not in INT_FIELDS else []
+    return [] if x is None or type(x) in (str, bool, float) else [path]
+
+
 @pytest.mark.parametrize("name", [c["name"] for c in CORPUS if c["name"] not in ("subsample-t1", "prop1-mc")])
 def test_exact_and_float_reports_agree(name):
     """A corpus scenario run in exact and in float mode gives the same exit
     code and report, apart from the config's numeric and the disagreements
-    that MODE_DISAGREEMENTS names with their reasons.  subsample-t1 and
-    prop1-mc are left out for their run time."""
+    that MODE_DISAGREEMENTS names with their reasons, and both bundles hold
+    plain JSON types only, with floats for every value in float mode but
+    the config and INT_FIELDS.  subsample-t1 and prop1-mc are left out for
+    their run time."""
     raw = _corpus_config(name)
     (code, exact), (float_code, floats) = (run_config(raw, {"numeric": n}) for n in ("exact", "float"))
+    assert _not_plain(exact, False) == [] and _not_plain(floats, True) == []
     assert code == float_code
     got = {(name, *p) for p in _differences(exact, floats) if p != ("config", "numeric")}
     assert got == {key for key in MODE_DISAGREEMENTS if key[0] == name}
+
+
+def test_a_float_monte_carlo_bundle_holds_floats():
+    """prop1-mc, cut to 500 runs: a float-mode Monte Carlo bundle holds plain
+    JSON types only, and ints only in the config and INT_FIELDS."""
+    code, bundle = run_config(_corpus_config("prop1-mc"), {"n_runs": 500})
+    assert code == EXIT_PASS and bundle["estimates"]["info"]["n_runs"] == 500
+    assert _not_plain(bundle, True) == []
+    assert _not_plain({"a": [1.0, (1.0,)], "b": np.float64(1.0), "c": {"n_runs": 3, "m": 3}}, True) == [
+        ("a", 1),
+        ("b",),
+        ("c", "m"),
+    ]

@@ -27,11 +27,14 @@ from stabaudit.learners import (
     randomized_response_dp,
     rerun_side_info,
     sample_hypothesis_mutual_info,
+    mi_request,
     subsample_release,
+    trn_hyp_request,
+    walk,
 )
-from stabaudit.corpus import _build_prop1
+from stabaudit.corpus import LEARNER_BUILDERS, _build_prop1, corpus_configs
 from stabaudit.harness import ConfigError, ScenarioConfig, build_scenario
-from stabaudit.losses import constant_loss, membership_loss
+from stabaudit.losses import constant_loss, deviation_request, membership_loss
 from stabaudit.numeric import EXACT, FLOAT64
 
 F = Fraction
@@ -126,6 +129,34 @@ def test_asymmetric_kernel_uses_ordered_enumeration():
     assert tj.kernel_evals == 4
     # first coordinate matches trn half the time on average
     assert tj.joint.weight((0, 0)) == F(3, 8)
+
+
+def _smallest_corpus_scenario(learner: str) -> Scenario:
+    """learner's corpus scenario with m >= 2 and the fewest ordered
+    samples, in exact mode."""
+    raws = [c for c in corpus_configs() if c["learner"]["name"] == learner and c["m"] >= 2]
+    raw = min(raws, key=lambda c: c["domain"]["size"] ** c["m"])
+    return build_scenario(ScenarioConfig.from_dict({**raw, "numeric": "exact", "mode": "exact"}))
+
+
+@pytest.mark.parametrize("learner", sorted(LEARNER_BUILDERS))
+def test_an_ordered_copy_of_each_learner_walks_to_the_same_results(learner):
+    """A copy with symmetric=False walks every ordered sample, one kernel
+    call each, where the learner walks multisets: the same exact joint and
+    deviation law, and I(S;H) up to the order of its float log-sum."""
+    s = _smallest_corpus_scenario(learner)
+    ordered = Scenario(
+        name=s.name, learner=dataclasses.replace(s.learner, symmetric=False), data_dist=s.data_dist, m=s.m
+    )
+    (tj, law, mi), (otj, olaw, omi) = (
+        walk(x, [trn_hyp_request(x), deviation_request(x, s.loss), mi_request(x)]) for x in (s, ordered)
+    )
+    n = len(s.learner.domain)
+    assert (tj.kernel_evals, otj.kernel_evals) == (math.comb(n + s.m - 1, s.m), n**s.m)
+    assert otj.method == "exact-ordered" != tj.method
+    assert tj.joint.axes == otj.joint.axes and tj.joint.weights.tolist() == otj.joint.weights.tolist()
+    assert law.points == olaw.points
+    assert mi == pytest.approx(omi, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import tracemalloc
@@ -15,6 +16,7 @@ import brute
 from stabaudit.dist import Alphabet, Dist
 from stabaudit.learners import (
     Scenario,
+    batch_form,
     prop1_counterexample,
     randomized_response_dp,
     subsample_release,
@@ -335,6 +337,61 @@ def test_picks_over_a_wide_output_are_counted_in_chunks():
     sample_of = np.arange(40) % 3 // 2
     hyp, hs = pick_hypotheses(kernel, [(0,), (1,)], sample_of, u)
     assert (hyp.tolist(), hs) == brute.bisect_picks(kernel, [(0,), (1,)], sample_of.tolist(), u.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the draw forms of the release and the memorizer against the kernel loop
+
+
+@st.composite
+def _draw_form_cases(draw):
+    """(learner, mode, rows, u): a release (k >= 1, delta = 1 or < 1) or the
+    memorizer on a positional or non-positional domain, random rows with
+    repeated symbols (m = 1 included), and per row a uniform at a running
+    sum of its kernel output, one ulp below it, or anywhere in [0, 1)."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    positional, mode = draw(st.booleans()), draw(st.sampled_from([EXACT, FLOAT64]))
+    if draw(st.booleans()):
+        # a non-positional release domain lists its symbols out of value order
+        symbols = range(n) if positional else tuple(draw(st.permutations("edcba"[:n])))
+        delta = draw(st.sampled_from([1, F(3, 10), F(1, 2)]))
+        learner = subsample_release(Alphabet("z", symbols), draw(st.integers(1, m)), delta, mode=mode)
+    else:
+        learner = prop1_counterexample(Alphabet("z", range(n) if positional else tuple(range(n))))
+    row = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    rows = np.array(draw(st.lists(row, min_size=1, max_size=25)), dtype=np.intp)
+    u = []
+    for sample in learner.domain.symbols_at(rows).tolist():
+        sums = itertools.accumulate(map(float, learner.kernel(tuple(sample)).values()))
+        near = [x for s in sums for x in (s, float(np.nextafter(s, -1.0))) if 0.0 <= x < 1.0]
+        u.append(draw(st.sampled_from(near) | st.floats(0.0, 1.0, exclude_max=True)))
+    return learner, mode, rows, np.array(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_draw_form_cases(), st.integers(0, 3))
+def test_draw_forms_pick_what_the_kernel_loop_picks(case, seed):
+    learner, mode, rows, u = case
+    draw = batch_form(learner.kernel, "draw")
+    assert draw is not None
+    hyp, hs = draw(rows, u)
+    samples = [tuple(s) for s in learner.domain.symbols_at(rows).tolist()]
+    want_hyp, want_hs = pick_hypotheses(learner.kernel, samples, np.arange(len(rows)), u)
+    # repr tells an int from a bool or a numpy integer
+    assert hyp.dtype == want_hyp.dtype and hyp.tolist() == want_hyp.tolist() and repr(hs) == repr(want_hs)
+    assert (hyp.tolist(), hs) == brute.bisect_picks(learner.kernel, samples, range(len(rows)), u.tolist())
+    # whole draws, against the oracle and against the loop of a wrapped kernel
+    scenario = Scenario(name="d", learner=learner, data_dist=Dist.uniform(learner.domain, mode), m=rows.shape[1])
+    batch = draw_runs(scenario, 30, seed=seed)
+    assert batch.runs == brute.mc_draw_runs(scenario, 30, seed=seed).runs
+    loop = draw_runs(dataclasses.replace(scenario, learner=_wrapped_kernel(learner), _cache={}), 30, seed=seed)
+    assert batch.hyp.tolist() == loop.hyp.tolist() and repr(batch.hypotheses) == repr(loop.hypotheses)
+
+
+def test_a_wrapped_kernel_loses_its_draw_form():
+    for learner in (prop1_counterexample(4), subsample_release(Alphabet.of_size("z", 3), k=1)):
+        assert batch_form(learner.kernel, "draw") is not None
+        assert batch_form(_wrapped_kernel(learner).kernel, "draw") is None
 
 
 # ---------------------------------------------------------------------------
