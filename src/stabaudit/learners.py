@@ -786,17 +786,16 @@ def subsample_release(
         return out
 
     top = len(domain) + k - 1
-    # C(x, j) for x < top and j <= k, and per sample size m the picks and
-    # the probabilities of a hypothesis picked 1, ..., C(m, k) times (then
-    # of the empty release), also as floats: built on first use
+    # per sample size m the picks and the probabilities of a hypothesis
+    # picked 1, ..., C(m, k) times (then of the empty release), also as
+    # floats; and, for the batch form alone, C(x, j) for x < top and j <= k,
+    # whose int64 table the draw form must not need: built on first use
     binom: list = []
     by_m: dict = {}
 
     def tables(m: int) -> tuple:
         if k > m:
             raise ValueError(f"cannot release {k} of {m} entries")
-        if not binom:
-            binom.append(np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(top)], dtype=np.int64))
         if m not in by_m:
             picks = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
             # c picks of one hypothesis give share + share + ... (c terms)
@@ -812,6 +811,8 @@ def subsample_release(
     def batch(block: Block) -> Sparse:
         rows, m = block.idx.shape
         picks, probs, den, _ = tables(m)
+        if not binom:
+            binom.append(np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(top)], dtype=np.int64))
         # a pick a_1 <= ... <= a_k is the set {a_j + j} of range(top), whose
         # lexicographic rank is C(top, k) - 1 - sum_j C(top - 1 - a_j - j, k - j);
         # its hypothesis index is that rank + 1, after the empty release

@@ -388,6 +388,18 @@ def test_draw_forms_pick_what_the_kernel_loop_picks(case, seed):
     assert batch.hyp.tolist() == loop.hyp.tolist() and repr(batch.hypotheses) == repr(loop.hypotheses)
 
 
+@pytest.mark.parametrize("delta", [1, 0.5])
+def test_the_release_draws_over_a_large_domain_without_its_rank_table(delta):
+    # C(10^6 + 2, 4) > 2^63: the batch form's int64 table of C(x, j) cannot
+    # be built here, and drawing runs must not need it
+    learner = subsample_release(Alphabet.of_size("z", 10**6), k=4, delta=delta)
+    scenario = Scenario(name="d", learner=learner, data_dist=Dist.uniform(learner.domain), m=5)
+    batch = draw_runs(scenario, 40, seed=2)
+    loop = draw_runs(dataclasses.replace(scenario, learner=_wrapped_kernel(learner), _cache={}), 40, seed=2)
+    assert batch.hyp.tolist() == loop.hyp.tolist() and repr(batch.hypotheses) == repr(loop.hypotheses)
+    assert len(batch.hypotheses) > 10
+
+
 def test_a_wrapped_kernel_loses_its_draw_form():
     for learner in (prop1_counterexample(4), subsample_release(Alphabet.of_size("z", 3), k=1)):
         assert batch_form(learner.kernel, "draw") is not None
