@@ -1,5 +1,6 @@
-"""Mutation check of the bounds that choose int64 or Python ints, and of
-the layouts that fix a float sum's rounding.
+"""Mutation check of the bounds that choose int64 or Python ints, of the
+layouts that fix a float sum's rounding, and of the one stream that
+chunked bootstrap draws continue.
 
 An int64 array that overflows wraps without a warning, so a bound that is
 too small gives a wrong exact result silently.  Most mutants below make
@@ -7,7 +8,8 @@ one such bound smaller, or narrow the (h, e) span of the deviation
 table's dense codes, which would merge the codes of distinct pairs.  A
 float sum along an axis rounds by the array's memory order, so a mutant
 may instead drop an order that keeps a result equal to its per-row
-oracle.  The script applies one mutant at a time to a copy of the tree
+oracle, or start the bootstrap's stream again at each drawing call.
+The script applies one mutant at a time to a copy of the tree
 in a temporary directory (never to the checkout), runs the mutant's test
 files on the copy with -x (the int64, walk and loss test files unless the
 mutant names its own), and fails when any mutant survives (its tests
@@ -123,6 +125,14 @@ MUTANTS = [
         "src/stabaudit/mc.py",
         'np.multiply(rz[:, zi], ch[:, hi], order="C")',
         "np.multiply(rz[:, zi], ch[:, hi])",
+        ["tests/test_mc.py"],
+    ),
+    (
+        # each drawing call starts the bootstrap's stream again
+        "bootstrap-draw-restart",
+        "src/stabaudit/mc.py",
+        "self._ready.put(rng.multinomial(n, pvals, size))",
+        "self._ready.put(_boot_rng(self.seed).multinomial(n, pvals, size))",
         ["tests/test_mc.py"],
     ),
 ]

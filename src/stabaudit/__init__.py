@@ -106,6 +106,7 @@ from .mc import (
     RunSample,
     TailPoint,
     TailReport,
+    VIBootstrap,
     deviations,
     draw_runs,
     estimate_gen_risk,

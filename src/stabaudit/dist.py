@@ -234,11 +234,13 @@ def _validated_weights(weights, shape, where: str, owned: bool = False) -> np.nd
         if sum(nums) != den:
             raise ValueError(f"{where}: mass is {Fraction(sum(nums), den)}, expected exactly 1")
     else:
-        if not np.all(np.isfinite(flat)):
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below say what is wrong
+            total = flat.sum()
+        # a finite sum has finite terms; an infinite one may be an overflow
+        if not np.isfinite(total) and not np.all(np.isfinite(flat)):
             raise ValueError(f"{where}: non-finite weight")
-        if np.any(flat < 0):
+        if flat.min() < 0:
             raise ValueError(f"{where}: negative weight")
-        total = flat.sum()
         if abs(total - 1.0) > MASS_ATOL:
             raise ValueError(f"{where}: mass is {total!r}, off by more than {MASS_ATOL}")
     w.setflags(write=False)

@@ -62,7 +62,7 @@ from .learners import (
     walk,
 )
 from .losses import ERM_T_GRID, deviation_request
-from .mc import draw_runs, estimate_gen_risk, estimate_tail, estimate_variational_info
+from .mc import VIBootstrap, draw_runs, estimate_gen_risk, estimate_tail, estimate_variational_info
 from .numeric import EXACT, FLOAT64, coerce_number
 
 EXIT_PASS = 0
@@ -427,7 +427,14 @@ def _walk_requests(scenario: Scenario, cfg: ScenarioConfig, room: int) -> list:
 
 def _mc_audits(cfg: ScenarioConfig, scenario: Scenario, specs) -> tuple[list, dict]:
     batch = draw_runs(scenario, cfg.n_runs, seed=cfg.seed)
-    info_est = estimate_variational_info(batch)
+    grid = cfg.t_grid or DEFAULT_T_GRID
+    gen_est = tail_rep = None
+    # the vi bootstrap draws on its own thread while the other estimates run
+    with VIBootstrap(batch) as draws:
+        if scenario.loss is not None:
+            gen_est = estimate_gen_risk(batch, scenario.loss)
+            tail_rep = estimate_tail(batch, scenario.loss, grid)
+        info_est = estimate_variational_info(batch, draws=draws)
     estimates = {
         "info": {
             "point": info_est.point,
@@ -438,11 +445,7 @@ def _mc_audits(cfg: ScenarioConfig, scenario: Scenario, specs) -> tuple[list, di
             "notes": list(info_est.notes),
         }
     }
-    grid = cfg.t_grid or DEFAULT_T_GRID
-    gen_est = tail_rep = None
-    if scenario.loss is not None:
-        gen_est = estimate_gen_risk(batch, scenario.loss)
-        tail_rep = estimate_tail(batch, scenario.loss, grid)
+    if gen_est is not None:
         estimates["gen_risk"] = {
             "point": gen_est.point,
             "se": gen_est.se,

@@ -45,7 +45,13 @@ writes the unobserved-pair mass in closed form:
                    + (1 - sum_observed r_z c_h / N^2) ],
 
 and gets a bootstrap confidence interval by multinomial resampling of the
-pair counts.  Tail probabilities get Wilson intervals.  The plug-in vi is
+pair counts.  Those replicates are drawn ahead on a daemon thread
+(VIBootstrap), in calls of about _DRAW_CELLS cells from one stream, at most
+_IN_FLIGHT calls drawn and not yet reduced, so they equal one draw of all
+replicates bit for bit.  multinomial releases the GIL while it draws, so a
+caller that starts them before its other estimates (harness._mc_audits)
+has them drawn on a second core meanwhile: the wall time falls, the CPU
+time does not.  Tail probabilities get Wilson intervals.  The plug-in vi is
 biased upward when the number of distinct hypotheses is comparable to the
 number of runs; estimates carry a warning note when that happens.
 """
@@ -53,8 +59,10 @@ number of runs; estimates carry a warning note when that happens.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from queue import SimpleQueue
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -70,6 +78,10 @@ _MASK64 = 2**64 - 1
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 #: Philox blocks per array step of _run_draws; bootstrap cells per step
 _CHUNK = 2**14
+#: vi bootstrap cells per multinomial call of the drawing thread, and the
+#: calls drawn or being drawn that the reader has not finished
+_DRAW_CELLS = 2**16
+_IN_FLIGHT = 2
 #: weights per cumulative-sum step of symbol_indices
 _CDF_CHUNK = 2**16
 
@@ -335,53 +347,125 @@ def _boot_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=((seed + 1) << 64) | 0xB007))
 
 
-def _boot_sizes(n_boot: int, width: int) -> list[int]:
-    """Bootstrap replicates per step: max(1, _CHUNK // width) replicates of
-    width cells, so a step holds about _CHUNK cells (width when wider)."""
+def _boot_sizes(n_boot: int, width: int, cells: int) -> list[int]:
+    """Bootstrap replicates per step: max(1, cells // width) replicates of
+    width cells, so a step holds about cells cells (width when wider)."""
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
-    step = max(1, _CHUNK // width)
+    step = max(1, cells // width)
     return [min(step, n_boot - lo) for lo in range(0, n_boot, step)]
 
 
+class VIBootstrap:
+    """The vi bootstrap's replicate pair counts, drawn ahead on a daemon thread.
+
+    The batch's (Z_trn, H) keys in first-seen order (first) and their
+    counts fix the multinomial's pvals.  The thread draws the n_boot
+    replicates from _boot_rng(seed) in order, in calls of
+    max(1, _DRAW_CELLS // width) replicates of width keys, so the rows
+    equal one draw of all of them bit for bit.  It starts a call only
+    while fewer than _IN_FLIGHT calls are drawn and not yet finished by
+    the reader, so at most _IN_FLIGHT x max(_DRAW_CELLS, width) cells are
+    in flight.  multinomial releases the GIL while it draws, so the draws
+    run on a second core while the caller computes; they take as much CPU
+    time as before.  rows() yields each call's counts and re-raises a
+    drawing error; close() stops the thread and waits for it (a with block
+    closes it), and a closed handle yields nothing more.
+    """
+
+    def __init__(self, batch: RunBatch, n_boot: int = 500, seed: int | None = None):
+        self.batch, self.n_boot = batch, n_boot
+        self.seed = batch.scenario.seed if seed is None else seed
+        # the keys in first-seen order fix the order of the pvals and of every float sum
+        self.first, key = first_seen(batch.trn * len(batch.hypotheses) + batch.hyp)
+        self.counts = np.bincount(key).astype(np.float64)
+        self._sizes = _boot_sizes(n_boot, len(self.counts), _DRAW_CELLS)
+        self._ready: SimpleQueue = SimpleQueue()
+        self._slots = threading.Semaphore(_IN_FLIGHT)
+        self._closed = False
+        rng, pvals = _boot_rng(self.seed), self.counts / self.counts.sum()
+        self._thread = threading.Thread(target=self._draw, args=(rng, len(batch), pvals), daemon=True)
+        self._thread.start()
+
+    def _draw(self, rng: np.random.Generator, n: int, pvals: np.ndarray) -> None:
+        try:
+            for size in self._sizes:
+                self._slots.acquire()
+                if self._closed:
+                    return
+                self._ready.put(rng.multinomial(n, pvals, size))
+        except BaseException as e:  # rows() raises it in the reader
+            self._ready.put(e)
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """Each call's (replicates, width) int64 pair counts, in order.  A
+        call's slot frees when the reader asks for the next one, so the
+        reader drops its reference to a call before it asks."""
+        for _ in self._sizes:
+            if self._closed:
+                raise ValueError("the bootstrap draws are closed")
+            got = self._ready.get()
+            if isinstance(got, BaseException):
+                raise got
+            yield got
+            del got
+            self._slots.release()
+
+    def close(self) -> None:
+        self._closed = True
+        self._slots.release()  # wakes a thread that waits for a slot
+        self._thread.join()
+
+    def __enter__(self) -> "VIBootstrap":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def estimate_variational_info(
-    batch: RunBatch, n_boot: int = 500, level: float = 0.95, seed: int | None = None
+    batch: RunBatch, n_boot: int = 500, level: float = 0.95, seed: int | None = None, draws: VIBootstrap | None = None
 ) -> Estimate:
     """Plug-in vi(Z_trn; H) from pair counts, with a bootstrap interval.
 
-    Replicates are drawn and reduced about _CHUNK cells at a time
-    (_boot_sizes), so peak memory follows max(_CHUNK, n_runs) cells, not
-    n_boot x n_runs.  multinomial draws its rows in sequence and stats
-    reduces each row on its own: the result equals one draw of all rows.
+    The replicates come from draws, a VIBootstrap of this batch, n_boot
+    and seed that the caller started earlier so that they are drawn while
+    it computed, else from one started here; draws is closed on return or
+    raise, so no thread outlives the call.  They are reduced about _CHUNK
+    cells at a time, so peak memory follows max(_CHUNK, n_runs) cells plus
+    the draws in flight, not n_boot x n_runs.  stats reduces each row on
+    its own: the result equals one draw and reduction of all rows.
     """
     seed = batch.scenario.seed if seed is None else seed
-    n = len(batch)
-    # the (Z_trn, H) keys in first-seen order, which fixes the order of
-    # every float sum and of the multinomial's pvals; each key's z and h ids
-    first, key = first_seen(batch.trn * len(batch.hypotheses) + batch.hyp)
-    c = np.bincount(key).astype(np.float64)
-    sizes = _boot_sizes(n_boot, len(c))
-    zi = np.unique(batch.trn[first], return_inverse=True)[1]
-    hi = batch.hyp[first]
-    nz, nh = int(zi.max()) + 1, len(batch.hypotheses)
+    with VIBootstrap(batch, n_boot, seed) if draws is None else draws as draws:
+        if (draws.batch, draws.n_boot, draws.seed) != (batch, n_boot, seed):
+            raise ValueError("the bootstrap draws are of another batch, n_boot or seed")
+        n, first, c = len(batch), draws.first, draws.counts
+        zi = np.unique(batch.trn[first], return_inverse=True)[1]
+        hi = batch.hyp[first]
+        nz, nh = int(zi.max()) + 1, len(batch.hypotheses)
 
-    def stats(counts: np.ndarray) -> np.ndarray:
-        """The plug-in vi of each row of pair counts."""
-        rows = np.arange(len(counts))[:, None]
-        # one bincount over all rows adds each row's counts in key order
-        rz = np.bincount((rows * nz + zi).ravel(), counts.ravel(), len(counts) * nz).reshape(-1, nz)
-        ch = np.bincount((rows * nh + hi).ravel(), counts.ravel(), len(counts) * nh).reshape(-1, nh)
-        # C order, so each row sum runs along the fast axis with the
-        # pairwise summation of a 1-D sum; on the F-ordered product that
-        # fancy indexing gives, sum(axis=1) adds in sequence and rounds
-        # differently
-        prod = np.multiply(rz[:, zi], ch[:, hi], order="C") / (n * n)
-        dev = np.abs(counts / n - prod)
-        return 0.5 * (dev.sum(axis=1) + (1.0 - prod.sum(axis=1)))
+        def stats(counts: np.ndarray) -> np.ndarray:
+            """The plug-in vi of each row of pair counts."""
+            rows = np.arange(len(counts))[:, None]
+            # one bincount over all rows adds each row's counts in key order
+            rz = np.bincount((rows * nz + zi).ravel(), counts.ravel(), len(counts) * nz).reshape(-1, nz)
+            ch = np.bincount((rows * nh + hi).ravel(), counts.ravel(), len(counts) * nh).reshape(-1, nh)
+            # C order, so each row sum runs along the fast axis with the
+            # pairwise summation of a 1-D sum; on the F-ordered product that
+            # fancy indexing gives, sum(axis=1) adds in sequence and rounds
+            # differently
+            prod = np.multiply(rz[:, zi], ch[:, hi], order="C") / (n * n)
+            dev = np.abs(counts / n - prod)
+            return 0.5 * (dev.sum(axis=1) + (1.0 - prod.sum(axis=1)))
 
-    point = stats(c[None])[0]
-    rng, pvals = _boot_rng(seed), c / c.sum()
-    boots = np.concatenate([stats(rng.multinomial(n, pvals, size).astype(np.float64)) for size in sizes])
+        point = stats(c[None])[0]
+        step = max(1, _CHUNK // len(c))
+        parts = []
+        for counts in draws.rows():
+            parts += [stats(counts[lo : lo + step].astype(np.float64)) for lo in range(0, len(counts), step)]
+            del counts  # before its slot frees
+        boots = np.concatenate(parts)
     lo, hi_q = np.percentile(boots, [(1 - level) / 2 * 100, (1 + level) / 2 * 100])
     notes = []
     if nh > n / 10:
@@ -413,7 +497,7 @@ def estimate_gen_risk(
     """
     seed = batch.scenario.seed if seed is None else seed
     n = len(batch)
-    sizes = _boot_sizes(n_boot, n)
+    sizes = _boot_sizes(n_boot, n, _CHUNK)
     # each run's loss on its own Z_trn, and on the next run's
     z = batch.scenario.data_dist.alphabet.symbols_at(np.stack((batch.trn, np.roll(batch.trn, -1))))
     a, b = loss_values(loss, z, batch.hypotheses, batch.hyp, False)[0]

@@ -48,7 +48,7 @@ from stabaudit.losses import (
     prop1_paired_loss,
     worst_case_loss,
 )
-from stabaudit.numeric import EXACT
+from stabaudit.numeric import EXACT, int_quotients
 
 
 def _check(num: int, ok: bool, detail: str) -> None:
@@ -287,19 +287,16 @@ def _planned_runs(tj, floor: int = 6000, cap: int = 50_000):
     scenarios needing more than the cap stay uncovered and get the
     tails-only treatment.
     """
-    w = tj.joint.weights
-    pz = w.sum(axis=1)
-    ph = w.sum(axis=0)
-    needed = 0.0
-    min_p = 1.0
-    for a in range(w.shape[0]):
-        for b in range(w.shape[1]):
-            p = float(w[a, b])
-            d = p - float(pz[a]) * float(ph[b])
-            if p > 0:
-                min_p = min(min_p, p)
-            if d != 0.0:
-                needed = max(needed, 6.25 * p * (1 - p) / (d * d))
+    if tj.joint.is_exact:  # each cell and marginal rounded once, as float(Fraction) rounds it
+        nums, den = tj.joint.numerators
+        p, pz, ph = (int_quotients(x, den) for x in (nums, nums.sum(axis=1), nums.sum(axis=0)))
+    else:
+        p = tj.joint.weights
+        pz, ph = p.sum(axis=1), p.sum(axis=0)
+    min_p = float(p[p > 0].min(initial=1.0))
+    d = p - pz[:, None] * ph
+    p, d = p[d != 0.0], d[d != 0.0]
+    needed = float((6.25 * p * (1 - p) / (d * d)).max(initial=0.0))
     n_runs = max(floor, 1000 * math.ceil(needed / 1000))
     if n_runs > cap or min_p * n_runs < 3:
         return floor, False

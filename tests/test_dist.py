@@ -174,6 +174,27 @@ def test_exact_weight_errors_name_the_fault():
         Joint((AB, Alphabet("y", ("c", "d"))), np.array([[1, 0], [Fraction(1, 2), Fraction(1, 2)]], dtype=object))
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([0.5, float("nan")], "non-finite weight"),
+        ([float("inf"), 0.0], "non-finite weight"),
+        ([-float("inf"), 1.0], "non-finite weight"),
+        ([float("inf"), -float("inf")], "non-finite weight"),  # a NaN sum
+        ([float("nan"), -1.0], "non-finite weight"),  # checked before the sign
+        ([1.5, -0.5], "negative weight"),
+        ([1e308, 1e308, -1.0], "negative weight"),  # an overflowing sum, a negative term
+        ([1e308, 1e308, 0.0], "mass is .*inf.*, off by more than 1e-12"),  # finite terms, an infinite sum
+        ([0.25, 0.5], "mass is .*0.75.*, off by more than 1e-12"),
+    ],
+)
+def test_float_weight_errors_name_the_fault(weights, message):
+    """Each float check keeps its message: the sum stands in for the
+    finiteness check only where it is finite."""
+    with pytest.raises(ValueError, match=rf"^dist\[x\]: {message}$"):
+        Dist(Alphabet("x", tuple(range(len(weights)))), weights)
+
+
 def test_float_dist_mass_tolerance():
     Dist(AB, [0.5, 0.5 + 5e-13])
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -32,8 +34,9 @@ from stabaudit.losses import (
     true_risk,
     zero_one_loss,
 )
-from stabaudit import mc
+from stabaudit import harness, mc
 from stabaudit.mc import (
+    VIBootstrap,
     _run_draws,
     _wilson,
     bounded,
@@ -725,7 +728,9 @@ def _boot_case(case):
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_chunked_bootstraps_equal_one_whole_draw(case, chunk, n_boot, monkeypatch):
     """brute.py draws every replicate at once; ragged chunks hold 3
-    replicates each, so 7 and 500 replicates leave a short last chunk."""
+    replicates each, so 7 and 500 replicates leave a short last chunk.
+    The vi bootstrap's drawing calls hold 1 cell (so 1 replicate), 5
+    replicates (ragged against the chunks), or more than all of them."""
     scenario, batch = _boot_case(case)
     n_keys = len(set(zip(batch.trn.tolist(), batch.hyp.tolist())))
 
@@ -733,7 +738,10 @@ def test_chunked_bootstraps_equal_one_whole_draw(case, chunk, n_boot, monkeypatc
         monkeypatch.setattr(mc, "_CHUNK", 3 * width + 1 if chunk == "ragged" else int(chunk))
 
     set_chunk(n_keys)
-    assert estimate_variational_info(batch, n_boot, seed=3) == brute.mc_variational_info(batch, n_boot, seed=3)
+    want = brute.mc_variational_info(batch, n_boot, seed=3)
+    for call in (1, 5 * n_keys + 2, n_boot * n_keys + 1):
+        monkeypatch.setattr(mc, "_DRAW_CELLS", call)
+        assert estimate_variational_info(batch, n_boot, seed=3) == want
     set_chunk(len(batch))
     want = brute.mc_gen_risk(batch, scenario.loss, n_boot, seed=3)
     assert estimate_gen_risk(batch, scenario.loss, n_boot, seed=3) == want
@@ -751,6 +759,112 @@ def test_bootstraps_reject_n_boot_below_one_before_drawing(n_boot, identity, mon
         estimate_variational_info(batch, n_boot=n_boot)
     with pytest.raises(ValueError, match="n_boot must be >= 1"):
         estimate_gen_risk(batch, membership_loss(), n_boot=n_boot)
+
+
+def test_rejecting_n_boot_starts_no_thread(identity, monkeypatch):
+    batch = draw_runs(identity, 20, seed=1)
+
+    def no_start(thread):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    for start in (VIBootstrap, estimate_variational_info):
+        with pytest.raises(ValueError, match="n_boot must be >= 1"):
+            start(batch, n_boot=0)
+
+
+class _FailsOnSecondDraw:
+    """A bootstrap generator whose second multinomial call raises."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def multinomial(self, *args):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("second draw")
+        return self.rng.multinomial(*args)
+
+
+MC_CONFIG = {
+    "name": "mc-threads",
+    "domain": {"size": 50},
+    "learner": {"name": "prop1_counterexample"},
+    "loss": {"name": "prop1_paired"},
+    "m": 3,
+    "numeric": "float",
+    "mode": "mc",
+    "n_runs": 200,
+    "audits": ["T1"],
+}
+
+
+def test_a_drawing_error_reaches_the_caller_and_no_thread_outlives_it(identity, monkeypatch):
+    real = mc._boot_rng
+    monkeypatch.setattr(mc, "_boot_rng", lambda seed: _FailsOnSecondDraw(real(seed)))
+    monkeypatch.setattr(mc, "_DRAW_CELLS", 1)  # one replicate a call
+    batch = draw_runs(identity, 40, seed=1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="second draw"):
+        estimate_variational_info(batch, n_boot=20)
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="second draw"):
+        harness.run_config(MC_CONFIG)
+    assert threading.active_count() == before
+
+
+def test_a_failing_estimate_beside_the_draws_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(mc, "_DRAW_CELLS", 1)  # the thread waits for the reader
+    before, alive = threading.active_count(), []
+
+    def failing_tail(*args):
+        alive.append(threading.active_count())
+        raise RuntimeError("tail")
+
+    monkeypatch.setattr(harness, "estimate_tail", failing_tail)
+    with pytest.raises(RuntimeError, match="tail"):
+        harness.run_config(MC_CONFIG)
+    assert alive == [before + 1]
+    assert threading.active_count() == before
+
+
+def test_draws_passed_in_equal_draws_started_inside(identity):
+    batch = draw_runs(identity, 60, seed=2)
+    want = estimate_variational_info(batch, n_boot=50, seed=4)
+    before = threading.active_count()
+    assert estimate_variational_info(batch, n_boot=50, seed=4, draws=VIBootstrap(batch, 50, 4)) == want
+    with pytest.raises(ValueError, match="another batch"):
+        estimate_variational_info(batch, n_boot=50, seed=4, draws=VIBootstrap(batch, 50, 5))
+    draws = VIBootstrap(batch, 50, 4)
+    estimate_variational_info(batch, n_boot=50, seed=4, draws=draws)
+    with pytest.raises(ValueError, match="closed"):  # read once only
+        estimate_variational_info(batch, n_boot=50, seed=4, draws=draws)
+    assert threading.active_count() == before
+
+
+def test_draws_on_many_threads_at_a_short_switch_interval(identity, monkeypatch):
+    """Four callers, each with its own drawing thread of one replicate a
+    call, switching every microsecond: a lost or reordered call would
+    change an estimate."""
+    monkeypatch.setattr(mc, "_DRAW_CELLS", 1)
+    batch = draw_runs(identity, 60, seed=2)
+    want = brute.mc_variational_info(batch, 40, seed=7)
+    got = []
+    callers = [threading.Thread(target=lambda: got.append(estimate_variational_info(batch, 40, seed=7))) for _ in range(4)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [want] * 4
 
 
 def _traced_peak_mb(call):
