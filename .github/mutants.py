@@ -1,6 +1,6 @@
 """Mutation check of the bounds that choose int64 or Python ints, of the
-layouts that fix a float sum's rounding, and of the one stream that
-chunked bootstrap draws continue.
+layouts that fix a float sum's rounding, of the one stream that chunked
+bootstrap draws continue, and of the config check that numbers are finite.
 
 An int64 array that overflows wraps without a warning, so a bound that is
 too small gives a wrong exact result silently.  Most mutants below make
@@ -9,7 +9,8 @@ table's dense codes, which would merge the codes of distinct pairs.  A
 float sum along an axis rounds by the array's memory order, so a mutant
 may instead drop an order that keeps a result equal to its per-row
 oracle, or start the bootstrap's stream again at each drawing call.
-The script applies one mutant at a time to a copy of the tree
+The last mutant lets a config number be nan or inf, which would pass or
+fail every audit silently.  The script applies one mutant at a time to a copy of the tree
 in a temporary directory (never to the checkout), runs the mutant's test
 files on the copy with -x (the int64, walk and loss test files unless the
 mutant names its own), and fails when any mutant survives (its tests
@@ -30,7 +31,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = ["tests/test_int64_edge.py", "tests/test_walk.py", "tests/test_losses.py"]
-COPIED = ["src", "tests", "pyproject.toml"]
+COPIED = ["src", "tests", "pyproject.toml", "README.md"]  # test_cli reads the README
 
 #: (name, file, source that must occur exactly once, its replacement[,
 #: the test files that must kill it, else TESTS])
@@ -134,6 +135,14 @@ MUTANTS = [
         "self._ready.put(rng.multinomial(n, pvals, size))",
         "self._ready.put(_boot_rng(self.seed).multinomial(n, pvals, size))",
         ["tests/test_mc.py"],
+    ),
+    (
+        # a config number may be nan or inf
+        "config-nonfinite",
+        "src/stabaudit/harness.py",
+        "isinstance(value, kinds) and -math.inf < value < math.inf",
+        "isinstance(value, kinds)",
+        ["tests/test_cli.py"],
     ),
 ]
 

@@ -276,6 +276,30 @@ def _tail_series(law, t_grid, tol, stmt_fn, proof_fn=None):
     return series, ok, worst
 
 
+def _tail_audit(theorem, scenario, loss, t_grid, budget, tol, quantity, key, stmt_fn, proof_fn, note) -> AuditReport:
+    """P{|G| >= t} of the deviation law on t_grid against stmt_fn(t, q, m),
+    with proof_fn(t, q, m) reported per grid point, where the information
+    quantity q = quantity(scenario, budget) is reported as computed[key]."""
+    tol = _tol(scenario, tol)
+    loss = loss or scenario.loss
+    if loss is None:
+        raise ValueError("tail audit needs a loss")
+    q = quantity(scenario, budget)
+    law = deviation_law(scenario, loss, budget=budget)
+    m = scenario.m
+    series, ok, worst = _tail_series(law, t_grid, tol, lambda t: stmt_fn(t, q, m), lambda t: proof_fn(t, q, m))
+    return AuditReport(
+        scenario=scenario.name,
+        theorem=theorem,
+        verdict="pass" if ok else "fail",
+        computed={key: float(q), "min_slack": worst[0]},
+        bound=worst[1],
+        slack=worst[0],
+        notes=(f"loss {loss.name}; {note}",),
+        series=tuple(series),
+    )
+
+
 def audit_t4(
     scenario: Scenario,
     loss: ParametricLoss | None = None,
@@ -285,30 +309,10 @@ def audit_t4(
 ) -> AuditReport:
     """Concentration of |R_emp - R_true| from vi alone:
     P{|G| >= t} <= (5 / 2t) (vi + sqrt(log 9 / 25 m))."""
-    tol = _tol(scenario, tol)
-    loss = loss or scenario.loss
-    if loss is None:
-        raise ValueError("tail audit needs a loss")
-    tj = exact_trn_hyp_joint(scenario, budget=budget)
-    info = variational_info(tj.joint)
-    law = deviation_law(scenario, loss, budget=budget)
-    m = scenario.m
-    series, ok, worst = _tail_series(
-        law,
-        t_grid,
-        tol,
-        stmt_fn=lambda t: bounds.t4_statement_bound(t, info, m),
-        proof_fn=lambda t: bounds.t4_proof_bound(t, info, m),
-    )
-    return AuditReport(
-        scenario=scenario.name,
-        theorem="T4",
-        verdict="pass" if ok else "fail",
-        computed={"info": float(info), "min_slack": worst[0]},
-        bound=worst[1],
-        slack=worst[0],
-        notes=(f"loss {loss.name}; proof variant reported per grid point",),
-        series=tuple(series),
+    return _tail_audit(
+        "T4", scenario, loss, t_grid, budget, tol,
+        lambda s, b: variational_info(exact_trn_hyp_joint(s, budget=b).joint), "info",
+        bounds.t4_statement_bound, bounds.t4_proof_bound, "proof variant reported per grid point",
     )
 
 
@@ -321,29 +325,10 @@ def audit_p3(
 ) -> AuditReport:
     """Concentration from Shannon information:
     P{|G| >= t} <= (1/t) sqrt((I(S; H) + 3) / (2 m))."""
-    tol = _tol(scenario, tol)
-    loss = loss or scenario.loss
-    if loss is None:
-        raise ValueError("tail audit needs a loss")
-    mi = sample_hypothesis_mutual_info(scenario, budget=budget)
-    law = deviation_law(scenario, loss, budget=budget)
-    m = scenario.m
-    series, ok, worst = _tail_series(
-        law,
-        t_grid,
-        tol,
-        stmt_fn=lambda t: bounds.p3_bound(t, mi, m),
-        proof_fn=lambda t: bounds.p3_proof_bound(t, mi, m),
-    )
-    return AuditReport(
-        scenario=scenario.name,
-        theorem="P3",
-        verdict="pass" if ok else "fail",
-        computed={"sample_hyp_mutual_info": mi, "min_slack": worst[0]},
-        bound=worst[1],
-        slack=worst[0],
-        notes=(f"loss {loss.name}; I(S;H) in nats",),
-        series=tuple(series),
+    return _tail_audit(
+        "P3", scenario, loss, t_grid, budget, tol,
+        sample_hypothesis_mutual_info, "sample_hyp_mutual_info",
+        bounds.p3_bound, bounds.p3_proof_bound, "I(S;H) in nats",
     )
 
 

@@ -1,12 +1,15 @@
 """Config-driven runs and machine-readable reports.
 
 A scenario config is a JSON object whose keys are the fields of
-ScenarioConfig; a malformed or unknown key anywhere in it is an error
-(exit 2), never a silent no-op or a traceback.  Reports are deterministic
-for a fixed config and seed: wall-clock timings live in their own bundle
-field so the rest diffs cleanly, and files are written atomically (temp
-file, then rename).  Exit codes: 0 all audits pass, 1 some audit fails, 2 config or
-I/O error, 3 exact enumeration over budget with no MC fallback allowed.
+ScenarioConfig; a malformed or unknown key anywhere in it, including a
+number that is not finite, is an error (exit 2), never a silent no-op or
+a traceback.  Reports are deterministic for a fixed config and seed:
+wall-clock timings live in their own bundle field so the rest diffs
+cleanly.  A report file is json.dumps(indent=2, sort_keys=True) text of
+strict JSON, with non-finite values written as null, and files are
+written atomically (temp file, then rename).  Exit codes: 0 all audits
+pass, 1 some audit fails, 2 config or I/O error, 3 exact enumeration over
+budget with no MC fallback allowed.
 
 AUDITS is the one registry of audits: config validation, the MC fallback,
 `stabaudit list` and the sample-space walk requests all read it.
@@ -69,10 +72,18 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+#: the exit codes from lowest priority to highest; a corpus run exits with
+#: the highest of its scenarios'
+_EXIT_PRIORITY = (EXIT_PASS, EXIT_FAIL, EXIT_BUDGET, EXIT_CONFIG)
 
 
 class ConfigError(ValueError):
     """The config is malformed; maps to exit code 2."""
+
+
+def _failed(code: int, message: str) -> tuple[int, dict]:
+    """The exit code and bundle of a run that stopped with an error."""
+    return code, {"error": message, "exit_code": code}
 
 
 #: marks a config key or audit parameter the config must give
@@ -111,11 +122,12 @@ def _list(value, where: str):
 
 
 def _number(low=None, kinds=(int, float)) -> Callable:
-    """Check of a number of the given kinds, at least low; a bool is none."""
-    what = ("an integer" if kinds is int else "a number") + ("" if low is None else f" >= {low}")
+    """Check of a finite number of the given kinds, at least low; a bool is none."""
+    what = ("an integer" if kinds is int else "a finite number") + ("" if low is None else f" >= {low}")
 
     def check(value, where: str):
-        if isinstance(value, bool) or not isinstance(value, kinds) or (low is not None and value < low):
+        number = not isinstance(value, bool) and isinstance(value, kinds) and -math.inf < value < math.inf
+        if not number or (low is not None and value < low):
             raise ConfigError(f"{where} must be {what}, got {value!r}")
         return value
 
@@ -162,6 +174,8 @@ def _data_dist(value, where: str):
     spec = _object(value, where, {"weights": _list, "family": _one_of("power"), "alpha": _real})
     if not {"weights", "family"} & spec.keys():
         raise ConfigError(f"{where} needs weights or family")
+    if "weights" in spec and {"family", "alpha"} & spec.keys():
+        raise ConfigError(f"{where} takes weights or family and alpha, not both")
     return spec
 
 
@@ -425,6 +439,11 @@ def _walk_requests(scenario: Scenario, cfg: ScenarioConfig, room: int) -> list:
     return list(requests.values())
 
 
+def _picked(obj, *names: str) -> dict:
+    """The named attributes of obj, as a dict."""
+    return {name: getattr(obj, name) for name in names}
+
+
 def _mc_audits(cfg: ScenarioConfig, scenario: Scenario, specs) -> tuple[list, dict]:
     batch = draw_runs(scenario, cfg.n_runs, seed=cfg.seed)
     grid = cfg.t_grid or DEFAULT_T_GRID
@@ -435,31 +454,12 @@ def _mc_audits(cfg: ScenarioConfig, scenario: Scenario, specs) -> tuple[list, di
             gen_est = estimate_gen_risk(batch, scenario.loss)
             tail_rep = estimate_tail(batch, scenario.loss, grid)
         info_est = estimate_variational_info(batch, draws=draws)
-    estimates = {
-        "info": {
-            "point": info_est.point,
-            "se": info_est.se,
-            "ci_low": info_est.ci_low,
-            "ci_high": info_est.ci_high,
-            "n_runs": info_est.n_runs,
-            "notes": list(info_est.notes),
-        }
-    }
+    interval = ("point", "se", "ci_low", "ci_high")
+    estimates = {"info": {**_picked(info_est, *interval, "n_runs"), "notes": list(info_est.notes)}}
     if gen_est is not None:
-        estimates["gen_risk"] = {
-            "point": gen_est.point,
-            "se": gen_est.se,
-            "ci_low": gen_est.ci_low,
-            "ci_high": gen_est.ci_high,
-        }
-        estimates["mean_abs_deviation"] = {
-            "point": tail_rep.mean_abs_deviation.point,
-            "se": tail_rep.mean_abs_deviation.se,
-        }
-        estimates["tails"] = [
-            {"t": pt.t, "estimate": pt.estimate, "ci_low": pt.ci_low, "ci_high": pt.ci_high}
-            for pt in tail_rep.points
-        ]
+        estimates["gen_risk"] = _picked(gen_est, *interval)
+        estimates["mean_abs_deviation"] = _picked(tail_rep.mean_abs_deviation, "point", "se")
+        estimates["tails"] = [_picked(pt, "t", "estimate", "ci_low", "ci_high") for pt in tail_rep.points]
     est = {"info": info_est, "gen_risk": gen_est, "tails": tail_rep}
     reports = [AUDITS[spec.id].mc(scenario, _params(spec, cfg), est) for spec in specs]
     return reports, estimates
@@ -479,35 +479,22 @@ def run_config(
             cfg = cfg.override(**overrides)
         scenario = build_scenario(cfg)
     except ConfigError as e:
-        return EXIT_CONFIG, {"error": str(e), "exit_code": EXIT_CONFIG}
+        return _failed(EXIT_CONFIG, str(e))
 
     notes: list[str] = []
     method = cfg.mode
     budget = cfg.budget if cfg.budget is not None else default_budget()
     if method in ("exact", "auto"):
         needed = enumeration_size(len(scenario.learner.domain), cfg.m, scenario.learner.symmetric)
-        if needed > budget:
-            if method == "auto":
-                bad = _not_mc(cfg.audits)
-                if not bad:
-                    method = "mc"
-                    notes.append(
-                        f"enumeration needs {needed} kernel evaluations (budget {budget}); fell back to MC"
-                    )
-                else:
-                    bundle = {
-                        "error": f"budget exceeded ({needed} > {budget}) and audits {bad} cannot run under MC",
-                        "exit_code": EXIT_BUDGET,
-                    }
-                    return EXIT_BUDGET, bundle
-            else:
-                bundle = {
-                    "error": f"exact enumeration needs {needed} kernel evaluations, budget is {budget}",
-                    "exit_code": EXIT_BUDGET,
-                }
-                return EXIT_BUDGET, bundle
-        else:
+        if needed <= budget:
             method = "exact"
+        elif method == "auto" and not (bad := _not_mc(cfg.audits)):
+            method = "mc"
+            notes.append(f"enumeration needs {needed} kernel evaluations (budget {budget}); fell back to MC")
+        elif method == "auto":
+            return _failed(EXIT_BUDGET, f"budget exceeded ({needed} > {budget}) and audits {bad} cannot run under MC")
+        else:
+            return _failed(EXIT_BUDGET, f"exact enumeration needs {needed} kernel evaluations, budget is {budget}")
 
     reports: list[AuditReport] = []
     estimates: dict = {}
@@ -535,9 +522,9 @@ def run_config(
             reports, estimates = _mc_audits(cfg, scenario, cfg.audits)
             timings["mc"] = time.perf_counter() - ta
     except EnumerationBudgetError as e:
-        return EXIT_BUDGET, {"error": str(e), "exit_code": EXIT_BUDGET}
+        return _failed(EXIT_BUDGET, str(e))
     except ValueError as e:  # a ConfigError, or a config the audits or the kernel reject
-        return EXIT_CONFIG, {"error": str(e), "exit_code": EXIT_CONFIG}
+        return _failed(EXIT_CONFIG, str(e))
     finally:
         scenario.clear_cache()  # the joints and tables of this run are not read again
 
@@ -564,7 +551,7 @@ def run_config(
         try:
             write_bundle(bundle, out_dir)
         except OSError as e:
-            return EXIT_CONFIG, {"error": f"cannot write report: {e}", "exit_code": EXIT_CONFIG}
+            return _failed(EXIT_CONFIG, f"cannot write report: {e}")
     return exit_code, bundle
 
 
@@ -592,92 +579,9 @@ def _null_non_finite(value, path: str, nulled: list):
 
 
 def _json_text(obj) -> str:
-    """obj as json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    writes it, plus a newline, byte for byte.
-
-    Not json.dumps itself: CPython uses its C encoder only when indent is
-    None, so an indented dump goes through json's generator-based Python
-    encoder, one yield per piece.  This is one recursive pass that appends
-    the pieces to a list and joins them once.  It keeps json's rules: the
-    same isinstance order, encode_basestring_ascii for str,
-    int.__repr__ and float.__repr__ (subclasses included), items sorted
-    as json sorts them, tuples as lists, ValueError for nan and inf and
-    TypeError for any other object.  Reports are trees, so there is no
-    check for cycles."""
-    out: list[str] = []
-    _json_parts(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-_json_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _json_float(x: float) -> str:
-    if x != x or x == _INF or x == -_INF:
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _json_parts(value, out: list, newline: str) -> None:
-    """Append the text of value to out; newline is a line break plus the
-    indentation of value's own level.  A container's first separator is
-    replaced by its opening bracket once its items are in."""
-    if isinstance(value, str):
-        out.append(_json_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, start = "," + inner, len(out)
-        for item in value:
-            out.append(sep)
-            _json_parts(item, out, inner)
-        out[start] = "[" + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, start = "," + inner, len(out)
-        for key, item in sorted(value.items()):
-            out.append(sep)
-            out.append(_json_str(_json_key(key)))
-            out.append(": ")
-            _json_parts(item, out, inner)
-        out[start] = "{" + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    """obj as a report file holds it: indented, key-sorted strict JSON plus a
+    newline.  Reports are trees, so json need not check for cycles."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -774,22 +678,10 @@ def corpus_run(
         known = {c["name"] for c in configs}
         missing = wanted - known
         if missing:
-            return EXIT_CONFIG, {"error": f"unknown corpus scenarios {sorted(missing)}", "exit_code": EXIT_CONFIG}
+            return _failed(EXIT_CONFIG, f"unknown corpus scenarios {sorted(missing)}")
         configs = tuple(c for c in configs if c["name"] in wanted)
-    bundles = []
-    codes = []
-    for raw in configs:
-        code, bundle = run_config(raw, overrides=overrides)
-        codes.append(code)
-        bundles.append(bundle)
-    if EXIT_CONFIG in codes:
-        overall = EXIT_CONFIG
-    elif EXIT_BUDGET in codes:
-        overall = EXIT_BUDGET
-    elif EXIT_FAIL in codes:
-        overall = EXIT_FAIL
-    else:
-        overall = EXIT_PASS
+    bundles = [run_config(raw, overrides=overrides)[1] for raw in configs]
+    overall = max((b["exit_code"] for b in bundles), key=_EXIT_PRIORITY.index, default=EXIT_PASS)
     consolidated = {
         "schema_version": 1,
         "package": {"name": "stabaudit", "version": __version__},

@@ -109,6 +109,10 @@ CRASHED_BEFORE = [
         {"budget": True},
         {"tolerance": True},
         {"audits": [{"id": "T2", "threshold": True}]},
+        # weights leave no room for a family or its alpha
+        {"data_dist": {"weights": [0.5, 0.25, 0.25], "family": "power"}},
+        {"data_dist": {"weights": [0.5, 0.25, 0.25], "alpha": 2.0}},
+        {"data_dist": {"weights": [0.5, 0.25, 0.25], "family": "power", "alpha": 2.0}},
     ],
 )
 def test_malformed_configs_are_rejected(mutation):
@@ -330,6 +334,8 @@ def test_reports_are_strict_json(tmp_path):
     assert report["audits"][0]["computed"]["effective_epsilon"] is None
     assert report["notes"] == ["non-finite values written as null: audits[0].computed.effective_epsilon"]
     assert report == json.loads(json.dumps(bundle))
+    text = json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert (tmp_path / "cli-identity.json").read_bytes() == text.encode()
 
 
 def test_stray_temp_file_survives_a_write(tmp_path):
@@ -538,6 +544,37 @@ def test_cli_corpus_unknown_name(capsys):
 def test_cli_run_late_value_error_exits_2(tmp_path, capsys, raw, message):
     assert main(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: a non-finite number in a config, and the path its error names
+NON_FINITE = [
+    ({"tolerance": math.inf}, "config.tolerance"),
+    ({"tolerance": math.nan}, "config.tolerance"),
+    ({"audits": [{"id": "T3", "threshold": math.nan}]}, "config.audits[0].threshold"),
+    ({"audits": [{"id": "C1", "delta": math.nan}]}, "config.audits[0].delta"),
+    ({"audits": [{"id": "P4", "epsilon": math.inf}]}, "config.audits[0].epsilon"),
+    ({"audits": [{"id": "C2-forward", "epsilon": 1.0, "delta": -math.inf}]}, "config.audits[0].delta"),
+    ({"data_dist": {"family": "power", "alpha": math.inf}, "numeric": "float"}, "config.data_dist.alpha"),
+]
+
+
+@pytest.mark.parametrize("change,where", NON_FINITE, ids=[f"{w}-{i}" for i, (_, w) in enumerate(NON_FINITE)])
+def test_a_non_finite_config_number_exits_2(tmp_path, capsys, change, where):
+    raw = _corpus_config("rr-epsln2-m1", **change)
+    code, bundle = run_config(raw)
+    assert code == EXIT_CONFIG and bundle["error"].startswith(f"{where} must be")
+    # json.dumps writes nan and inf as NaN and Infinity, which json.load reads back
+    assert main(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_a_non_finite_tolerance_flag_exits_2(tmp_path, capsys, value):
+    path = write_config(tmp_path, _corpus_config("rr-epsln2-m1"))
+    assert main(["run", path, "--tolerance", value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.tolerance must be") and err.count("\n") == 1
 
 
 def test_cli_corpus_reports_a_rejected_scenario_and_goes_on(monkeypatch, capsys):
