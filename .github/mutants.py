@@ -1,6 +1,8 @@
 """Mutation check of the bounds that choose int64 or Python ints, of the
 layouts that fix a float sum's rounding, of the one stream that chunked
-bootstrap draws continue, and of the config check that numbers are finite.
+bootstrap draws continue, of the config checks that numbers and builder
+params are finite, and of the report writer's check that a file already
+holds the bytes to be written.
 
 An int64 array that overflows wraps without a warning, so a bound that is
 too small gives a wrong exact result silently.  Most mutants below make
@@ -9,11 +11,14 @@ table's dense codes, which would merge the codes of distinct pairs.  A
 float sum along an axis rounds by the array's memory order, so a mutant
 may instead drop an order that keeps a result equal to its per-row
 oracle, or start the bootstrap's stream again at each drawing call.
-The last mutant lets a config number be nan or inf, which would pass or
-fail every audit silently.  The script applies one mutant at a time to a copy of the tree
-in a temporary directory (never to the checkout), runs the mutant's test
-files on the copy with -x (the int64, walk and loss test files unless the
-mutant names its own), and fails when any mutant survives (its tests
+A config mutant lets a config number be nan or inf, which would pass or
+fail every audit silently, or a builder param, which would escape as a
+traceback.  The writer mutants leave a report file as it is when only its
+length, or only its bytes and not its mode, match.  The script applies
+one mutant at a time to a copy of the tree in a temporary directory
+(never to the checkout), runs the mutant's test files on the copy with -x
+(the int64, walk and loss test files unless the mutant names its own),
+and fails when any mutant survives (its tests
 pass) or when a mutant's source string does not occur exactly once in
 its file.  The unmutated copy runs every test file first and must pass,
 so that a test failing for another reason kills nothing.  Standard
@@ -143,6 +148,30 @@ MUTANTS = [
         "isinstance(value, kinds) and -math.inf < value < math.inf",
         "isinstance(value, kinds)",
         ["tests/test_cli.py"],
+    ),
+    (
+        # a learner or loss param may be nan or inf
+        "builder-param-nonfinite",
+        "src/stabaudit/harness.py",
+        'dict.fromkeys(builders[spec["name"]][1], _finite_param)',
+        'dict.fromkeys(builders[spec["name"]][1], _any)',
+        ["tests/test_cli.py"],
+    ),
+    (
+        # a report file of the new length is left as it is whatever its bytes
+        "write-skip-size-only",
+        "src/stabaudit/harness.py",
+        "return os.read(fd, len(data) + 1) == data",
+        "return True",
+        ["tests/test_reports.py"],
+    ),
+    (
+        # a report file of equal bytes is left as it is whatever its mode
+        "write-skip-any-mode",
+        "src/stabaudit/harness.py",
+        "stat.S_IMODE(st.st_mode) != 0o644 or ",
+        "",
+        ["tests/test_reports.py"],
     ),
 ]
 

@@ -24,6 +24,7 @@ import locale
 import math
 import os
 import re
+import stat
 import tempfile
 import time
 from collections.abc import Mapping
@@ -181,15 +182,22 @@ def _data_dist(value, where: str):
 
 def _registered(builders: Mapping[str, tuple]) -> Callable:
     """Check of a {"name", "params"} object that names an entry of builders
-    and gives only params in that entry's allowed set."""
+    and gives only params in that entry's allowed set, each free of nan and
+    inf at any depth (no builder takes them)."""
     names = _one_of(*sorted(builders))
 
     def check(value, where: str) -> dict:
         spec = _object(value, where, {"name": names, "params": _any}, required=("name",))
-        allowed = dict.fromkeys(builders[spec["name"]][1], _any)
+        allowed = dict.fromkeys(builders[spec["name"]][1], _finite_param)
         return {"name": spec["name"], "params": _object(spec.get("params", {}), f"{where}.params", allowed)}
 
     return check
+
+
+def _finite_param(value, where: str):
+    if not _finite(value):
+        raise ConfigError(f"{where} must hold only finite numbers, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -584,12 +592,36 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
 
 
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether path is a regular file of mode 0644, not a symlink, that
+    holds exactly data; an OSError on the way reads as no."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW)
+    except OSError:
+        return False
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode) or stat.S_IMODE(st.st_mode) != 0o644 or st.st_size != len(data):
+            return False
+        return os.read(fd, len(data) + 1) == data  # a short read compares unequal and writes
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
+
+
 def _atomic_write(path: Path, text: str) -> None:
     """Write text to path through a temp file in its directory and a
     replace, so a reader sees the old file or the new one.  The bytes are
     those a text-mode file writes on POSIX: the locale's preferred encoding,
-    no newline translation."""
-    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    no newline translation.  A file that already holds those bytes, as a
+    regular file of mode 0644, is left as it is (its inode and modification
+    time too): a rerun's reports are byte-identical, wall times aside, and
+    replacing a file costs several times a read of it."""
+    data = text.encode(locale.getpreferredencoding(False))
+    if _holds(path, data):
+        return
+    data = memoryview(data)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
         try:

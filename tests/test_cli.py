@@ -569,6 +569,18 @@ def test_a_non_finite_config_number_exits_2(tmp_path, capsys, change, where):
     assert err.startswith(f"error: {where} must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("numeric", ["exact", "float"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_builder_param_exits_2(tmp_path, capsys, value, numeric):
+    """A loss param of inf once escaped as an OverflowError traceback (exit 1)."""
+    raw = cfg_with(loss={"name": "constant", "params": {"value": value}}, numeric=numeric, audits=["T1", "T4"])
+    code, bundle = run_config(raw)
+    assert code == EXIT_CONFIG and bundle["error"].startswith("config.loss.params.value must")
+    assert main(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.loss.params.value must") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_a_non_finite_tolerance_flag_exits_2(tmp_path, capsys, value):
     path = write_config(tmp_path, _corpus_config("rr-epsln2-m1"))

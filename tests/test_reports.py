@@ -1,6 +1,6 @@
 """The report writers: _json_text's strictness, _csv_text against
 csv.DictWriter, which it stands in for, and _atomic_write's file protocol
-(mode, temp files, short writes)."""
+(mode, temp files, short writes, files left as they are)."""
 
 import csv
 import io
@@ -139,6 +139,78 @@ def test_atomic_write_leaves_no_temp_file_when_it_fails(tmp_path, monkeypatch, f
     monkeypatch.undo()
     assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
     assert (tmp_path / "a.json").read_text() == "old"
+
+
+def _written(tmp_path, name="a.json", text=TEXT):
+    """The path after one write, its mtime set back by a day so that a
+    second write within the clock's tick still shows."""
+    path = tmp_path / name
+    _atomic_write(path, text)
+    st = path.stat()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns - 86_400 * 10**9))
+    return path, path.stat()
+
+
+def test_atomic_write_leaves_a_file_that_holds_the_bytes_as_it_is(tmp_path):
+    path, before = _written(tmp_path)
+    _atomic_write(path, TEXT)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+def test_atomic_write_replaces_other_bytes_of_the_same_length(tmp_path):
+    path, before = _written(tmp_path)
+    other = TEXT.replace("report", "tables")
+    assert len(other.encode()) == len(TEXT.encode())
+    _atomic_write(path, other)
+    assert path.read_text() == other and path.stat().st_ino != before.st_ino
+
+
+def test_atomic_write_rewrites_equal_bytes_of_another_mode_as_0644(tmp_path):
+    path, before = _written(tmp_path)
+    path.chmod(0o600)
+    _atomic_write(path, TEXT)
+    assert path.stat().st_mode & 0o777 == 0o644 and path.stat().st_ino != before.st_ino
+
+
+def test_atomic_write_replaces_a_symlink_to_equal_bytes_by_a_file(tmp_path):
+    target, before = _written(tmp_path, "target.json")
+    path = tmp_path / "a.json"
+    path.symlink_to(target)
+    _atomic_write(path, TEXT)
+    assert not path.is_symlink() and path.read_text() == TEXT and path.stat().st_mode & 0o777 == 0o644
+    after = target.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert target.read_text() == TEXT
+
+
+def test_atomic_write_over_a_directory_raises(tmp_path):
+    (tmp_path / "a.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        _atomic_write(tmp_path / "a.json", TEXT)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"] and (tmp_path / "a.json").is_dir()
+
+
+def test_a_rerun_into_one_directory_keeps_every_csv_and_replaces_the_json(tmp_path):
+    raw = {
+        "name": "rerun",
+        "domain": {"size": 3},
+        "learner": {"name": "subsample_release", "params": {"k": 1}},
+        "loss": {"name": "membership"},
+        "m": 2,
+        "numeric": "exact",
+        "audits": ["T1", {"id": "T4", "t_grid": [0.1, 0.2]}, "P3"],
+    }
+    assert run_config(raw, out_dir=tmp_path)[0] == EXIT_PASS
+    first = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+    assert run_config(raw, out_dir=tmp_path)[0] == EXIT_PASS
+    second = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+    csvs = sorted(name for name in first if name.endswith(".csv"))
+    assert sorted(first) == sorted(second) == sorted(csvs + ["rerun.json"])
+    assert csvs == ["rerun__P3.csv", "rerun__T1.csv", "rerun__T4.csv", "rerun_summary.csv"]
+    assert all(first[name] == second[name] for name in csvs)
+    assert first["rerun.json"] != second["rerun.json"]
 
 
 # ---------------------------------------------------------------------------
