@@ -14,7 +14,7 @@ oracle, or start the bootstrap's stream again at each drawing call.
 A config mutant lets a config number be nan or inf, which would pass or
 fail every audit silently, or a builder param, which would escape as a
 traceback.  The writer mutants leave a report file as it is when only its
-length, or only its bytes and not its mode, match.  The script applies
+length matches, or its bytes but not its mode, owner or link count.  The script applies
 one mutant at a time to a copy of the tree in a temporary directory
 (never to the checkout), runs the mutant's test files on the copy with -x
 (the int64, walk and loss test files unless the mutant names its own),
@@ -171,6 +171,15 @@ MUTANTS = [
         "src/stabaudit/harness.py",
         "stat.S_IMODE(st.st_mode) != 0o644 or ",
         "",
+        ["tests/test_reports.py"],
+    ),
+    (
+        # a report file of equal bytes is left as it is whoever owns it and
+        # however many links it has
+        "write-skip-any-owner",
+        "src/stabaudit/harness.py",
+        "if st.st_uid != os.geteuid() or st.st_nlink != 1:",
+        "if False:",
         ["tests/test_reports.py"],
     ),
 ]

@@ -593,15 +593,22 @@ def _json_text(obj) -> str:
 
 
 def _holds(path: Path, data: bytes) -> bool:
-    """Whether path is a regular file of mode 0644, not a symlink, that
-    holds exactly data; an OSError on the way reads as no."""
+    """Whether path is a file that a write of data would leave as it is: a
+    regular file, not a symlink, of mode 0644, owned by this process's user,
+    of one link, that holds exactly data.  The path is lstat-ed before it is
+    opened, so no FIFO or device is opened; an OSError on the way reads as no."""
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW)
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return False
+        # O_NONBLOCK: a FIFO put there since the lstat does not block the open
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
     except OSError:
         return False
     try:
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode) or stat.S_IMODE(st.st_mode) != 0o644 or st.st_size != len(data):
+            return False
+        if st.st_uid != os.geteuid() or st.st_nlink != 1:
             return False
         return os.read(fd, len(data) + 1) == data  # a short read compares unequal and writes
     except OSError:
@@ -615,9 +622,11 @@ def _atomic_write(path: Path, text: str) -> None:
     replace, so a reader sees the old file or the new one.  The bytes are
     those a text-mode file writes on POSIX: the locale's preferred encoding,
     no newline translation.  A file that already holds those bytes, as a
-    regular file of mode 0644, is left as it is (its inode and modification
-    time too): a rerun's reports are byte-identical, wall times aside, and
-    replacing a file costs several times a read of it."""
+    regular 0644 file of this process's user with one link, is left as it is:
+    a rerun into the same directory writes byte-identical reports, wall times
+    aside, and replacing a file costs several times a read of it.  Such a file
+    keeps its inode, times, group and extended attributes, which a write
+    would have made anew."""
     data = text.encode(locale.getpreferredencoding(False))
     if _holds(path, data):
         return

@@ -8,6 +8,7 @@ import json
 import locale
 import math
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,39 @@ def test_atomic_write_replaces_a_symlink_to_equal_bytes_by_a_file(tmp_path):
     after = target.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert target.read_text() == TEXT
+
+
+def test_atomic_write_replaces_a_fifo_without_opening_it(tmp_path):
+    path = tmp_path / "a.json"
+    os.mkfifo(path)
+    writer = threading.Thread(target=_atomic_write, args=(path, TEXT), daemon=True)
+    writer.start()
+    writer.join(timeout=5)
+    blocked = writer.is_alive()
+    if blocked:  # opening the FIFO's write end frees a reader blocked in open
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        writer.join(timeout=5)
+    assert not blocked
+    assert path.read_text() == TEXT and path.stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+def test_atomic_write_replaces_a_file_of_two_links_and_leaves_the_other(tmp_path):
+    path, before = _written(tmp_path)
+    snapshot = tmp_path / "snapshot.json"
+    os.link(path, snapshot)
+    _atomic_write(path, TEXT)
+    assert path.read_text() == TEXT and path.stat().st_ino != before.st_ino and path.stat().st_nlink == 1
+    after = snapshot.stat()
+    assert (after.st_ino, after.st_mtime_ns, after.st_nlink) == (before.st_ino, before.st_mtime_ns, 1)
+
+
+def test_atomic_write_replaces_equal_bytes_of_another_owner(tmp_path, monkeypatch):
+    path, before = _written(tmp_path)
+    monkeypatch.setattr(os, "geteuid", lambda: before.st_uid + 1)
+    _atomic_write(path, TEXT)
+    monkeypatch.undo()
+    assert path.read_text() == TEXT and path.stat().st_ino != before.st_ino
 
 
 def test_atomic_write_over_a_directory_raises(tmp_path):
